@@ -8,14 +8,7 @@ term structures (and hence the inflation index, their ratio) are
 calibrated exactly to the current curve pair.
 """
 
-from .term_structures import (
-    CurvePair,
-    ScenarioPath,
-    ScenarioSet,
-    accounts_from_forwards,
-    implied_forwards,
-    inflation_index,
-)
+from .term_structures import CurvePair, InflationSpread, ScenarioSet, implied_forwards
 from .esg import (
     CalibrationReport,
     McModelParams,
@@ -39,7 +32,6 @@ from .policy_engine import (
     benefit_pv,
     build_schedule,
     first_order_pv,
-    oracle_be,
     project,
     project_real_rate,
     seasoned_rs0,
@@ -55,7 +47,6 @@ from .decomposition import (
 )
 from .pricing import (
     BuildingBlockMatrix,
-    InflationSpread,
     ValuationReport,
     be_report,
     building_blocks,
@@ -65,11 +56,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CurvePair",
-    "ScenarioPath",
+    "InflationSpread",
     "ScenarioSet",
-    "accounts_from_forwards",
     "implied_forwards",
-    "inflation_index",
     "CalibrationReport",
     "McModelParams",
     "TwoScenarioParams",
@@ -90,7 +79,6 @@ __all__ = [
     "benefit_pv",
     "build_schedule",
     "first_order_pv",
-    "oracle_be",
     "project",
     "project_real_rate",
     "seasoned_rs0",
@@ -102,7 +90,6 @@ __all__ = [
     "gross_coefficients",
     "net_coefficients",
     "BuildingBlockMatrix",
-    "InflationSpread",
     "ValuationReport",
     "be_report",
     "building_blocks",

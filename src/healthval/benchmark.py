@@ -19,8 +19,8 @@ from . import fixtures
 from .decomposition import aggregate_triangles, be_from_blocks, gross_coefficients
 from .esg import McModelParams, mc_model
 from .policy_engine import PolicyData, simulate_portfolio
-from .pricing import InflationSpread, building_blocks
-from .term_structures import ScenarioSet
+from .pricing import building_blocks
+from .term_structures import InflationSpread, ScenarioSet
 
 DECOMPOSITION_N = (100, 1_000, 10_000)
 ORACLE_N = (100, 400)

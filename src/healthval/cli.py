@@ -9,7 +9,8 @@ convention), ``demo-nonuniqueness`` (two-scenario parameter sweep) and
 Every run is a pure function of (config file, input files, seed):
 re-running writes byte-identical reports.  Exit codes: 0 success, 2
 input error (with a machine-readable JSON record on stderr), 3 tolerance
-or route-disagreement failure.
+or route-disagreement failure, including an ``ArithmeticError`` raised
+when a numerical identity breaks down.
 """
 
 from __future__ import annotations
@@ -65,6 +66,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         _emit_error("input", str(exc))
         return 2
+    except ArithmeticError as exc:
+        _emit_error("tolerance", str(exc))
+        return 3
 
 
 def _emit_error(kind: str, message: str, **context) -> None:

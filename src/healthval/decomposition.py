@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .policy_engine import PolicyData, build_schedule
+from .policy_engine import PolicyData, PolicySchedule, build_schedule
 from .term_structures import _readonly
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -85,8 +85,7 @@ class CoefficientTriangle:
     def dense(self) -> np.ndarray:
         """(T+1, T+1) array with zeros above the diagonal."""
         out = np.zeros((self.horizon + 1, self.horizon + 1))
-        for t in range(self.horizon + 1):
-            out[t, : t + 1] = self.row(t)
+        out[np.tril_indices(self.horizon + 1)] = self.coeffs
         return out
 
     def padded(self, horizon: int) -> "CoefficientTriangle":
@@ -115,12 +114,22 @@ def net_coefficients(policy: PolicyData) -> tuple[CoefficientTriangle, Coefficie
     with g[t] = (1+r)/(1-q1[t]).  A seasoned provision enters as the
     (0, 0) reserve entry, the coefficient of i_med[0] == 1.
     """
-    sched = build_schedule(policy)
+    net, rs = _net_reserve(build_schedule(policy))
+    zero_fixed = np.zeros(policy.run_off + 1)
+    return (
+        CoefficientTriangle(policy.run_off, net, zero_fixed),
+        CoefficientTriangle(policy.run_off, rs, zero_fixed.copy()),
+    )
+
+
+def _net_reserve(sched: PolicySchedule) -> tuple[np.ndarray, np.ndarray]:
+    """Packed net-premium and reserve coefficients (see :func:`net_coefficients`)."""
     horizon = sched.horizon
+    rs0 = sched.policy.rs0
     net = np.zeros(tri_size(horizon))
     rs = np.zeros(tri_size(horizon))
-    rs[0] = policy.rs0
-    net[0] = (sched.benefit_value[0] - policy.rs0) / sched.annuity[0]
+    rs[0] = rs0
+    net[0] = (sched.benefit_value[0] - rs0) / sched.annuity[0]
     for t in range(1, horizon + 1):
         prev, cur = tri_offset(t - 1), tri_offset(t)
         rs_row = rs[cur : cur + t]
@@ -129,11 +138,7 @@ def net_coefficients(policy: PolicyData) -> tuple[CoefficientTriangle, Coefficie
         rs_row *= sched.growth[t - 1]
         np.divide(rs_row, -sched.annuity[t], out=net[cur : cur + t])
         net[cur + t] = sched.benefit_value[t] / sched.annuity[t]
-    zero_fixed = np.zeros(horizon + 1)
-    return (
-        CoefficientTriangle(horizon, net, zero_fixed),
-        CoefficientTriangle(horizon, rs, zero_fixed.copy()),
-    )
+    return net, rs
 
 
 def gross_coefficients(policy: PolicyData) -> CoefficientTriangle:
@@ -148,14 +153,11 @@ def gross_coefficients(policy: PolicyData) -> CoefficientTriangle:
     """
     sched = build_schedule(policy)
     horizon = sched.horizon
-    net_tri, _ = net_coefficients(policy)
+    net, _ = _net_reserve(sched)
     loading = 1.0 / (1.0 - policy.fo.margin)
-    coeffs = np.empty(tri_size(horizon))
-    for t in range(horizon + 1):
-        off = tri_offset(t)
-        row = coeffs[off : off + t + 1]
-        np.multiply(net_tri.coeffs[off : off + t + 1], sched.surv2[t] * loading, out=row)
-        row[t] -= sched.surv2[t] * sched.k2[t]
+    t = np.arange(horizon + 1)
+    coeffs = net * np.repeat(sched.surv2 * loading, t + 1)
+    coeffs[tri_offset(t) + t] -= sched.surv2 * sched.k2
     fixed = sched.surv2 * (policy.fo.c1 * loading - policy.so.c2)
     return CoefficientTriangle(horizon, coeffs, fixed)
 
@@ -195,17 +197,26 @@ def aggregate(portfolio: Sequence[PolicyData]) -> CoefficientTriangle:
     return aggregate_triangles(gross_coefficients(p) for p in portfolio)
 
 
-def be_from_blocks(tri: CoefficientTriangle, blocks: "BuildingBlockMatrix") -> float:
-    """Best Estimate from a coefficient triangle and building-block prices.
+def be_by_date(tri: CoefficientTriangle, blocks: "BuildingBlockMatrix") -> tuple[float, np.ndarray]:
+    """Best Estimate and its per-date contributions from building-block prices.
 
-    BE = -sum_t ( sum_{s<=t} coeffs[t, s] * E[i_med[s]/bn[t]]
-                  + fixed[t] * E[i_cost[t]/bn[t]] ).
+    per_t[t] = -( sum_{s<=t} coeffs[t, s] * E[i_med[s]/bn[t]]
+                  + fixed[t] * E[i_cost[t]/bn[t]] ),
+
+    and the BE is their total, reduced over the whole priced triangle at
+    once rather than over ``per_t``.
     """
     if blocks.horizon < tri.horizon:
         raise ValueError(
             f"horizon shortfall: triangle needs {tri.horizon}, blocks cover {blocks.horizon}"
         )
     n = tri.horizon + 1
-    total = float(np.sum(tri.dense() * blocks.med[:n, :n]))
-    total += float(np.dot(tri.fixed, blocks.cost_diag[:n]))
-    return -total
+    priced = tri.dense() * blocks.med[:n, :n]
+    cost = blocks.cost_diag[:n]
+    be = -(float(np.sum(priced)) + float(np.dot(tri.fixed, cost)))
+    return be, -(np.sum(priced, axis=1) + tri.fixed * cost)
+
+
+def be_from_blocks(tri: CoefficientTriangle, blocks: "BuildingBlockMatrix") -> float:
+    """Best Estimate from a coefficient triangle and building-block prices (see :func:`be_by_date`)."""
+    return be_by_date(tri, blocks)[0]

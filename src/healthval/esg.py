@@ -84,9 +84,9 @@ class McModelParams:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.n_paths < 2:
-            raise ValueError(f"n_paths must be >= 2, got {self.n_paths}")
-        if self.vol_n < 0.0 or self.vol_r < 0.0:
+        if not (isinstance(self.n_paths, (int, np.integer)) and self.n_paths >= 2):
+            raise ValueError(f"n_paths must be an integer >= 2, got {self.n_paths!r}")
+        if not (self.vol_n >= 0.0 and self.vol_r >= 0.0):
             raise ValueError("volatilities must be nonnegative")
         if not -1.0 <= self.corr <= 1.0:
             raise ValueError(f"corr must lie in [-1, 1], got {self.corr}")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -31,9 +32,9 @@ import numpy as np
 
 from .esg import McModelParams, TwoScenarioParams, deterministic_model, mc_model, two_scenario_model
 from .policy_engine import CapRule, FirstOrderBasis, PolicyData, SecondOrderBasis
-from .pricing import BuildingBlockMatrix, InflationSpread
+from .pricing import BuildingBlockMatrix
 from .decomposition import CoefficientTriangle
-from .term_structures import CurvePair, ScenarioSet
+from .term_structures import CurvePair, InflationSpread, ScenarioSet
 
 MODEL_KINDS = ("deterministic", "two_scenario", "mc")
 
@@ -69,9 +70,12 @@ def _cell_float(path, row: list[str], line: int, column: int) -> float:
     if column > len(row):
         raise ParseError(path, line, column, f"missing column {column}")
     try:
-        return float(row[column - 1])
+        value = float(row[column - 1])
     except ValueError:
         raise ParseError(path, line, column, f"not a number: {row[column - 1]!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(path, line, column, f"not a finite number: {row[column - 1]!r}")
+    return value
 
 
 def _cell_int(path, row: list[str], line: int, column: int) -> int:
@@ -246,9 +250,9 @@ class PremiumPathConfig:
     inflation_factor: float = 101.0 / 99.0
 
     def __post_init__(self) -> None:
-        if self.inflation_factor <= 0.0:
+        if not self.inflation_factor > 0.0:
             raise ValueError("inflation_factor must be positive")
-        if self.r_nominal <= -1.0 or self.r_real <= -1.0:
+        if not (self.r_nominal > -1.0 and self.r_real > -1.0):
             raise ValueError("rates must exceed -1")
 
 
@@ -343,7 +347,7 @@ def load_config(path, **overrides) -> RunConfig:
         )
     except KeyError as exc:
         raise ParseError(path, 1, 1, f"missing config field: {exc.args[0]}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(path, 1, 1, str(exc)) from exc
     return config
 

@@ -24,20 +24,17 @@ margin; the projected cash flow weighs the gross premium against
 second-order benefits/costs and second-order survival.
 
 Projection runs vectorized over many inflation paths at once, which is
-what the brute-force portfolio valuation (`oracle_be`) builds on.
+what the brute-force portfolio valuation (`simulate_portfolio`) builds on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .term_structures import ScenarioSet, _readonly
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .pricing import InflationSpread
+from .term_structures import InflationSpread, ScenarioSet, _readonly
 
 #: Terminal age used by the shipped table builders; q[omega] must be 1.
 DEFAULT_TERMINAL_AGE = 121
@@ -59,7 +56,7 @@ class FirstOrderBasis:
         _validate_tables(self.k1, self.q1, "first-order")
         if not self.r_calc > -1.0:
             raise ValueError(f"technical rate must exceed -1, got {self.r_calc}")
-        if self.c1 < 0.0:
+        if not self.c1 >= 0.0:
             raise ValueError("annual fixed cost must be nonnegative")
         if not 0.0 <= self.margin < 1.0:
             raise ValueError(f"margin must lie in [0, 1), got {self.margin}")
@@ -81,7 +78,7 @@ class SecondOrderBasis:
         object.__setattr__(self, "k2", _readonly(self.k2, "k2"))
         object.__setattr__(self, "q2", _readonly(self.q2, "q2"))
         _validate_tables(self.k2, self.q2, "second-order")
-        if self.c2 < 0.0:
+        if not self.c2 >= 0.0:
             raise ValueError("annual fixed cost must be nonnegative")
 
     @property
@@ -157,9 +154,9 @@ class CapRule:
     inflation_multiple: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.abs_increase < 0.0:
+        if not self.abs_increase >= 0.0:
             raise ValueError("abs_increase must be nonnegative")
-        if self.inflation_multiple < 0.0:
+        if not self.inflation_multiple >= 0.0:
             raise ValueError("inflation_multiple must be nonnegative")
 
     def allowed_factor(self, cost_step) -> np.ndarray:
@@ -447,18 +444,10 @@ class SimulationResult:
     cap_bound: bool
 
 
-def _index_factors(spread: "InflationSpread | None", horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    t = np.arange(horizon + 1)
-    if spread is None:
-        ones = np.ones(horizon + 1)
-        return ones, ones.copy()
-    return (1.0 + spread.med_spread) ** t, (1.0 + spread.cost_spread) ** t
-
-
 def simulate_portfolio(
     portfolio: Sequence[PolicyData],
     s: ScenarioSet,
-    spread: "InflationSpread | None" = None,
+    spread: Optional[InflationSpread] = None,
     cap: Optional[CapRule] = None,
 ) -> SimulationResult:
     """Value a portfolio by tracking every policy along every path.
@@ -473,26 +462,16 @@ def simulate_portfolio(
             raise ValueError(
                 f"policy {p.id!r} runs {p.run_off} years but scenarios stop at {s.horizon}"
             )
+    if spread is None:
+        spread = InflationSpread()
     per_t = np.zeros(horizon + 1)
     bound = False
-    fmed, fcost = _index_factors(spread, s.horizon)
+    i_med, i_cost = spread.indices(s)
+    disc = s.weights[:, None] / s.bn
     for p in portfolio:
         cols = p.run_off + 1
-        schedule = build_schedule(p)
-        i_med = s.i[:, :cols] * fmed[:cols]
-        i_cost = s.i[:, :cols] * fcost[:cols]
-        out = _project_paths(schedule, i_med, i_cost, cap, details=False)
-        disc = s.weights[:, None] / s.bn[:, :cols]
-        per_t[:cols] -= np.sum(disc * out.cashflow, axis=0)
+        out = _project_paths(build_schedule(p), i_med[:, :cols], i_cost[:, :cols], cap, details=False)
+        per_t[:cols] -= np.sum(disc[:, :cols] * out.cashflow, axis=0)
         bound = bound or out.cap_bound
     return SimulationResult(be=float(per_t.sum()), per_t=per_t, cap_bound=bound)
 
-
-def oracle_be(
-    portfolio: Sequence[PolicyData],
-    s: ScenarioSet,
-    spread: "InflationSpread | None" = None,
-    cap: Optional[CapRule] = None,
-) -> float:
-    """Best Estimate by brute-force per-path simulation (see simulate_portfolio)."""
-    return simulate_portfolio(portfolio, s, spread, cap).be

@@ -8,15 +8,16 @@ probability-weighted sum
 
 The boundary cases are ordinary bonds: med[t, 0] is the nominal ZCB
 price and, with zero spread, med[t, t] the real ZCB price.  The medical
-and cost indices are the modeled index times a deterministic per-year
-spread factor, the smallest mechanism that lets benefit and cost
-inflation differ without a second stochastic factor:
-
-    i_med[t] = i[t] * (1 + med_spread)^t,   i_cost analogously.
+and cost indices come from :meth:`InflationSpread.indices
+<healthval.term_structures.InflationSpread.indices>`.
 
 Prices are always exact weighted sums over the finite set, never
 subsampled; Monte-Carlo standard errors attach only to equal-weight
 sampled sets.
+
+``InflationSpread`` (from ``term_structures``) and ``be_from_blocks``
+(from ``decomposition``) are re-exported here for callers that reach
+them through this module.
 """
 
 from __future__ import annotations
@@ -26,25 +27,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .decomposition import CoefficientTriangle, aggregate, be_from_blocks
+from .decomposition import CoefficientTriangle, aggregate, be_by_date, be_from_blocks  # noqa: F401
 from .policy_engine import CapRule, PolicyData, simulate_portfolio
-from .term_structures import ScenarioSet
-
-
-@dataclass(frozen=True)
-class InflationSpread:
-    """Deterministic per-year multiplicative spreads on the modeled index."""
-
-    med_spread: float = 0.0
-    cost_spread: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.med_spread <= -1.0 or self.cost_spread <= -1.0:
-            raise ValueError("spreads must exceed -1")
-
-    def factors(self, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-        t = np.arange(horizon + 1)
-        return (1.0 + self.med_spread) ** t, (1.0 + self.cost_spread) ** t
+from .term_structures import InflationSpread, ScenarioSet
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,9 +73,7 @@ def building_blocks(s: ScenarioSet, spread: Optional[InflationSpread] = None) ->
     if spread is None:
         spread = InflationSpread()
     horizon = s.horizon
-    fmed, fcost = spread.factors(horizon)
-    i_med = s.i * fmed[None, :]
-    i_cost = s.i * fcost[None, :]
+    i_med, i_cost = spread.indices(s)
     inv_bn = 1.0 / s.bn
     disc = s.weights[:, None] * inv_bn
 
@@ -154,10 +137,8 @@ def _be_standard_error(
     if not s.sampled or s.n_paths < 2:
         return None
     n = tri.horizon + 1
-    fmed, fcost = spread.factors(s.horizon)
-    i_med = s.i[:, :n] * fmed[None, :n]
-    i_cost = s.i[:, :n] * fcost[None, :n]
-    dated = i_med @ tri.dense().T + i_cost * tri.fixed[None, :]
+    i_med, i_cost = spread.indices(s)
+    dated = i_med[:, :n] @ tri.dense().T + i_cost[:, :n] * tri.fixed[None, :]
     z = -np.sum(dated / s.bn[:, :n], axis=1)
     return float(np.std(z, ddof=1) / np.sqrt(s.n_paths))
 
@@ -181,15 +162,10 @@ def be_report(
         spread = InflationSpread()
     tri = aggregate(portfolio)
     blocks = building_blocks(s, spread)
-    be_dec = be_from_blocks(tri, blocks)
+    be_dec, per_t = be_by_date(tri, blocks)
     sim = simulate_portfolio(portfolio, s, spread, cap=None)
     difference = be_dec - sim.be
     relative = abs(difference) / (1.0 + abs(sim.be))
-
-    n = tri.horizon + 1
-    per_t = -(
-        np.sum(tri.dense() * blocks.med[:n, :n], axis=1) + tri.fixed * blocks.cost_diag[:n]
-    )
 
     be_capped = None
     bound = None

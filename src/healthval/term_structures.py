@@ -12,6 +12,9 @@ Conventions used throughout the engine:
   (value at t of rolling one unit at the one-year forward rates).  The
   inflation index is their ratio, ``i[t] = bn[t] / br[t]``, i.e. the
   exchange rate between the nominal and the real "currency".
+- The medical and cost payment indices are that index times a
+  deterministic spread factor (:class:`InflationSpread`); this module is
+  their one place of derivation.
 
 All types are immutable after construction and all operations are pure,
 so everything here can be shared freely across threads.
@@ -24,21 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _readonly(values, name: str) -> np.ndarray:
-    """Copy to a read-only 1d float64 array, rejecting non-finite entries."""
+def _readonly(values, name: str, ndim: int = 1) -> np.ndarray:
+    """Copy to a read-only float64 array of ``ndim`` dimensions, rejecting non-finite entries."""
     arr = np.array(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
-
-
-def _readonly_2d(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
@@ -77,47 +70,13 @@ class CurvePair:
 
 
 @dataclass(frozen=True, eq=False)
-class ScenarioPath:
-    """One joint path of the nominal/real money-market accounts.
-
-    ``i`` is derived on construction as the exchange rate bn/br; it starts
-    at 1 because both accounts start at 1.
-    """
-
-    bn: np.ndarray
-    br: np.ndarray
-    i: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bn", _readonly(self.bn, "bn"))
-        object.__setattr__(self, "br", _readonly(self.br, "br"))
-        if len(self.bn) != len(self.br):
-            raise ValueError("bn and br must share the same horizon")
-        if self.bn[0] != 1.0 or self.br[0] != 1.0:
-            raise ValueError("money-market accounts must start at 1")
-        if np.any(self.bn <= 0.0) or np.any(self.br <= 0.0):
-            raise ValueError("money-market accounts must be strictly positive")
-        object.__setattr__(self, "i", _readonly(self.bn / self.br, "i"))
-
-    @property
-    def horizon(self) -> int:
-        return len(self.bn) - 1
-
-
-def inflation_index(path: ScenarioPath) -> np.ndarray:
-    """Inflation index along a path: i[t] = bn[t] / br[t], with i[0] = 1."""
-    return path.bn / path.br
-
-
-@dataclass(frozen=True, eq=False)
 class ScenarioSet:
     """Finite weighted set of joint scenario paths.
 
-    Stored stacked ((n_paths, T+1) arrays) so pricing can run as matrix
-    arithmetic; individual :class:`ScenarioPath` views are available via
-    :attr:`paths`.  Weights are strictly positive and sum to 1 within
-    1e-12.  ``sampled`` marks equal-weight Monte-Carlo output, for which
-    standard errors are meaningful.
+    Stored stacked ((n_paths, T+1) arrays, one row per path) so pricing
+    can run as matrix arithmetic.  Weights are strictly positive and sum
+    to 1 within 1e-12.  ``sampled`` marks equal-weight Monte-Carlo
+    output, for which standard errors are meaningful.
     """
 
     bn: np.ndarray
@@ -127,8 +86,8 @@ class ScenarioSet:
     i: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bn", _readonly_2d(self.bn, "bn"))
-        object.__setattr__(self, "br", _readonly_2d(self.br, "br"))
+        object.__setattr__(self, "bn", _readonly(self.bn, "bn", ndim=2))
+        object.__setattr__(self, "br", _readonly(self.br, "br", ndim=2))
         object.__setattr__(self, "weights", _readonly(self.weights, "weights"))
         if self.bn.shape != self.br.shape:
             raise ValueError("bn and br must have identical shapes")
@@ -144,20 +103,7 @@ class ScenarioSet:
             raise ValueError("money-market accounts must be strictly positive")
         if np.any(self.bn[:, 0] != 1.0) or np.any(self.br[:, 0] != 1.0):
             raise ValueError("every path must start with bn[0] = br[0] = 1")
-        object.__setattr__(self, "i", _readonly_2d(self.bn / self.br, "i"))
-
-    @classmethod
-    def from_paths(
-        cls, paths: list[ScenarioPath], weights, sampled: bool = False
-    ) -> "ScenarioSet":
-        if not paths:
-            raise ValueError("scenario set must contain at least one path")
-        horizons = {p.horizon for p in paths}
-        if len(horizons) != 1:
-            raise ValueError(f"all paths must share one horizon, got {sorted(horizons)}")
-        bn = np.stack([p.bn for p in paths])
-        br = np.stack([p.br for p in paths])
-        return cls(bn=bn, br=br, weights=np.asarray(weights, dtype=float), sampled=sampled)
+        object.__setattr__(self, "i", _readonly(self.bn / self.br, "i", ndim=2))
 
     @property
     def n_paths(self) -> int:
@@ -167,12 +113,29 @@ class ScenarioSet:
     def horizon(self) -> int:
         return self.bn.shape[1] - 1
 
-    @property
-    def paths(self) -> tuple[ScenarioPath, ...]:
-        return tuple(ScenarioPath(bn=self.bn[k], br=self.br[k]) for k in range(self.n_paths))
 
-    def path(self, k: int) -> ScenarioPath:
-        return ScenarioPath(bn=self.bn[k], br=self.br[k])
+@dataclass(frozen=True)
+class InflationSpread:
+    """Deterministic per-year multiplicative spreads on the modeled index.
+
+    The medical and cost indices are the modeled index times a spread
+    factor, the smallest mechanism that lets benefit and cost inflation
+    differ without a second stochastic factor:
+
+        i_med[t] = i[t] * (1 + med_spread)^t,   i_cost analogously.
+    """
+
+    med_spread: float = 0.0
+    cost_spread: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not (self.med_spread > -1.0 and self.cost_spread > -1.0):
+            raise ValueError("spreads must exceed -1")
+
+    def indices(self, s: ScenarioSet) -> tuple[np.ndarray, np.ndarray]:
+        """Medical and cost index levels ``(i_med, i_cost)`` of every path of ``s``."""
+        t = np.arange(s.horizon + 1)
+        return s.i * (1.0 + self.med_spread) ** t, s.i * (1.0 + self.cost_spread) ** t
 
 
 def implied_forwards(curve: CurvePair) -> tuple[np.ndarray, np.ndarray]:
@@ -184,12 +147,3 @@ def implied_forwards(curve: CurvePair) -> tuple[np.ndarray, np.ndarray]:
     fn = curve.pn[:-1] / curve.pn[1:] - 1.0
     fr = curve.pr[:-1] / curve.pr[1:] - 1.0
     return fn, fr
-
-
-def accounts_from_forwards(forwards: np.ndarray) -> np.ndarray:
-    """Money-market account from one-year forwards: B[t] = prod(1 + F[s], s < t)."""
-    forwards = np.asarray(forwards, dtype=float)
-    account = np.empty(len(forwards) + 1)
-    account[0] = 1.0
-    np.cumprod(1.0 + forwards, out=account[1:])
-    return account

@@ -24,7 +24,6 @@ from healthval import (
     deterministic_model,
     first_order_pv,
     mc_model,
-    oracle_be,
     project,
     project_real_rate,
     simulate_portfolio,
@@ -97,7 +96,7 @@ def test_criterion_2_worked_example_closed_form():
                     + 15.0 * blocks.med[2, 1]
                     + 5.0 * pn[2]
                 )
-                be_oracle = oracle_be([toy_policy()], s)
+                be_oracle = simulate_portfolio([toy_policy()], s).be
                 be_blocks = be_from_blocks(aggregate([toy_policy()]), blocks)
                 assert abs(be_oracle - expected) <= 1e-12
                 assert abs(be_blocks - expected) <= 1e-12
@@ -130,7 +129,7 @@ def test_criterion_4_decomposition_soundness():
                 med_spread=float(rng.uniform(-0.02, 0.05)),
                 cost_spread=float(rng.uniform(-0.02, 0.05)),
             )
-            via_oracle = oracle_be(portfolio, s, spread)
+            via_oracle = simulate_portfolio(portfolio, s, spread).be
             via_blocks = be_from_blocks(aggregate(portfolio), building_blocks(s, spread))
             worst = max(worst, abs(via_blocks - via_oracle) / (1.0 + abs(via_oracle)))
         elapsed = time.perf_counter() - start

@@ -42,7 +42,6 @@ class TestValue:
 
     def test_malformed_curve_row_cites_line_two(self, tmp_path):
         bad_curve = tmp_path / "curve.csv"
-        bad_curve.write_text("t,pn,pr\n1,0.98\n")
         config = tmp_path / "config.json"
         config.write_text(
             json.dumps(
@@ -55,11 +54,13 @@ class TestValue:
                 }
             )
         )
-        result = run_cli("value", "--config", str(config))
-        assert result.returncode == 2
-        record = stderr_record(result)
-        assert record["kind"] == "parse"
-        assert record["line"] == 2
+        for row, column in (("1,0.98", 3), ("0,nan,1", 2)):
+            bad_curve.write_text(f"t,pn,pr\n{row}\n")
+            result = run_cli("value", "--config", str(config))
+            assert result.returncode == 2
+            record = stderr_record(result)
+            assert record["kind"] == "parse"
+            assert (record["line"], record["column"]) == (2, column)
 
     def test_missing_config_is_input_error(self, tmp_path):
         result = run_cli("value", "--config", str(tmp_path / "none.json"))
@@ -207,6 +208,20 @@ class TestPremiumPath:
         )
         assert result.returncode == 3
         assert stderr_record(result)["kind"] == "tolerance"
+
+    def test_numerical_breakdown_is_a_tolerance_failure(self, tmp_path, fixtures_dir):
+        config = tmp_path / "config.json"
+        payload = json.loads((fixtures_dir / "config_inpatient.json").read_text())
+        for key in ("curves", "portfolio", "tables_dir"):
+            payload[key] = str(fixtures_dir / payload[key])
+        payload["premium_path"]["inflation_factor"] = 50.0
+        payload["out_dir"] = str(tmp_path / "out")
+        config.write_text(json.dumps(payload))
+        result = run_cli("premium-path", "--config", str(config))
+        assert result.returncode == 3
+        record = stderr_record(result)
+        assert record["kind"] == "tolerance"
+        assert "real-rate premium identity" in record["message"]
 
 
 class TestDemoNonuniqueness:

@@ -13,8 +13,8 @@ from healthval import (
     deterministic_model,
     gross_coefficients,
     net_coefficients,
-    oracle_be,
     project,
+    simulate_portfolio,
 )
 from healthval.decomposition import tri_offset, tri_size
 from healthval.fixtures import toy_curve, toy_first_order, toy_policy
@@ -225,5 +225,5 @@ class TestBeFromBlocks:
             s = random_scenario_set(rng, horizon, int(rng.integers(2, 7)))
             spread = InflationSpread(float(rng.uniform(-0.01, 0.04)), float(rng.uniform(-0.01, 0.04)))
             via_blocks = be_from_blocks(aggregate(portfolio), building_blocks(s, spread))
-            via_oracle = oracle_be(portfolio, s, spread)
+            via_oracle = simulate_portfolio(portfolio, s, spread).be
             assert abs(via_blocks - via_oracle) / (1.0 + abs(via_oracle)) <= 1e-9

@@ -165,8 +165,15 @@ class TestMcModel:
             mc_model(CURVE, McModelParams(n_paths=4, vol_n=500.0, vol_r=0.0, corr=0.0, seed=1))
 
     def test_rejects_degenerate_path_count(self):
-        with pytest.raises(ValueError, match="n_paths"):
-            McModelParams(n_paths=1, vol_n=0.1, vol_r=0.1, corr=0.0, seed=1)
+        for n_paths in (1, 2.5, float("nan")):
+            with pytest.raises(ValueError, match="n_paths"):
+                McModelParams(n_paths=n_paths, vol_n=0.1, vol_r=0.1, corr=0.0, seed=1)
+
+    def test_rejects_nan_volatility_and_correlation(self):
+        nan = float("nan")
+        for vol_n, vol_r, corr in ((nan, 0.1, 0.0), (0.1, nan, 0.0), (0.1, 0.1, nan)):
+            with pytest.raises(ValueError, match="volatilities|corr"):
+                McModelParams(n_paths=4, vol_n=vol_n, vol_r=vol_r, corr=corr, seed=1)
 
 
 class TestCalibrationCheck:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -42,10 +44,11 @@ class TestCurveFile:
 
     def test_bad_number_cites_column(self, tmp_path):
         path = tmp_path / "curve.csv"
-        path.write_text("t,pn,pr\n0,1,1\n1,abc,1\n")
-        with pytest.raises(ParseError) as err:
-            load_curve(path)
-        assert (err.value.line, err.value.column) == (3, 2)
+        for body, column in (("1,abc,1", 2), ("inf,0.98,1", 1), ("1,nan,1", 2), ("1,0.98,-inf", 3)):
+            path.write_text(f"t,pn,pr\n0,1,1\n{body}\n")
+            with pytest.raises(ParseError) as err:
+                load_curve(path)
+            assert (err.value.line, err.value.column) == (3, column)
 
     def test_first_row_must_be_unit(self, tmp_path):
         path = tmp_path / "curve.csv"
@@ -163,6 +166,24 @@ class TestConfig:
         )
         with pytest.raises(ParseError, match="cn1"):
             load_config(path)
+
+    def test_nan_parameters_rejected(self, tmp_path, fixtures_dir):
+        base = {
+            "curves": str(fixtures_dir / "curves_long.csv"),
+            "portfolio": str(fixtures_dir / "portfolio_inpatient.csv"),
+            "tables_dir": str(fixtures_dir / "tables"),
+        }
+        cases = (
+            ({"spread": {"med": float("nan")}}, "spreads"),
+            ({"cap": {"abs_increase": float("nan")}}, "abs_increase"),
+            ({"premium_path": {"policy_id": "x", "inflation_factor": float("nan")}}, "inflation_factor"),
+            ({"model": {"kind": "mc", "vol_n": float("nan")}}, "volatilities"),
+        )
+        path = tmp_path / "config.json"
+        for extra, message in cases:
+            path.write_text(json.dumps({**base, **extra}))  # NaN is written as the JSON token NaN
+            with pytest.raises(ParseError, match=message):
+                load_config(path)
 
 
 class TestExports:

@@ -17,7 +17,6 @@ from healthval import (
     deterministic_model,
     first_order_pv,
     mc_model,
-    oracle_be,
     project,
     project_real_rate,
     seasoned_rs0,
@@ -68,8 +67,16 @@ class TestBasisValidation:
             SecondOrderBasis(k2=[-1.0, 0.0], q2=[0.0, 1.0])
 
     def test_margin_below_one(self):
-        with pytest.raises(ValueError, match="margin"):
-            FirstOrderBasis(k1=[0.0], q1=[1.0], r_calc=0.0, margin=1.0)
+        for margin in (1.0, float("nan")):
+            with pytest.raises(ValueError, match="margin"):
+                FirstOrderBasis(k1=[0.0], q1=[1.0], r_calc=0.0, margin=margin)
+
+    def test_fixed_costs_nonnegative(self):
+        for cost in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="fixed cost"):
+                FirstOrderBasis(k1=[0.0], q1=[1.0], r_calc=0.0, c1=cost)
+            with pytest.raises(ValueError, match="fixed cost"):
+                SecondOrderBasis(k2=[0.0], q2=[1.0], c2=cost)
 
     def test_second_order_must_terminate_with_first(self):
         fo = FirstOrderBasis(k1=[0.0, 10.0, 0.0], q1=[0.0, 1.0, 1.0], r_calc=0.0)
@@ -255,7 +262,7 @@ class TestProjectRealRate:
 class TestOracleBe:
     def test_empty_portfolio(self):
         s = deterministic_model(toy_curve())
-        assert oracle_be([], s) == 0.0
+        assert simulate_portfolio([], s).be == 0.0
 
     def test_toy_worked_example(self):
         curve = toy_curve()
@@ -263,27 +270,34 @@ class TestOracleBe:
         pn, pr = curve.pn, curve.pr
         delayed = (pr[1] / pn[1]) * pn[2]
         expected = -10.0 - 15.0 * pr[1] + 5.0 * pn[1] - 30.0 * pr[2] + 15.0 * delayed + 5.0 * pn[2]
-        assert oracle_be([toy_policy()], s) == pytest.approx(expected, abs=1e-12)
+        assert simulate_portfolio([toy_policy()], s).be == pytest.approx(expected, abs=1e-12)
 
     def test_linearity_in_identical_policies(self):
         s = deterministic_model(toy_curve())
-        one = oracle_be([toy_policy()], s)
-        two = oracle_be([toy_policy(), toy_policy()], s)
+        one = simulate_portfolio([toy_policy()], s).be
+        two = simulate_portfolio([toy_policy(), toy_policy()], s).be
         assert two == 2.0 * one
 
     def test_horizon_shortfall_names_policy(self):
         short = deterministic_model(CurvePair(pn=[1.0, 0.99], pr=[1.0, 1.0]))
         with pytest.raises(ValueError, match="toy-1"):
-            oracle_be([toy_policy()], short)
+            simulate_portfolio([toy_policy()], short)
 
     def test_spread_changes_value(self):
         s = deterministic_model(toy_curve())
-        base = oracle_be([toy_policy()], s)
-        spread = oracle_be([toy_policy()], s, InflationSpread(med_spread=0.05))
+        base = simulate_portfolio([toy_policy()], s).be
+        spread = simulate_portfolio([toy_policy()], s, InflationSpread(med_spread=0.05)).be
         assert spread != base
 
 
 class TestCapRule:
+    def test_rejects_negative_or_nan_parameters(self):
+        for bad in (-0.01, float("nan")):
+            with pytest.raises(ValueError, match="abs_increase"):
+                CapRule(abs_increase=bad)
+            with pytest.raises(ValueError, match="inflation_multiple"):
+                CapRule(inflation_multiple=bad)
+
     def test_decreases_pass_through(self):
         cap = CapRule(abs_increase=0.0, inflation_multiple=1.0)
         assert cap.apply(100.0, 80.0, 1.1) == 80.0

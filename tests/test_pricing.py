@@ -20,17 +20,26 @@ from conftest import random_curve
 
 class TestInflationSpread:
     def test_zero_spread_is_identity(self):
-        fmed, fcost = InflationSpread().factors(4)
-        assert fmed.tolist() == [1.0] * 5
-        assert fcost.tolist() == [1.0] * 5
+        s = mc_model(toy_curve(), McModelParams(n_paths=4, vol_n=0.02, vol_r=0.01, corr=0.0, seed=1))
+        i_med, i_cost = InflationSpread().indices(s)
+        assert np.array_equal(i_med, s.i)
+        assert np.array_equal(i_cost, s.i)
 
     def test_factors_compound_annually(self):
-        fmed, _ = InflationSpread(med_spread=0.02).factors(3)
-        assert fmed == pytest.approx([1.0, 1.02, 1.02**2, 1.02**3], rel=1e-15)
+        s = deterministic_model(flat_curve(3, 0.0, 0.0))
+        i_med, i_cost = InflationSpread(med_spread=0.02).indices(s)
+        assert i_med[0] == pytest.approx([1.0, 1.02, 1.02**2, 1.02**3], rel=1e-15)
+        assert i_cost[0].tolist() == [1.0] * 4
 
     def test_rejects_spread_at_minus_one(self):
-        with pytest.raises(ValueError, match="-1"):
-            InflationSpread(med_spread=-1.0)
+        for med, cost in ((-1.0, 0.0), (0.0, -1.5), (float("nan"), 0.0), (0.0, float("nan"))):
+            with pytest.raises(ValueError, match="-1"):
+                InflationSpread(med_spread=med, cost_spread=cost)
+
+    def test_still_importable_from_pricing(self):
+        from healthval import pricing, term_structures
+
+        assert pricing.InflationSpread is term_structures.InflationSpread
 
 
 class TestBuildingBlocks:
@@ -64,7 +73,8 @@ class TestBuildingBlocks:
         base = building_blocks(s)
         spread = InflationSpread(med_spread=0.017, cost_spread=-0.004)
         shifted = building_blocks(s, spread)
-        fmed, fcost = spread.factors(s.horizon)
+        t = np.arange(s.horizon + 1)
+        fmed, fcost = 1.017**t, 0.996**t
         for t in range(s.horizon + 1):
             for j in range(t + 1):
                 assert shifted.med[t, j] == pytest.approx(base.med[t, j] * fmed[j], rel=1e-12)
