@@ -43,7 +43,6 @@ from .decomposition import (
     aggregate_triangles,
     be_from_blocks,
     gross_coefficients,
-    net_coefficients,
 )
 from .pricing import (
     BuildingBlockMatrix,
@@ -88,7 +87,6 @@ __all__ = [
     "aggregate_triangles",
     "be_from_blocks",
     "gross_coefficients",
-    "net_coefficients",
     "BuildingBlockMatrix",
     "ValuationReport",
     "be_report",

@@ -13,8 +13,11 @@ of the per-policy triangles values a whole portfolio, which makes the
 Monte-Carlo cost independent of the number of policies.
 
 Triangles are stored row-packed: row t holds its t+1 entries for
-s = 0..t, so a triangle is one flat array of (T+1)(T+2)/2 floats and
-portfolio aggregation is plain elementwise addition.
+s = 0..t, so a triangle is one flat array of (T+1)(T+2)/2 floats and a
+horizon-h triangle is the first ``tri_size(h)`` entries of any longer
+one.  Portfolio aggregation is plain elementwise addition into a prefix
+of one accumulator: per-policy triangles are streamed, never stored, and
+no reserve triangle is built.
 
 Caps on premium increases break the linearity; capped valuation must use
 the brute-force route, for which the uncapped decomposition is a lower
@@ -49,10 +52,10 @@ def tri_offset(t: int) -> int:
 class CoefficientTriangle:
     """Lower-triangular coefficients plus the fixed-cost vector.
 
-    ``coeffs`` is row-packed (see module docstring); entry (t, s) is the
-    amount of the index level i_med[s] paid at t, ``fixed[t]`` the amount
-    of i_cost[t] paid at t.  The same layout houses the intermediate net
-    and reserve triangles, whose fixed part is zero.
+    ``coeffs`` is row-packed (see module docstring); entry (t, s) =
+    ``row(t)[s]`` is the amount of the index level i_med[s] paid at t,
+    ``fixed[t]`` the amount of i_cost[t] paid at t.  A shorter triangle
+    is a prefix of a longer one, so triangles of any horizons add up.
     """
 
     horizon: int
@@ -73,11 +76,6 @@ class CoefficientTriangle:
     def zeros(cls, horizon: int) -> "CoefficientTriangle":
         return cls(horizon, np.zeros(tri_size(horizon)), np.zeros(horizon + 1))
 
-    def entry(self, t: int, s: int) -> float:
-        if not 0 <= s <= t <= self.horizon:
-            raise IndexError(f"entry ({t}, {s}) outside the triangle")
-        return float(self.coeffs[tri_offset(t) + s])
-
     def row(self, t: int) -> np.ndarray:
         """Entries (t, 0..t) as a view into the packed array."""
         return self.coeffs[tri_offset(t) : tri_offset(t) + t + 1]
@@ -88,72 +86,48 @@ class CoefficientTriangle:
         out[np.tril_indices(self.horizon + 1)] = self.coeffs
         return out
 
-    def padded(self, horizon: int) -> "CoefficientTriangle":
-        """Extend with zero rows up to a larger horizon (no-op if equal)."""
-        if horizon < self.horizon:
-            raise ValueError("cannot pad to a smaller horizon")
-        if horizon == self.horizon:
-            return self
-        coeffs = np.zeros(tri_size(horizon))
-        coeffs[: len(self.coeffs)] = self.coeffs
-        fixed = np.zeros(horizon + 1)
-        fixed[: len(self.fixed)] = self.fixed
-        return CoefficientTriangle(horizon, coeffs, fixed)
 
-
-def net_coefficients(policy: PolicyData) -> tuple[CoefficientTriangle, CoefficientTriangle]:
-    """Net-premium and reserve coefficient triangles of one policy.
-
-    Row t of the net triangle reproduces the net premium:
-    P[t] = sum_s net[t, s] * i_med[s]; the reserve triangle does the same
-    for RS[t].  Built by the inductive recursion
-
-        rs[t+1, s]  = g[t] * (rs[t, s] + net[t, s] - [s == t] * k1[t])
-        net[t, s]   = [s == t] * A[t]/a[t]  -  rs[t, s]/a[t]
-
-    with g[t] = (1+r)/(1-q1[t]).  A seasoned provision enters as the
-    (0, 0) reserve entry, the coefficient of i_med[0] == 1.
-    """
-    net, rs = _net_reserve(build_schedule(policy))
-    zero_fixed = np.zeros(policy.run_off + 1)
-    return (
-        CoefficientTriangle(policy.run_off, net, zero_fixed),
-        CoefficientTriangle(policy.run_off, rs, zero_fixed.copy()),
-    )
-
-
-def _net_reserve(sched: PolicySchedule) -> tuple[np.ndarray, np.ndarray]:
-    """Packed net-premium and reserve coefficients (see :func:`net_coefficients`)."""
+def _net_reserve(sched: PolicySchedule) -> np.ndarray:
+    """Packed net-premium coefficients (see :func:`gross_coefficients`); one reserve row rolls forward."""
     horizon = sched.horizon
     rs0 = sched.policy.rs0
     net = np.zeros(tri_size(horizon))
-    rs = np.zeros(tri_size(horizon))
+    rs = np.zeros(horizon + 1)
     rs[0] = rs0
     net[0] = (sched.benefit_value[0] - rs0) / sched.annuity[0]
     for t in range(1, horizon + 1):
         prev, cur = tri_offset(t - 1), tri_offset(t)
-        rs_row = rs[cur : cur + t]
-        np.add(rs[prev : prev + t], net[prev : prev + t], out=rs_row)
+        rs_row = rs[:t]
+        rs_row += net[prev : prev + t]
         rs_row[t - 1] -= sched.k1[t - 1]
         rs_row *= sched.growth[t - 1]
         np.divide(rs_row, -sched.annuity[t], out=net[cur : cur + t])
         net[cur + t] = sched.benefit_value[t] / sched.annuity[t]
-    return net, rs
+    return net
 
 
 def gross_coefficients(policy: PolicyData) -> CoefficientTriangle:
     """Cash-flow coefficient triangle of one policy.
 
-    Scales the net triangle by second-order survival and the margin
-    loading, nets the second-order benefit off the diagonal, and carries
-    the fixed-cost mismatch in the fixed vector:
+    The net premium is linear in the index levels, P[t] = sum_s
+    net[t, s] * i_med[s], and so is the reserve, RS[t] = sum_s rs[t, s]
+    * i_med[s].  Both follow the inductive recursion
+
+        rs[t+1, s]  = g[t] * (rs[t, s] + net[t, s] - [s == t] * k1[t])
+        net[t, s]   = [s == t] * A[t]/a[t]  -  rs[t, s]/a[t]
+
+    with g[t] = (1+r)/(1-q1[t]).  A seasoned provision enters as the
+    (0, 0) reserve entry, the coefficient of i_med[0] == 1.  The net
+    triangle is then scaled by second-order survival and the margin
+    loading, the second-order benefit is netted off the diagonal, and
+    the fixed-cost mismatch is carried in the fixed vector:
 
         coeffs[t, s] = surv2[t] * net[t, s] / (1 - margin) - [s == t] * surv2[t] * k2[t]
         fixed[t]     = surv2[t] * (c1 / (1 - margin) - c2)
     """
     sched = build_schedule(policy)
     horizon = sched.horizon
-    net, _ = _net_reserve(sched)
+    net = _net_reserve(sched)
     loading = 1.0 / (1.0 - policy.fo.margin)
     t = np.arange(horizon + 1)
     coeffs = net * np.repeat(sched.surv2 * loading, t + 1)
@@ -163,32 +137,33 @@ def gross_coefficients(policy: PolicyData) -> CoefficientTriangle:
 
 
 def aggregate_triangles(triangles: Iterable[CoefficientTriangle]) -> CoefficientTriangle:
-    """Elementwise sum of triangles, padded to the largest horizon.
+    """Elementwise sum of triangles, extended with zeros to the largest horizon.
 
-    Fixed-size chunks are accumulated in place and the chunk partials
-    reduced pairwise, so the summation order is fixed regardless of how
-    the caller batches policies.
+    The input is consumed once, each triangle added into the leading
+    entries of its chunk's accumulator, which grows when a longer one
+    arrives.  Fixed-size chunks are accumulated in place and the chunk
+    partials reduced together, so the summation order is fixed
+    regardless of how the caller batches policies.
     """
-    triangles = list(triangles)
-    if not triangles:
-        return CoefficientTriangle.zeros(0)
-    horizon = max(tri.horizon for tri in triangles)
-    padded = [tri.padded(horizon) for tri in triangles]
     chunk = 256
-    coeff_parts = []
-    fixed_parts = []
-    for start in range(0, len(padded), chunk):
-        acc = np.zeros(tri_size(horizon))
-        acc_fixed = np.zeros(horizon + 1)
-        for tri in padded[start : start + chunk]:
-            np.add(acc, tri.coeffs, out=acc)
-            np.add(acc_fixed, tri.fixed, out=acc_fixed)
-        coeff_parts.append(acc)
-        fixed_parts.append(acc_fixed)
+    coeff_parts: list[np.ndarray] = []
+    fixed_parts: list[np.ndarray] = []
+    for k, tri in enumerate(triangles):
+        if k % chunk == 0:
+            coeff_parts.append(np.zeros(0))
+            fixed_parts.append(np.zeros(0))
+        if len(fixed_parts[-1]) <= tri.horizon:
+            coeff_parts[-1] = np.pad(coeff_parts[-1], (0, len(tri.coeffs) - len(coeff_parts[-1])))
+            fixed_parts[-1] = np.pad(fixed_parts[-1], (0, len(tri.fixed) - len(fixed_parts[-1])))
+        coeff_parts[-1][: len(tri.coeffs)] += tri.coeffs
+        fixed_parts[-1][: len(tri.fixed)] += tri.fixed
+    if not coeff_parts:
+        return CoefficientTriangle.zeros(0)
+    horizon = max(len(fixed) for fixed in fixed_parts) - 1
     return CoefficientTriangle(
         horizon,
-        np.sum(np.stack(coeff_parts), axis=0),
-        np.sum(np.stack(fixed_parts), axis=0),
+        np.sum(np.stack([np.pad(c, (0, tri_size(horizon) - len(c))) for c in coeff_parts]), axis=0),
+        np.sum(np.stack([np.pad(f, (0, horizon + 1 - len(f))) for f in fixed_parts]), axis=0),
     )
 
 

@@ -86,6 +86,8 @@ class McModelParams:
     def __post_init__(self) -> None:
         if not (isinstance(self.n_paths, (int, np.integer)) and self.n_paths >= 2):
             raise ValueError(f"n_paths must be an integer >= 2, got {self.n_paths!r}")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if not (self.vol_n >= 0.0 and self.vol_r >= 0.0):
             raise ValueError("volatilities must be nonnegative")
         if not -1.0 <= self.corr <= 1.0:

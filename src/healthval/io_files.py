@@ -222,7 +222,7 @@ class ModelConfig:
 
     def mc_params(self, seed: int) -> McModelParams:
         return McModelParams(
-            n_paths=int(self.params.get("n_paths", 1000)),
+            n_paths=_integer(self.params.get("n_paths", 1000), "n_paths"),
             vol_n=float(self.params.get("vol_n", 0.01)),
             vol_r=float(self.params.get("vol_r", 0.005)),
             corr=float(self.params.get("corr", 0.0)),
@@ -312,20 +312,21 @@ def load_config(path, **overrides) -> RunConfig:
         if overrides.get("model"):
             model = _model_from({"kind": overrides["model"], **_params_for(raw, overrides["model"])})
         model_b = _model_from(raw["model_b"]) if "model_b" in raw else None
-        spread_raw = raw.get("spread", {})
+        spread_raw = _object(raw.get("spread", {}), "spread")
         spread = InflationSpread(
             med_spread=float(spread_raw.get("med", 0.0)),
             cost_spread=float(spread_raw.get("cost", 0.0)),
         )
         cap = None
         if raw.get("cap") is not None:
+            cap_raw = _object(raw["cap"], "cap")
             cap = CapRule(
-                abs_increase=float(raw["cap"].get("abs_increase", 0.05)),
-                inflation_multiple=float(raw["cap"].get("inflation_multiple", 2.0)),
+                abs_increase=float(cap_raw.get("abs_increase", 0.05)),
+                inflation_multiple=float(cap_raw.get("inflation_multiple", 2.0)),
             )
         premium_path = None
         if raw.get("premium_path") is not None:
-            pp = raw["premium_path"]
+            pp = _object(raw["premium_path"], "premium_path")
             premium_path = PremiumPathConfig(
                 policy_id=str(pp["policy_id"]),
                 r_nominal=float(pp.get("r_nominal", 0.01)),
@@ -340,7 +341,7 @@ def load_config(path, **overrides) -> RunConfig:
             model_b=model_b,
             spread=spread,
             cap=cap,
-            seed=int(overrides.get("seed", raw.get("seed", 0))),
+            seed=_integer(overrides.get("seed", raw.get("seed", 0)), "seed"),
             out_dir=Path(overrides.get("out_dir", raw.get("out_dir", "out"))),
             tolerance=float(overrides.get("tolerance", raw.get("tolerance", 1e-9))),
             premium_path=premium_path,
@@ -350,6 +351,21 @@ def load_config(path, **overrides) -> RunConfig:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(path, 1, 1, str(exc)) from exc
     return config
+
+
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} section must be a JSON object, got {value!r}")
+    return value
+
+
+def _integer(value, name: str) -> int:
+    """A JSON integer; integral floats such as 1e3 pass, fractions, booleans and strings do not."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _model_from(raw: dict) -> ModelConfig:

@@ -38,8 +38,9 @@ class BuildingBlockMatrix:
 
     ``med[t, s]`` = E[i_med[s]/bn[t]] for s <= t (zeros above the
     diagonal), ``cost_diag[t]`` = E[i_cost[t]/bn[t]], ``nominal_diag[t]``
-    = E[1/bn[t]].  ``se_*`` are per-entry Monte-Carlo standard errors,
-    present only for sampled sets.
+    = E[1/bn[t]].  ``se_med`` holds the per-entry Monte-Carlo standard
+    errors of ``med``, present only for sampled sets; no other block SE
+    is carried, because nothing reads one.
     """
 
     horizon: int
@@ -47,8 +48,6 @@ class BuildingBlockMatrix:
     cost_diag: np.ndarray
     nominal_diag: np.ndarray
     se_med: Optional[np.ndarray] = None
-    se_cost: Optional[np.ndarray] = None
-    se_nominal: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         n = self.horizon + 1
@@ -67,8 +66,8 @@ def building_blocks(s: ScenarioSet, spread: Optional[InflationSpread] = None) ->
     """Exact block prices under a finite scenario set.
 
     One weighted reduction per (t, s) pair, evaluated as a single matrix
-    product; standard errors are attached for sampled (equal-weight)
-    sets.
+    product; the standard errors of ``med`` are attached for sampled
+    (equal-weight) sets.
     """
     if spread is None:
         spread = InflationSpread()
@@ -81,16 +80,11 @@ def building_blocks(s: ScenarioSet, spread: Optional[InflationSpread] = None) ->
     nominal_diag = disc.sum(axis=0)
     cost_diag = np.einsum("kt,kt->t", disc, i_cost)
 
-    se_med = se_cost = se_nominal = None
+    se_med = None
     if s.sampled:
         n = s.n_paths
-        sq = inv_bn**2 / n
-        second_med = np.tril(sq.T @ i_med**2)
+        second_med = np.tril((inv_bn**2 / n).T @ i_med**2)
         se_med = np.sqrt(np.maximum(second_med - med**2, 0.0) / (n - 1))
-        second_cost = np.einsum("kt,kt->t", sq, i_cost**2)
-        se_cost = np.sqrt(np.maximum(second_cost - cost_diag**2, 0.0) / (n - 1))
-        second_nom = sq.sum(axis=0)
-        se_nominal = np.sqrt(np.maximum(second_nom - nominal_diag**2, 0.0) / (n - 1))
 
     return BuildingBlockMatrix(
         horizon=horizon,
@@ -98,8 +92,6 @@ def building_blocks(s: ScenarioSet, spread: Optional[InflationSpread] = None) ->
         cost_diag=cost_diag,
         nominal_diag=nominal_diag,
         se_med=se_med,
-        se_cost=se_cost,
-        se_nominal=se_nominal,
     )
 
 

@@ -1,11 +1,19 @@
 """End-to-end checks of the command-line surface via its entry point."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from healthval import cli
 
 from conftest import FIXTURES
 
@@ -254,3 +262,59 @@ class TestCalibrateCheck:
             assert result.returncode == 0, result.stderr
             report = json.loads((tmp_path / model / "calibration.json").read_text())
             assert report["passed"] is True
+
+
+#: Every top-level section a run configuration may hold.
+CONFIG_SECTIONS = (
+    "curves", "portfolio", "tables_dir", "model", "model_b", "spread",
+    "cap", "seed", "out_dir", "tolerance", "premium_path",
+)
+_FIELD_NAMES = ("kind", "med", "cost", "abs_increase", "inflation_multiple", "policy_id", "n_paths", "p1")
+# Small numbers only: a generated n_paths must not allocate a large scenario set.
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 50)
+    | st.floats(-10.0, 10.0)
+    | st.sampled_from([float("nan"), float("inf"), 1e-300])
+    | st.text("abx_", max_size=4)
+    | st.sampled_from(["mc", "deterministic", "two_scenario", "toy-1"])
+)
+JSON_VALUES = (
+    _JSON_SCALARS
+    | st.lists(_JSON_SCALARS, max_size=3)
+    | st.dictionaries(st.sampled_from(_FIELD_NAMES) | st.text("abx_", max_size=3), _JSON_SCALARS, max_size=3)
+)
+
+
+class TestConfigSectionTypes:
+    @pytest.mark.parametrize("section", CONFIG_SECTIONS)
+    @settings(max_examples=12)
+    @given(value=JSON_VALUES)
+    @example(value=None)
+    @example(value=True)
+    @example(value=1.5)
+    @example(value="x")
+    @example(value=[1])
+    @example(value={})
+    def test_any_json_value_ends_in_a_documented_exit(self, section, value):
+        payload = json.loads((FIXTURES / "config_toy.json").read_text())
+        for key in ("curves", "portfolio", "tables_dir"):
+            payload[key] = str(FIXTURES / payload[key])
+        payload["out_dir"] = "out"
+        payload[section] = value
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.chdir(tmp)  # relative output directories land in the temporary one
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps(payload))
+            with contextlib.redirect_stderr(stderr):
+                code = cli.main(["value", "--config", str(config)])
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert stderr.getvalue() == ""
+        else:
+            record = json.loads(stderr.getvalue())["error"]
+            assert record["kind"] and record["message"]
+            if code == 2:
+                assert {"file", "line", "column"} <= record.keys()

@@ -12,7 +12,6 @@ from healthval import (
     building_blocks,
     deterministic_model,
     gross_coefficients,
-    net_coefficients,
     project,
     simulate_portfolio,
 )
@@ -37,62 +36,34 @@ class TestTriangleContainer:
         tri = CoefficientTriangle(2, np.arange(6.0), np.zeros(3))
         assert tri.row(0).tolist() == [0.0]
         assert tri.row(2).tolist() == [3.0, 4.0, 5.0]
-        assert tri.entry(2, 1) == 4.0
         dense = tri.dense()
         assert dense[1, 2] == 0.0 and dense[2, 1] == 4.0
 
-    def test_entry_bounds(self):
-        tri = CoefficientTriangle.zeros(1)
-        with pytest.raises(IndexError):
-            tri.entry(0, 1)
-
-    def test_padding_adds_zero_rows(self):
-        tri = CoefficientTriangle(1, np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0]))
-        padded = tri.padded(3)
-        assert padded.horizon == 3
-        assert padded.row(1).tolist() == [2.0, 3.0]
-        assert padded.row(3).tolist() == [0.0, 0.0, 0.0, 0.0]
-        assert padded.fixed.tolist() == [4.0, 5.0, 0.0, 0.0]
-
 
 class TestNetCoefficients:
+    """The net-premium recursion, read through ``gross_coefficients`` on
+    contracts where the cash flow is the net premium: no second-order
+    benefit, no second-order exits before the terminal age, no margin."""
+
     def test_toy_rows(self):
-        net, rs = net_coefficients(toy_policy())
-        assert net.row(0).tolist() == [10.0]
-        assert net.row(1).tolist() == [-5.0, 15.0]
-        assert net.row(2).tolist() == [-5.0, -15.0, 30.0]
-        assert rs.row(1)[:1].tolist() == [10.0]
-        assert rs.row(2)[:2].tolist() == [5.0, 15.0]
+        tri = gross_coefficients(toy_policy())
+        assert tri.row(0).tolist() == [10.0]
+        assert tri.row(1).tolist() == [-5.0, 15.0]
+        assert tri.row(2).tolist() == [-5.0, -15.0, 30.0]
 
     def test_level_benefits_have_diagonal_only(self):
         fo = FirstOrderBasis(k1=np.full(5, 25.0), q1=[0.2, 0.2, 0.2, 0.2, 1.0], r_calc=0.0)
-        so = SecondOrderBasis(k2=np.full(5, 25.0), q2=[0.2, 0.2, 0.2, 0.2, 1.0])
-        net, rs = net_coefficients(PolicyData(x0=0, fo=fo, so=so))
+        so = SecondOrderBasis(k2=np.zeros(5), q2=[0.0, 0.0, 0.0, 0.0, 1.0])
+        tri = gross_coefficients(PolicyData(x0=0, fo=fo, so=so))
         for t in range(5):
-            row = net.row(t)
+            row = tri.row(t)
             assert row[t] == pytest.approx(25.0, abs=1e-12)
             if t > 0:
                 assert np.max(np.abs(row[:t])) <= 1e-12
-        assert np.max(np.abs(rs.coeffs)) <= 1e-12
 
     def test_seasoned_provision_enters_first_column(self):
-        net, rs = net_coefficients(toy_policy(rs0=6.0))
-        assert rs.entry(0, 0) == 6.0
-        assert net.entry(0, 0) == pytest.approx((30.0 - 6.0) / 3.0)
-
-    def test_rows_reproduce_projected_premiums(self):
-        rng = np.random.default_rng(23)
-        for _ in range(40):
-            policy = random_policy(rng, 5)
-            i_med = random_inflation_path(rng, policy.run_off)
-            net, rs = net_coefficients(policy)
-            res = project(policy, i_med, i_med)
-            scale = max(1.0, np.max(np.abs(res.premiums_net)))
-            for t in range(policy.run_off + 1):
-                from_coeffs = float(net.row(t) @ i_med[: t + 1])
-                assert abs(from_coeffs - res.premiums_net[t]) <= 1e-10 * scale
-                from_rs = float(rs.row(t) @ i_med[: t + 1])
-                assert abs(from_rs - res.reserves[t]) <= 1e-10 * max(1.0, abs(res.reserves[t]))
+        tri = gross_coefficients(toy_policy(rs0=6.0))
+        assert tri.row(0)[0] == pytest.approx((30.0 - 6.0) / 3.0)
 
 
 class TestGrossCoefficients:
@@ -155,7 +126,7 @@ class TestGrossCoefficients:
         fo = FirstOrderBasis(k1=level, q1=q, r_calc=0.02, margin=margin)
         so = SecondOrderBasis(k2=level / (1.0 - margin), q2=q)
         tri = gross_coefficients(PolicyData(x0=0, fo=fo, so=so))
-        diagonal = np.array([tri.entry(t, t) for t in range(tri.horizon + 1)])
+        diagonal = np.array([tri.row(t)[t] for t in range(tri.horizon + 1)])
         assert np.max(np.abs(diagonal)) <= 1e-12
 
 
@@ -178,13 +149,41 @@ class TestAggregate:
         assert agg.coeffs == pytest.approx(base.coeffs + other.coeffs, abs=1e-15)
 
     def test_mixed_horizons_pad_with_zeros(self):
+        # Chunk 1 holds short, long, short triangles; chunk 2 only short
+        # ones, so its partial is extended at the end.  The reference pads
+        # every triangle to the final horizon through its dense form and
+        # sums in the same chunked order, so the results match bit for bit.
         rng = np.random.default_rng(41)
-        short = random_policy(rng, 2)
-        long = random_policy(rng, 9)
-        agg = aggregate([short, long])
-        assert agg.horizon == max(short.run_off, long.run_off)
-        tail = agg.row(agg.horizon)
-        assert tail == pytest.approx(gross_coefficients(long).padded(agg.horizon).row(agg.horizon))
+        short = [gross_coefficients(random_policy(rng, 3)) for _ in range(242)]
+        long = [gross_coefficients(random_policy(rng, 9)) for _ in range(64)]
+        triangles = short[:128] + long + short[128:]
+        horizon = max(tri.horizon for tri in triangles)
+        assert max(tri.horizon for tri in triangles[256:]) < horizon
+
+        def zero_padded(tri):
+            dense = np.zeros((horizon + 1, horizon + 1))
+            dense[: tri.horizon + 1, : tri.horizon + 1] = tri.dense()
+            fixed = np.zeros(horizon + 1)
+            fixed[: tri.horizon + 1] = tri.fixed
+            return dense[np.tril_indices(horizon + 1)], fixed
+
+        coeff_parts, fixed_parts = [], []
+        for start in range(0, len(triangles), 256):
+            acc, acc_fixed = np.zeros(tri_size(horizon)), np.zeros(horizon + 1)
+            for tri in triangles[start : start + 256]:
+                coeffs, fixed = zero_padded(tri)
+                acc += coeffs
+                acc_fixed += fixed
+            coeff_parts.append(acc)
+            fixed_parts.append(acc_fixed)
+        expected = np.sum(np.stack(coeff_parts), axis=0), np.sum(np.stack(fixed_parts), axis=0)
+
+        from_list = aggregate_triangles(triangles)
+        from_generator = aggregate_triangles(tri for tri in triangles)
+        for agg in (from_list, from_generator):
+            assert agg.horizon == horizon
+            assert np.array_equal(agg.coeffs, expected[0])
+            assert np.array_equal(agg.fixed, expected[1])
 
     def test_empty_portfolio_is_zero_triangle(self):
         agg = aggregate_triangles([])

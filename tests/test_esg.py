@@ -169,6 +169,11 @@ class TestMcModel:
             with pytest.raises(ValueError, match="n_paths"):
                 McModelParams(n_paths=n_paths, vol_n=0.1, vol_r=0.1, corr=0.0, seed=1)
 
+    def test_rejects_seed_outside_unsigned_64_bit(self):
+        for seed in (-1, 1.5, float("nan"), 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                McModelParams(n_paths=4, vol_n=0.1, vol_r=0.1, corr=0.0, seed=seed)
+
     def test_rejects_nan_volatility_and_correlation(self):
         nan = float("nan")
         for vol_n, vol_r, corr in ((nan, 0.1, 0.0), (0.1, nan, 0.0), (0.1, 0.1, nan)):

@@ -178,6 +178,9 @@ class TestConfig:
             ({"cap": {"abs_increase": float("nan")}}, "abs_increase"),
             ({"premium_path": {"policy_id": "x", "inflation_factor": float("nan")}}, "inflation_factor"),
             ({"model": {"kind": "mc", "vol_n": float("nan")}}, "volatilities"),
+            ({"model": {"kind": "mc", "n_paths": 10.5}}, "n_paths"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": float("nan")}, "seed"),
         )
         path = tmp_path / "config.json"
         for extra, message in cases:
