@@ -63,7 +63,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         _emit_error("parse", str(exc), file=exc.path, line=exc.line, column=exc.column)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         _emit_error("input", str(exc))
         return 2
     except ArithmeticError as exc:

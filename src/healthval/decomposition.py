@@ -27,6 +27,7 @@ bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -148,15 +149,22 @@ def aggregate_triangles(triangles: Iterable[CoefficientTriangle]) -> Coefficient
     chunk = 256
     coeff_parts: list[np.ndarray] = []
     fixed_parts: list[np.ndarray] = []
-    for k, tri in enumerate(triangles):
-        if k % chunk == 0:
-            coeff_parts.append(np.zeros(0))
-            fixed_parts.append(np.zeros(0))
-        if len(fixed_parts[-1]) <= tri.horizon:
-            coeff_parts[-1] = np.pad(coeff_parts[-1], (0, len(tri.coeffs) - len(coeff_parts[-1])))
-            fixed_parts[-1] = np.pad(fixed_parts[-1], (0, len(tri.fixed) - len(fixed_parts[-1])))
-        coeff_parts[-1][: len(tri.coeffs)] += tri.coeffs
-        fixed_parts[-1][: len(tri.fixed)] += tri.fixed
+    stream = iter(triangles)
+    for first in stream:  # one pass per chunk: `first` and the next chunk - 1
+        coeffs, fixed = np.zeros(len(first.coeffs)), np.zeros(len(first.fixed))
+        for tri in chain((first,), islice(stream, chunk - 1)):
+            if len(tri.fixed) > len(fixed):
+                coeffs = np.pad(coeffs, (0, len(tri.coeffs) - len(coeffs)))
+                fixed = np.pad(fixed, (0, len(tri.fixed) - len(fixed)))
+            if len(tri.fixed) == len(fixed):
+                # Whole-array adds: no slice view, no write-back.
+                coeffs += tri.coeffs
+                fixed += tri.fixed
+            else:
+                coeffs[: len(tri.coeffs)] += tri.coeffs
+                fixed[: len(tri.fixed)] += tri.fixed
+        coeff_parts.append(coeffs)
+        fixed_parts.append(fixed)
     if not coeff_parts:
         return CoefficientTriangle.zeros(0)
     horizon = max(len(fixed) for fixed in fixed_parts) - 1

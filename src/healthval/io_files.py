@@ -413,12 +413,14 @@ def write_age_table(path, values, value_column: str) -> None:
 def write_scenarios(path, s: ScenarioSet) -> None:
     """Scenario export: one row per (path, t), full 17-digit precision."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["path", "weight", "t", "bn", "br", "i"])
-        for k in range(s.n_paths):
-            weight = _fmt(s.weights[k])
-            for t in range(s.horizon + 1):
-                writer.writerow([k, weight, t, _fmt(s.bn[k, t]), _fmt(s.br[k, t]), _fmt(s.i[k, t])])
+        # CRLF rows like the csv.writer exports; one path at a time, from
+        # Python floats, so no whole-file array or text is built.
+        handle.write("path,weight,t,bn,br,i\r\n")
+        for k, w in enumerate(s.weights.tolist()):
+            rows = zip(s.bn[k].tolist(), s.br[k].tolist(), s.i[k].tolist())
+            handle.writelines(
+                f"{k},{w:.17g},{t},{bn:.17g},{br:.17g},{i:.17g}\r\n" for t, (bn, br, i) in enumerate(rows)
+            )
 
 
 def write_triangle(gross_path, fixed_path, tri: CoefficientTriangle) -> None:

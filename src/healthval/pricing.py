@@ -102,8 +102,9 @@ class ValuationReport:
     ``per_t`` holds the decomposition route's Best-Estimate contribution
     of each date (they sum to ``be_decomposition``), which is where the
     interest-rate-sensitive periods show up.  ``standard_error`` is the
-    Monte-Carlo error of the decomposition BE, propagated through the
-    coefficients path by path; None for exact sets.
+    i.i.d. sample standard error of the per-path decomposition values
+    (see :func:`_be_standard_error`); None for exact sets.  It is not the
+    seed-to-seed error of the BE: moment-matched sets spread far less.
     """
 
     n_policies: int
@@ -125,7 +126,12 @@ class ValuationReport:
 def _be_standard_error(
     tri: CoefficientTriangle, s: ScenarioSet, spread: InflationSpread
 ) -> Optional[float]:
-    """SE of the decomposition BE: per-path linear combination, then sample SE."""
+    """Sample SE of the per-path decomposition values, as if paths were i.i.d.
+
+    ``mc_model`` matches the moments of every time slice exactly, which
+    this ignores, so the figure overstates the BE's spread across seeds
+    (by about 30x on the shipped inpatient MC config).
+    """
     if not s.sampled or s.n_paths < 2:
         return None
     n = tri.horizon + 1

@@ -18,23 +18,26 @@ from healthval import (
     SecondOrderBasis,
     TwoScenarioParams,
     aggregate,
+    aggregate_triangles,
     be_from_blocks,
     building_blocks,
     calibration_check,
     deterministic_model,
     first_order_pv,
+    gross_coefficients,
     mc_model,
     project,
     project_real_rate,
     simulate_portfolio,
     two_scenario_model,
 )
-from healthval.benchmark import run_benchmark
 from healthval.cli import _sweep, main as cli_main
 from healthval.fixtures import (
     flat_curve,
     inpatient_first_order,
+    inpatient_policy,
     inpatient_second_order,
+    long_curve,
     toy_curve,
     toy_policy,
 )
@@ -240,27 +243,48 @@ def test_criterion_8_cap_monotonicity():
         assert bound_cases >= 25, f"cap bound in only {bound_cases}/50 cases"
 
 
+def _scaling_ladder():
+    """(seconds, BE) by N for each route, on N clones of one inpatient policy.
+
+    The decomposition route is timed from cached coefficients (aggregate,
+    price the blocks, assemble), best of two; the cache holds N handles
+    to one triangle, but aggregation still performs the N-fold summation.
+    """
+    policy = inpatient_policy(61, policy_id="benchmark")
+    params = McModelParams(n_paths=10_000, vol_n=0.015, vol_r=0.008, corr=0.25, seed=2024)
+    scenarios = mc_model(long_curve(policy.run_off), params)
+    spread = InflationSpread(med_spread=0.01, cost_spread=0.0)
+    donor_triangle = gross_coefficients(policy)
+    decomposition, oracle = {}, {}
+    for n in (100, 1_000, 10_000):
+        cached = [donor_triangle] * n
+        seconds, be = float("inf"), 0.0
+        for _ in range(2):
+            start = time.perf_counter()
+            tri = aggregate_triangles(cached)
+            blocks = building_blocks(scenarios, spread)
+            be = be_from_blocks(tri, blocks)
+            seconds = min(seconds, time.perf_counter() - start)
+        decomposition[n] = (seconds, be)
+    for n in (100, 400):
+        portfolio = [policy] * n
+        start = time.perf_counter()
+        be = simulate_portfolio(portfolio, scenarios, spread).be
+        oracle[n] = (time.perf_counter() - start, be)
+    return decomposition, oracle
+
+
 def test_criterion_9_decomposition_scales_flat():
     with criterion(9, "cached-coefficient valuation nearly flat in N; brute force linear"):
-        result = run_benchmark(n_paths=10_000, seed=2024)
-        times_dec = result.times("decomposition")
-        assert set(times_dec) == {100, 1_000, 10_000}
-        assert result.decomposition_ratio < 3.0, (
-            f"decomposition wall time grew {result.decomposition_ratio:.2f}x "
-            f"from N=100 to N=10000"
-        )
-        times_oracle = result.times("oracle")
-        n_lo, n_hi = min(times_oracle), max(times_oracle)
-        growth = times_oracle[n_hi] / times_oracle[n_lo]
-        scale = n_hi / n_lo
+        decomposition, oracle = _scaling_ladder()
+        for route, rows in (("decomposition", decomposition), ("brute force", oracle)):
+            print(f"[criterion 9] {route}: " + ", ".join(f"N={n} {t:.4f} s" for n, (t, _) in rows.items()))
+        ratio = decomposition[10_000][0] / decomposition[100][0]
+        assert ratio < 3.0, f"decomposition wall time grew {ratio:.2f}x from N=100 to N=10000"
+        growth, scale = oracle[400][0] / oracle[100][0], 400 / 100
         assert 0.5 * scale <= growth <= 2.0 * scale, (
             f"brute force grew {growth:.2f}x for {scale:.0f}x more policies"
         )
         # Same value from both routes at the shared portfolio size.
-        be_by_route = {
-            (row.route, row.n_policies): row.be for row in result.rows
-        }
-        shared = set(times_dec) & set(times_oracle)
-        for n in shared:
-            dec, orc = be_by_route[("decomposition", n)], be_by_route[("oracle", n)]
-            assert abs(dec - orc) / (1.0 + abs(orc)) <= 1e-9
+        dec, orc = decomposition[100][1], oracle[100][1]
+        assert abs(dec - orc) / (1.0 + abs(orc)) <= 1e-9

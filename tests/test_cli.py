@@ -74,6 +74,21 @@ class TestValue:
         result = run_cli("value", "--config", str(tmp_path / "none.json"))
         assert result.returncode == 2
 
+    def test_unallocatable_path_count_is_input_error(self, tmp_path, fixtures_dir):
+        # 10**15 paths ask numpy for 21 PiB, far beyond the virtual address
+        # space a process is given, so the allocation fails at once and
+        # nothing is allocated.
+        payload = json.loads((fixtures_dir / "config_toy.json").read_text())
+        for key in ("curves", "portfolio", "tables_dir"):
+            payload[key] = str(fixtures_dir / payload[key])
+        payload["model"] = {"kind": "mc", "n_paths": 10**15}
+        payload["out_dir"] = str(tmp_path / "out")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        result = run_cli("value", "--config", str(config))
+        assert result.returncode == 2, result.stderr
+        assert stderr_record(result)["kind"] == "input"
+
     def test_seed_flag_changes_mc_report(self, tmp_path):
         args = ["value", "--config", str(FIXTURES / "config_inpatient.json"), "--model", "mc"]
         r1 = run_cli(*args, "--seed", "1", "--out", str(tmp_path / "s1"))

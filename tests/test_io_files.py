@@ -1,10 +1,12 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
 from healthval import CurvePair, McModelParams, mc_model
-from healthval.fixtures import toy_curve, toy_policy
+from healthval.fixtures import toy_curve, toy_policy, write_fixture_tree
 from healthval.io_files import (
     ParseError,
     load_age_table,
@@ -201,6 +203,15 @@ class TestExports:
         assert float(bn) == s.bn[0, 1]
         assert float(br) == s.br[0, 1]
         assert float(i) == s.i[0, 1]
+        # Byte for byte what csv.writer makes of the cells, one per row and column.
+        reference = io.StringIO(newline="")
+        writer = csv.writer(reference)
+        writer.writerow(["path", "weight", "t", "bn", "br", "i"])
+        for k in range(s.n_paths):
+            for t in range(s.horizon + 1):
+                weight, *values = (f"{x:.17g}" for x in (s.weights[k], s.bn[k, t], s.br[k, t], s.i[k, t]))
+                writer.writerow([k, weight, t, *values])
+        assert path.read_bytes() == reference.getvalue().encode()
 
     def test_triangle_export_layout(self, tmp_path):
         tri = aggregate([toy_policy()])
@@ -221,3 +232,17 @@ class TestExports:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,s,b_med,se_med"
         assert lines[1].endswith(",")
+
+
+class TestShippedFixtures:
+    def test_generator_reproduces_committed_tree(self, tmp_path, fixtures_dir):
+        write_fixture_tree(tmp_path)
+
+        def files(root):
+            # out/ is where the shipped configs write their runs, not a fixture.
+            paths = (p.relative_to(root) for p in root.rglob("*") if p.is_file())
+            return {p for p in paths if p.parts[0] != "out"}
+
+        assert files(tmp_path) == files(fixtures_dir)
+        for name in sorted(files(tmp_path)):
+            assert (tmp_path / name).read_bytes() == (fixtures_dir / name).read_bytes(), name
