@@ -255,6 +255,10 @@ def _cmd_simulate(args) -> int:
 
 def _sweep(curve) -> dict:
     """Two-scenario tilt sweep: block price vs the deterministic value."""
+    if curve.horizon < 2:
+        raise ValueError(
+            f"the sweep prices the (t=2, s=1) block and needs a curve with horizon >= 2, got {curve.horizon}"
+        )
     det_value = float(building_blocks(deterministic_model(curve)).med[2, 1])
     entries = []
     for direction, grid in (("inflation-spike", SWEEP_SPIKE), ("deflation-degenerate", SWEEP_CRASH)):
@@ -389,6 +393,10 @@ def _cmd_premium_path(args) -> int:
     index = pp.inflation_factor ** np.arange(horizon + 1)
     index[0] = 1.0
     res_nominal = project(nominal, index, index)
+    if res_nominal.premiums_net[0] == 0.0:
+        raise ValueError(
+            f"policy {policy.id!r} has a zero nominal initial premium; there is no relative gap to report"
+        )
     res_real = project_real_rate(real, index)
     pv_nominal = first_order_pv(nominal.fo, nominal.x0, res_nominal.premiums_net, pp.r_nominal)
     pv_real = first_order_pv(nominal.fo, nominal.x0, res_real.premiums_net, pp.r_nominal)

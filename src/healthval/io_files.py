@@ -278,8 +278,8 @@ class RunConfig:
                 raise ValueError(f"{label} file not found: {target}")
         if not Path(self.tables_dir).is_dir():
             raise ValueError(f"tables_dir is not a directory: {self.tables_dir}")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit an unsigned 64-bit integer")
 

@@ -273,6 +273,7 @@ def build_schedule(policy: PolicyData) -> PolicySchedule:
 @dataclass(eq=False)
 class _PathProjection:
     cashflow: np.ndarray
+    uncapped: Optional[np.ndarray]
     premiums_net: Optional[np.ndarray]
     premiums_gross: Optional[np.ndarray]
     reserves: Optional[np.ndarray]
@@ -301,7 +302,11 @@ def _project_paths(
     details: bool,
     real_rate: bool = False,
 ) -> _PathProjection:
-    """Premium recursion vectorized over paths (rows of i_med / i_cost)."""
+    """Premium recursion vectorized over paths (rows of i_med / i_cost).
+
+    The reserve path ignores the cap, so under a cap the same pass also
+    writes the uncapped cash flow to ``uncapped`` (None without a cap).
+    """
     policy = schedule.policy
     horizon = schedule.horizon
     n = i_med.shape[0]
@@ -309,6 +314,7 @@ def _project_paths(
     c1, c2 = policy.fo.c1, policy.so.c2
 
     cashflow = np.empty((n, horizon + 1))
+    uncapped = np.empty((n, horizon + 1)) if cap is not None else None
     prem_net = np.empty((n, horizon + 1)) if details else None
     prem_gross = np.empty((n, horizon + 1)) if details else None
     reserves = np.empty((n, horizon + 1)) if details else None
@@ -330,12 +336,11 @@ def _project_paths(
         else:
             applied = proposed_gross
         cashflow[:, t] = (applied - im * schedule.k2[t] - ic * c2) * schedule.surv2[t]
+        if uncapped is not None:
+            uncapped[:, t] = (proposed_gross - im * schedule.k2[t] - ic * c2) * schedule.surv2[t]
         if details:
             prem_gross[:, t] = applied
-            if cap is None:
-                prem_net[:, t] = proposed_net
-            else:
-                prem_net[:, t] = applied * one_minus_margin - ic * c1
+            prem_net[:, t] = proposed_net if cap is None else applied * one_minus_margin - ic * c1
             reserves[:, t] = rs
         if np.any(proposed_net < 0.0):
             negative = True
@@ -346,9 +351,21 @@ def _project_paths(
             if real_rate:
                 rs = rs * (i_med[:, t + 1] / im)
         prev_applied = applied
-    if not np.all(np.isfinite(cashflow)):
+    if not (np.all(np.isfinite(cashflow)) and (uncapped is None or np.all(np.isfinite(uncapped)))):
         raise ValueError(f"policy {policy.id!r}: projection produced non-finite values")
-    return _PathProjection(cashflow, prem_net, prem_gross, reserves, negative, bound)
+    return _PathProjection(cashflow, uncapped, prem_net, prem_gross, reserves, negative, bound)
+
+
+def _project_one(
+    policy: PolicyData, i_med, i_cost, cap: Optional[CapRule], real_rate: bool = False
+) -> ProjectionResult:
+    """Validate one inflation path, run the kernel with details, keep row 0."""
+    schedule = build_schedule(policy)
+    i_med = _check_inflation(i_med, schedule.horizon, "i_med")
+    i_cost = _check_inflation(i_cost, schedule.horizon, "i_cost")
+    out = _project_paths(schedule, i_med, i_cost, cap, details=True, real_rate=real_rate)
+    rows = (out.premiums_net[0], out.premiums_gross[0], out.reserves[0], out.cashflow[0])
+    return ProjectionResult(*rows, negative_premium=out.negative_premium, cap_bound=out.cap_bound)
 
 
 def project(
@@ -364,18 +381,7 @@ def project(
     the applied ones while reserves follow the uncapped recursion (the
     foregone net premium is added back each capped year).
     """
-    schedule = build_schedule(policy)
-    i_med = _check_inflation(i_med, schedule.horizon, "i_med")
-    i_cost = _check_inflation(i_cost, schedule.horizon, "i_cost")
-    out = _project_paths(schedule, i_med, i_cost, cap, details=True)
-    return ProjectionResult(
-        premiums_net=out.premiums_net[0],
-        premiums_gross=out.premiums_gross[0],
-        reserves=out.reserves[0],
-        cashflow=out.cashflow[0],
-        negative_premium=out.negative_premium,
-        cap_bound=out.cap_bound,
-    )
+    return _project_one(policy, i_med, i_cost, cap)
 
 
 def project_real_rate(policy: PolicyData, i_med) -> ProjectionResult:
@@ -387,24 +393,16 @@ def project_real_rate(policy: PolicyData, i_med) -> ProjectionResult:
     numerically hostile basis).  The cost index is taken equal to the
     medical index for the gross figures.
     """
-    schedule = build_schedule(policy)
-    i_med = _check_inflation(i_med, schedule.horizon, "i_med")
-    out = _project_paths(schedule, i_med, i_med, cap=None, details=True, real_rate=True)
-    p = out.premiums_net[0]
+    i_med = _check_inflation(i_med, policy.run_off, "i_med")
+    result = _project_one(policy, i_med, i_med, cap=None, real_rate=True)
+    p = result.premiums_net
     scale = max(abs(p[0]), 1e-12)
     drift = np.max(np.abs(p - i_med[0] * p[0])) / scale
     if drift > 1e-11:
         raise ArithmeticError(
             f"policy {policy.id!r}: real-rate premium identity violated ({drift:.2e} relative)"
         )
-    return ProjectionResult(
-        premiums_net=p,
-        premiums_gross=out.premiums_gross[0],
-        reserves=out.reserves[0],
-        cashflow=out.cashflow[0],
-        negative_premium=out.negative_premium,
-        cap_bound=False,
-    )
+    return result
 
 
 def seasoned_rs0(current_premium: float, x_now: int, fo: FirstOrderBasis) -> float:
@@ -437,11 +435,16 @@ def first_order_pv(fo: FirstOrderBasis, x0: int, values, rate: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
-    """Brute-force valuation output: Best Estimate plus per-date contributions."""
+    """Brute-force valuation output: Best Estimate plus per-date contributions.
+
+    Under a cap, ``be``/``per_t``/``cap_bound`` are the capped figures and
+    ``uncapped`` holds the uncapped result of the same pass; None otherwise.
+    """
 
     be: float
     per_t: np.ndarray
     cap_bound: bool
+    uncapped: Optional["SimulationResult"] = None
 
 
 def simulate_portfolio(
@@ -454,7 +457,8 @@ def simulate_portfolio(
 
     BE = -sum_k w_k sum_policies sum_t CF[t](path k) / bn_k[t].  This is
     the reference route the coefficient decomposition is tested against,
-    and the only route that supports premium caps.
+    and the only route that supports premium caps.  Under a cap each policy
+    is still projected once; the same pass gives ``.uncapped``.
     """
     horizon = max((p.run_off for p in portfolio), default=0)
     for p in portfolio:
@@ -464,7 +468,7 @@ def simulate_portfolio(
             )
     if spread is None:
         spread = InflationSpread()
-    per_t = np.zeros(horizon + 1)
+    per_t, per_t_uncapped = np.zeros(horizon + 1), np.zeros(horizon + 1)
     bound = False
     i_med, i_cost = spread.indices(s)
     disc = s.weights[:, None] / s.bn
@@ -472,6 +476,8 @@ def simulate_portfolio(
         cols = p.run_off + 1
         out = _project_paths(build_schedule(p), i_med[:, :cols], i_cost[:, :cols], cap, details=False)
         per_t[:cols] -= np.sum(disc[:, :cols] * out.cashflow, axis=0)
+        if out.uncapped is not None:
+            per_t_uncapped[:cols] -= np.sum(disc[:, :cols] * out.uncapped, axis=0)
         bound = bound or out.cap_bound
-    return SimulationResult(be=float(per_t.sum()), per_t=per_t, cap_bound=bound)
-
+    uncapped = None if cap is None else SimulationResult(float(per_t_uncapped.sum()), per_t_uncapped, False)
+    return SimulationResult(be=float(per_t.sum()), per_t=per_t, cap_bound=bound, uncapped=uncapped)

@@ -151,32 +151,26 @@ def be_report(
     """Value a portfolio by both routes and compare them.
 
     Route disagreement beyond the tolerance is reported as a failure
-    (``routes_agree`` False), never averaged away.  When a cap rule is
-    given, the capped brute-force value is attached as a supplement; the
-    decomposition itself is always uncapped (caps break linearity) and
-    bounds the capped value from below.
+    (``routes_agree`` False), never averaged away.  With a cap rule, one
+    brute-force pass gives both the uncapped oracle and the capped value,
+    attached as a supplement; the decomposition is always uncapped (caps
+    break linearity) and bounds the capped value from below.
     """
     if spread is None:
         spread = InflationSpread()
     tri = aggregate(portfolio)
     blocks = building_blocks(s, spread)
     be_dec, per_t = be_by_date(tri, blocks)
-    sim = simulate_portfolio(portfolio, s, spread, cap=None)
-    difference = be_dec - sim.be
-    relative = abs(difference) / (1.0 + abs(sim.be))
-
-    be_capped = None
-    bound = None
-    if cap is not None:
-        capped = simulate_portfolio(portfolio, s, spread, cap=cap)
-        be_capped = capped.be
-        bound = capped.cap_bound
+    sim = simulate_portfolio(portfolio, s, spread, cap=cap)
+    oracle = sim.uncapped or sim
+    difference = be_dec - oracle.be
+    relative = abs(difference) / (1.0 + abs(oracle.be))
 
     return ValuationReport(
         n_policies=len(portfolio),
         horizon=tri.horizon,
         be_decomposition=be_dec,
-        be_oracle=sim.be,
+        be_oracle=oracle.be,
         difference=difference,
         relative_difference=relative,
         tolerance=tolerance,
@@ -185,6 +179,6 @@ def be_report(
         standard_error=_be_standard_error(tri, s, spread),
         triangle=tri,
         blocks=blocks,
-        be_oracle_capped=be_capped,
-        cap_bound=bound,
+        be_oracle_capped=None if cap is None else sim.be,
+        cap_bound=None if cap is None else sim.cap_bound,
     )

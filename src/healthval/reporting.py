@@ -15,8 +15,11 @@ import numpy as np
 
 
 def dumps(payload) -> str:
-    """Canonical JSON: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n"
+    """Canonical JSON: sorted keys, two-space indent, trailing newline.
+
+    NaN and infinities raise ``ValueError``: RFC 8259 JSON has no token for them.
+    """
+    return json.dumps(_plain(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _plain(value):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from healthval import cli
+from healthval import cli, reporting
 
 from conftest import FIXTURES
 
@@ -246,6 +246,38 @@ class TestPremiumPath:
         assert record["kind"] == "tolerance"
         assert "real-rate premium identity" in record["message"]
 
+    def test_zero_premium_policy_is_input_error(self, tmp_path, fixtures_dir):
+        # toy_k2.csv holds zero benefits at every age: with no cost either,
+        # every premium is 0 and the initial premium gap would be 0/0.
+        portfolio = tmp_path / "portfolio.csv"
+        portfolio.write_text(
+            "id,x0,rs0,margin,r_calc,c1,c2,benefit_table,benefit_table_2nd,q_table,q_table_2nd\n"
+            "free,0,0,0,0,0,0,toy_k2.csv,toy_k2.csv,toy_q.csv,toy_q.csv\n"
+        )
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "curves": str(fixtures_dir / "curves_toy.csv"),
+                    "portfolio": str(portfolio),
+                    "tables_dir": str(fixtures_dir / "tables"),
+                    "premium_path": {"policy_id": "free"},
+                    "out_dir": str(tmp_path / "out"),
+                }
+            )
+        )
+        result = run_cli("premium-path", "--config", str(config))
+        assert result.returncode == 2, result.stderr
+        record = stderr_record(result)  # the whole of stderr: no warning ahead of it
+        assert record["kind"] == "input"
+        assert "'free'" in record["message"]
+        assert not (tmp_path / "out/premium_path.json").exists()
+
+    def test_reports_never_hold_nan_or_infinity(self):
+        for value in (float("nan"), float("inf"), np.float64("-inf")):
+            with pytest.raises(ValueError):
+                reporting.dumps({"value": value})
+
 
 class TestDemoNonuniqueness:
     def test_sweep_exhibits_both_limits(self, tmp_path):
@@ -258,6 +290,38 @@ class TestDemoNonuniqueness:
         assert sweep["all_calibrated"]
         directions = {e["direction"] for e in sweep["entries"]}
         assert directions == {"inflation-spike", "deflation-degenerate"}
+
+
+class TestShortCurve:
+    def test_sweep_needs_horizon_two(self, tmp_path, fixtures_dir):
+        # A two-row curve (horizon 1) loads, but the sweep prices the
+        # (t=2, s=1) block; a policy entering at age 1 runs off within it.
+        curve = tmp_path / "curve.csv"
+        curve.write_text("t,pn,pr\n0,1,1\n1,0.98,1\n")
+        portfolio = tmp_path / "portfolio.csv"
+        portfolio.write_text(
+            "id,x0,rs0,margin,r_calc,c1,c2,benefit_table,benefit_table_2nd,q_table,q_table_2nd\n"
+            "toy-1,1,0,0,0,0,0,toy_k1.csv,toy_k2.csv,toy_q.csv,toy_q.csv\n"
+        )
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "curves": str(curve),
+                    "portfolio": str(portfolio),
+                    "tables_dir": str(fixtures_dir / "tables"),
+                    "model": {"kind": "deterministic"},
+                    "model_b": {"kind": "mc", "n_paths": 10},
+                    "out_dir": str(tmp_path / "out"),
+                }
+            )
+        )
+        for command in ("demo-nonuniqueness", "compare"):
+            result = run_cli(command, "--config", str(config))
+            assert result.returncode == 2, result.stderr
+            record = stderr_record(result)
+            assert record["kind"] == "input"
+            assert "horizon >= 2" in record["message"]
 
 
 class TestCalibrateCheck:

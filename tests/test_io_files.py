@@ -183,12 +183,17 @@ class TestConfig:
             ({"model": {"kind": "mc", "n_paths": 10.5}}, "n_paths"),
             ({"seed": 1.5}, "seed"),
             ({"seed": float("nan")}, "seed"),
+            ({"tolerance": float("inf")}, "tolerance"),
         )
         path = tmp_path / "config.json"
         for extra, message in cases:
-            path.write_text(json.dumps({**base, **extra}))  # NaN is written as the JSON token NaN
+            path.write_text(json.dumps({**base, **extra}))  # NaN and inf are written as NaN and Infinity
             with pytest.raises(ParseError, match=message):
                 load_config(path)
+        # `--tolerance inf` on the command line reaches load_config as an override.
+        path.write_text(json.dumps(base))
+        with pytest.raises(ParseError, match="tolerance"):
+            load_config(path, tolerance=float("inf"))
 
 
 class TestExports:

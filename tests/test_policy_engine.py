@@ -12,6 +12,7 @@ from healthval import (
     PolicyData,
     SecondOrderBasis,
     annuity_factor,
+    be_report,
     benefit_pv,
     build_schedule,
     deterministic_model,
@@ -25,6 +26,7 @@ from healthval import (
 from healthval.fixtures import (
     flat_curve,
     inpatient_policy,
+    long_curve,
     toy_curve,
     toy_first_order,
     toy_policy,
@@ -344,6 +346,29 @@ class TestCapRule:
             plain = simulate_portfolio([policy], s)
             capped = simulate_portfolio([policy], s, cap=CapRule(0.01, 1.0))
             assert capped.be >= plain.be - 1e-12 * abs(plain.be)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_capped_pass_carries_the_uncapped_value(self, seed):
+        rng = np.random.default_rng(seed)
+        portfolio = []
+        for x0 in rng.integers(30, 80, 4):
+            fo = inpatient_policy(int(x0)).fo
+            rs0 = float(rng.uniform(0.0, 0.5)) * benefit_pv(fo, int(x0))
+            portfolio.append(inpatient_policy(int(x0), rs0=rs0))
+        s = mc_model(long_curve(100), McModelParams(n_paths=50, vol_n=0.02, vol_r=0.01, corr=0.2, seed=seed))
+        spread = InflationSpread(0.01, 0.005)
+        plain = simulate_portfolio(portfolio, s, spread)
+        assert plain.uncapped is None
+        for cap, binds in ((CapRule(0.03, 1.0), True), (CapRule(10.0, 10.0), False)):
+            capped = simulate_portfolio(portfolio, s, spread, cap)
+            assert capped.cap_bound is binds
+            assert capped.uncapped.be == plain.be
+            assert np.array_equal(capped.uncapped.per_t, plain.per_t)
+            assert (capped.be > plain.be) if binds else (capped.be == plain.be)
+            report = be_report(portfolio, s, spread, cap=cap)
+            assert report.be_oracle == plain.be
+            assert report.be_oracle_capped == capped.be
+            assert report.cap_bound is capped.cap_bound
 
 
 class TestFirstOrderPv:
