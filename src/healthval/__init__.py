@@ -28,13 +28,10 @@ from .policy_engine import (
     ProjectionResult,
     SecondOrderBasis,
     SimulationResult,
-    annuity_factor,
-    benefit_pv,
     build_schedule,
     first_order_pv,
     project,
     project_real_rate,
-    seasoned_rs0,
     simulate_portfolio,
 )
 from .decomposition import (
@@ -74,13 +71,10 @@ __all__ = [
     "ProjectionResult",
     "SecondOrderBasis",
     "SimulationResult",
-    "annuity_factor",
-    "benefit_pv",
     "build_schedule",
     "first_order_pv",
     "project",
     "project_real_rate",
-    "seasoned_rs0",
     "simulate_portfolio",
     "CoefficientTriangle",
     "aggregate",

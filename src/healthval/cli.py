@@ -316,7 +316,7 @@ def _cmd_compare(args) -> int:
     if config.model_b is None:
         raise ValueError("compare needs a model_b section in the config")
     curve, portfolio = _load_inputs(config)
-
+    sweep = _sweep(curve)  # rejects a short curve before either model is built
     tri = aggregate(portfolio)
 
     def side(model) -> dict:
@@ -346,7 +346,7 @@ def _cmd_compare(args) -> int:
         "be_delta": side_b["be_decomposition"] - side_a["be_decomposition"],
         "max_block_delta": block_delta,
         "delayed_block_ratio_2_1": ratio,
-        "sweep": _sweep(curve),
+        "sweep": sweep,
     }
     out = _out_dir(config)
     (out / "compare.json").write_text(reporting.dumps(payload), encoding="utf-8")

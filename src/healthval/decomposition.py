@@ -10,13 +10,17 @@ splits into a per-policy coefficient computation (this module, O(T^2)
 via the inductive recursion, never by symbolic expansion) and pricing of
 the basis instruments E[i_med[s] / bn[t]] (module ``pricing``).  The sum
 of the per-policy triangles values a whole portfolio, which makes the
-Monte-Carlo cost independent of the number of policies.
+Monte-Carlo cost independent of the number of policies.  A seasoned
+provision rs0 enters a triangle only in column 0, and only affinely, so
+the policies of one (tariff, entry age) key sum to n * T(rs0=0) plus
+sum(rs0) times one column: the coefficient cost grows with the number of
+distinct keys, not with the number of policies.
 
 Triangles are stored row-packed: row t holds its t+1 entries for
 s = 0..t, so a triangle is one flat array of (T+1)(T+2)/2 floats and a
 horizon-h triangle is the first ``tri_size(h)`` entries of any longer
 one.  Portfolio aggregation is plain elementwise addition into a prefix
-of one accumulator: per-policy triangles are streamed, never stored, and
+of one accumulator: per-key triangles are streamed, never stored, and
 no reserve triangle is built.
 
 Caps on premium increases break the linearity; capped valuation must use
@@ -26,7 +30,7 @@ bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -175,9 +179,61 @@ def aggregate_triangles(triangles: Iterable[CoefficientTriangle]) -> Coefficient
     )
 
 
+def _provision_response(sched: PolicySchedule) -> np.ndarray:
+    """Gross column 0 per unit of seasoned provision: d[t] is the slope of coeffs[t, 0] in rs0.
+
+    A unit provision is the (0, 0) reserve entry; it rolls forward as
+    rs[t+1] = g[t] * (rs[t] - rs[t]/a[t]) and lowers the net premium by
+    rs[t]/a[t], with the same survival and loading as every other entry.
+    """
+    d = np.empty(sched.horizon + 1)
+    rs = 1.0
+    for t in range(sched.horizon + 1):
+        d[t] = -rs / sched.annuity[t]
+        if t < sched.horizon:
+            rs = (rs + d[t]) * sched.growth[t]
+    return d * sched.surv2 / (1.0 - sched.policy.fo.margin)
+
+
+def _tariff_key(p: PolicyData) -> tuple:
+    """Everything a gross triangle depends on except rs0, compared exactly.
+
+    Bases copy their tables, so equal tables are told apart by their bytes,
+    never by array identity.
+    """
+    fo, so = p.fo, p.so
+    tables = (fo.k1, fo.q1, so.k2, so.q2)
+    return (p.x0, fo.r_calc, fo.margin, fo.c1, so.c2, *(table.tobytes() for table in tables))
+
+
 def aggregate(portfolio: Sequence[PolicyData]) -> CoefficientTriangle:
-    """Portfolio coefficient triangle: sum of the per-policy gross triangles."""
-    return aggregate_triangles(gross_coefficients(p) for p in portfolio)
+    """Portfolio coefficient triangle: sum of the per-policy gross triangles.
+
+    rs0 enters a policy's triangle only in column 0, and only affinely, so
+    the n policies of one (tariff, entry age) group sum to
+
+        n * T(rs0=0)  +  sum(rs0) * d      (d in column 0 only)
+
+    and one ``gross_coefficients`` call per group replaces one per policy.
+    Groups are taken in order of first appearance and summed by
+    :func:`aggregate_triangles`; with distinct keys and rs0 = 0 this is
+    bitwise the per-policy sum.
+    """
+    groups: dict[tuple, list] = {}
+    for p in portfolio:
+        group = groups.setdefault(_tariff_key(p), [p, 0, 0.0])
+        group[1] += 1
+        group[2] += p.rs0
+
+    def group_triangles():
+        for first, n, rs0_sum in groups.values():
+            tri = gross_coefficients(replace(first, rs0=0.0))
+            coeffs = n * tri.coeffs
+            column0 = tri_offset(np.arange(tri.horizon + 1))
+            coeffs[column0] += rs0_sum * _provision_response(build_schedule(first))
+            yield CoefficientTriangle(tri.horizon, coeffs, n * tri.fixed)
+
+    return aggregate_triangles(group_triangles())
 
 
 def be_by_date(tri: CoefficientTriangle, blocks: "BuildingBlockMatrix") -> tuple[float, np.ndarray]:

@@ -217,24 +217,14 @@ class PolicySchedule:
         return self.policy.run_off
 
 
-def annuity_factor(fo: FirstOrderBasis, x: int) -> float:
-    """Premium annuity: PV of an annual unit payment while in force.
-
-    Sum over t of prod_{s<t} (1-q1[x+s])/(1+r); truncates where survival
-    hits zero.  Always >= 1 (the payment at t = 0 is certain).
-    """
-    ann, _ = _value_tables(fo, x)
-    return float(ann[0])
-
-
-def benefit_pv(fo: FirstOrderBasis, x: int) -> float:
-    """PV of first-order benefits at today's price level, same discounting."""
-    _, apv = _value_tables(fo, x)
-    return float(apv[0])
-
-
 def _value_tables(fo: FirstOrderBasis, x: int) -> tuple[np.ndarray, np.ndarray]:
-    """Annuity factors and benefit PVs for all ages x..omega, one backward pass."""
+    """First-order annuity factors a and benefit PVs A for ages x..omega, one backward pass.
+
+    a[j] is the PV of an annual unit payment from age x+j while in force
+    (>= 1: the first payment is certain), A[j] the PV of the benefits at
+    today's price level; both discount by (1-q1)/(1+r) per year, so they
+    truncate where survival hits zero.
+    """
     if not 0 <= x <= fo.terminal_age:
         raise ValueError(f"age {x} outside the table (terminal age {fo.terminal_age})")
     omega = fo.terminal_age
@@ -403,24 +393,6 @@ def project_real_rate(policy: PolicyData, i_med) -> ProjectionResult:
             f"policy {policy.id!r}: real-rate premium identity violated ({drift:.2e} relative)"
         )
     return result
-
-
-def seasoned_rs0(current_premium: float, x_now: int, fo: FirstOrderBasis) -> float:
-    """Back out the technical provision of a running policy from its premium.
-
-    With benefits taken at today's price level (index rebased to 1 at the
-    valuation date), the equivalence principle pins the provision:
-    rs0 = A[x] - a[x] * premium.  Materially negative results mean the
-    premium and tables cannot belong to the same contract.
-    """
-    ann, apv = _value_tables(fo, x_now)
-    rs0 = float(apv[0] - ann[0] * current_premium)
-    if rs0 < -1e-9 * apv[0]:
-        raise ValueError(
-            f"premium {current_premium} with this basis implies a negative provision "
-            f"({rs0:.6g}); premium/table combination is inconsistent"
-        )
-    return max(rs0, 0.0)
 
 
 def first_order_pv(fo: FirstOrderBasis, x0: int, values, rate: float) -> float:

@@ -292,36 +292,60 @@ class TestDemoNonuniqueness:
         assert directions == {"inflation-spike", "deflation-degenerate"}
 
 
+def write_short_curve_config(tmp_path, tables_dir) -> Path:
+    """A two-row curve (horizon 1) with an ``mc`` model_b; a policy entering
+    at age 1 runs off within it, but the sweep prices the (t=2, s=1) block."""
+    curve = tmp_path / "curve.csv"
+    curve.write_text("t,pn,pr\n0,1,1\n1,0.98,1\n")
+    portfolio = tmp_path / "portfolio.csv"
+    portfolio.write_text(
+        "id,x0,rs0,margin,r_calc,c1,c2,benefit_table,benefit_table_2nd,q_table,q_table_2nd\n"
+        "toy-1,1,0,0,0,0,0,toy_k1.csv,toy_k2.csv,toy_q.csv,toy_q.csv\n"
+    )
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "curves": str(curve),
+                "portfolio": str(portfolio),
+                "tables_dir": str(tables_dir),
+                "model": {"kind": "deterministic"},
+                "model_b": {"kind": "mc", "n_paths": 10},
+                "out_dir": str(tmp_path / "out"),
+            }
+        )
+    )
+    return config
+
+
 class TestShortCurve:
     def test_sweep_needs_horizon_two(self, tmp_path, fixtures_dir):
-        # A two-row curve (horizon 1) loads, but the sweep prices the
-        # (t=2, s=1) block; a policy entering at age 1 runs off within it.
-        curve = tmp_path / "curve.csv"
-        curve.write_text("t,pn,pr\n0,1,1\n1,0.98,1\n")
-        portfolio = tmp_path / "portfolio.csv"
-        portfolio.write_text(
-            "id,x0,rs0,margin,r_calc,c1,c2,benefit_table,benefit_table_2nd,q_table,q_table_2nd\n"
-            "toy-1,1,0,0,0,0,0,toy_k1.csv,toy_k2.csv,toy_q.csv,toy_q.csv\n"
-        )
-        config = tmp_path / "config.json"
-        config.write_text(
-            json.dumps(
-                {
-                    "curves": str(curve),
-                    "portfolio": str(portfolio),
-                    "tables_dir": str(fixtures_dir / "tables"),
-                    "model": {"kind": "deterministic"},
-                    "model_b": {"kind": "mc", "n_paths": 10},
-                    "out_dir": str(tmp_path / "out"),
-                }
-            )
-        )
+        config = write_short_curve_config(tmp_path, fixtures_dir / "tables")
         for command in ("demo-nonuniqueness", "compare"):
             result = run_cli(command, "--config", str(config))
             assert result.returncode == 2, result.stderr
             record = stderr_record(result)
             assert record["kind"] == "input"
             assert "horizon >= 2" in record["message"]
+
+    def test_compare_rejects_the_curve_before_pricing_any_blocks(self, tmp_path, fixtures_dir, monkeypatch):
+        config = write_short_curve_config(tmp_path, fixtures_dir / "tables")
+        calls = []
+        original = cli.building_blocks
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "building_blocks", counting)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = cli.main(["compare", "--config", str(config)])
+        assert code == 2
+        record = json.loads(stderr.getvalue())["error"]
+        assert record["kind"] == "input"
+        assert "horizon >= 2" in record["message"]
+        assert calls == []
 
 
 class TestCalibrateCheck:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from healthval import (
     CoefficientTriangle,
@@ -15,11 +17,49 @@ from healthval import (
     project,
     simulate_portfolio,
 )
+from healthval import decomposition
 from healthval.decomposition import tri_offset, tri_size
 from healthval.fixtures import toy_curve, toy_first_order, toy_policy
 from healthval.pricing import InflationSpread
 
-from conftest import random_inflation_path, random_policy, random_scenario_set
+from conftest import random_basis_pair, random_inflation_path, random_policy, random_scenario_set
+
+
+def per_policy_sum(portfolio) -> CoefficientTriangle:
+    """The reference ``aggregate`` must reproduce: one triangle per policy."""
+    return aggregate_triangles(gross_coefficients(p) for p in portfolio)
+
+
+def counting_gross(monkeypatch) -> list:
+    """Record every triangle ``aggregate`` builds through the module global."""
+    calls = []
+    original = decomposition.gross_coefficients
+
+    def wrapper(policy):
+        calls.append(policy)
+        return original(policy)
+
+    monkeypatch.setattr(decomposition, "gross_coefficients", wrapper)
+    return calls
+
+
+def rebuilt(policy: PolicyData, **changes) -> PolicyData:
+    """The same contract from freshly copied tables, with optional field changes."""
+    fo, so = policy.fo, policy.so
+    fields = dict(
+        k1=fo.k1.copy(), q1=fo.q1.copy(), r_calc=fo.r_calc, c1=fo.c1, margin=fo.margin,
+        k2=so.k2.copy(), q2=so.q2.copy(), c2=so.c2, x0=policy.x0, rs0=policy.rs0, id=policy.id,
+    )
+    fields.update(changes)
+    return PolicyData(
+        x0=fields["x0"],
+        fo=FirstOrderBasis(
+            k1=fields["k1"], q1=fields["q1"], r_calc=fields["r_calc"], c1=fields["c1"], margin=fields["margin"]
+        ),
+        so=SecondOrderBasis(k2=fields["k2"], q2=fields["q2"], c2=fields["c2"]),
+        rs0=fields["rs0"],
+        id=fields["id"],
+    )
 
 
 def toy_with_second_order_equal_first() -> PolicyData:
@@ -184,6 +224,64 @@ class TestAggregate:
             assert agg.horizon == horizon
             assert np.array_equal(agg.coeffs, expected[0])
             assert np.array_equal(agg.fixed, expected[1])
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_grouped_sum_matches_per_policy_sum(self, seed):
+        # Two or three tariffs of different terminal ages, a few entry ages
+        # each, repeated keys built from separately copied tables, about
+        # half of them seasoned: one triangle per (tariff, entry age).
+        rng = np.random.default_rng(seed)
+        tariffs = [random_basis_pair(rng, int(rng.integers(2, 16))) for _ in range(rng.integers(2, 4))]
+        portfolio, keys = [], set()
+        for j in range(int(rng.integers(2, 40))):
+            k = int(rng.integers(len(tariffs)))
+            fo, so = tariffs[k]
+            x0 = int(rng.integers(0, min(4, fo.terminal_age + 1)))
+            keys.add((k, x0))
+            rs0 = float(rng.uniform(0.0, 50.0)) if rng.random() < 0.5 else 0.0
+            portfolio.append(rebuilt(PolicyData(x0=x0, fo=fo, so=so), rs0=rs0, id=f"p{j}"))
+        with pytest.MonkeyPatch.context() as patch:
+            calls = counting_gross(patch)
+            got = aggregate(portfolio)
+        assert len(calls) == len(keys)
+        assert all(p.rs0 == 0.0 for p in calls)
+        want = per_policy_sum(portfolio)
+        assert got.horizon == want.horizon
+        for field in ("coeffs", "fixed"):
+            reference = getattr(want, field)
+            gap = np.max(np.abs(getattr(got, field) - reference))
+            assert gap <= 1e-12 * np.max(np.abs(reference)), field
+
+    def test_distinct_fresh_keys_are_bitwise_the_per_policy_sum(self):
+        # 300 distinct (tariff, entry age) keys with rs0 = 0, shuffled and
+        # past one aggregation chunk: every group is one policy, and its
+        # triangle is the per-policy one, added in the same order.
+        rng = np.random.default_rng(61)
+        tariffs = [random_basis_pair(rng, 99, q_max=0.2) for _ in range(3)]
+        keys = [(k, x0) for k in range(3) for x0 in range(100)]
+        portfolio = [
+            PolicyData(x0=x0, fo=tariffs[k][0], so=tariffs[k][1], id=f"{k}-{x0}")
+            for k, x0 in (keys[i] for i in rng.permutation(len(keys)))
+        ]
+        got, want = aggregate(portfolio), per_policy_sum(portfolio)
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert np.array_equal(got.fixed, want.fixed)
+
+    @pytest.mark.parametrize("field", ["k1", "q1", "k2", "q2", "c2"])
+    def test_one_differing_input_keeps_two_groups(self, field, monkeypatch):
+        policy = rebuilt(random_policy(np.random.default_rng(67), 8, seasoned=False), x0=0)
+        if field == "c2":
+            change = policy.so.c2 + 1.0
+        else:
+            change = getattr(policy.fo if field in ("k1", "q1") else policy.so, field).copy()
+            change[1] *= 0.5  # age 1 lies inside the run-off; q stays in [0, 1)
+        other = rebuilt(policy, **{field: change})
+        calls = counting_gross(monkeypatch)
+        got = aggregate([policy, other])
+        assert len(calls) == 2
+        want = per_policy_sum([policy, other])
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert np.array_equal(got.fixed, want.fixed)
 
     def test_empty_portfolio_is_zero_triangle(self):
         agg = aggregate_triangles([])

@@ -11,16 +11,13 @@ from healthval import (
     McModelParams,
     PolicyData,
     SecondOrderBasis,
-    annuity_factor,
     be_report,
-    benefit_pv,
     build_schedule,
     deterministic_model,
     first_order_pv,
     mc_model,
     project,
     project_real_rate,
-    seasoned_rs0,
     simulate_portfolio,
 )
 from healthval.fixtures import (
@@ -53,6 +50,21 @@ def brute_force_benefit_pv(fo: FirstOrderBasis, x: int) -> float:
         if survival == 0.0:
             break
     return total
+
+
+def first_order_values(fo: FirstOrderBasis, x: int) -> tuple[float, float]:
+    """annuity[0] and benefit_value[0] of the schedule of a contract entering at x."""
+    so = SecondOrderBasis(k2=fo.k1, q2=fo.q1)
+    sched = build_schedule(PolicyData(x0=x, fo=fo, so=so))
+    return float(sched.annuity[0]), float(sched.benefit_value[0])
+
+
+def annuity_at(fo: FirstOrderBasis, x: int) -> float:
+    return first_order_values(fo, x)[0]
+
+
+def benefit_value_at(fo: FirstOrderBasis, x: int) -> float:
+    return first_order_values(fo, x)[1]
 
 
 class TestBasisValidation:
@@ -93,44 +105,44 @@ class TestBasisValidation:
 
 class TestAnnuityFactor:
     def test_toy_annuity_is_three(self):
-        assert annuity_factor(toy_first_order(), 0) == 3.0
+        assert annuity_at(toy_first_order(), 0) == 3.0
 
     def test_immediate_termination_leaves_one_payment(self):
         fo = FirstOrderBasis(k1=[5.0], q1=[1.0], r_calc=0.05)
-        assert annuity_factor(fo, 0) == 1.0
+        assert annuity_at(fo, 0) == 1.0
 
     def test_half_terminations_by_hand(self):
         fo = FirstOrderBasis(k1=[0.0, 0.0, 0.0], q1=[0.5, 0.5, 1.0], r_calc=0.0)
-        assert annuity_factor(fo, 0) == pytest.approx(1.75, abs=1e-15)
-        assert annuity_factor(fo, 0) == pytest.approx(brute_force_annuity(fo, 0), rel=1e-13)
+        assert annuity_at(fo, 0) == pytest.approx(1.75, abs=1e-15)
+        assert annuity_at(fo, 0) == pytest.approx(brute_force_annuity(fo, 0), rel=1e-13)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_matches_brute_force_summation(self, seed):
         rng = np.random.default_rng(seed)
         fo, _ = random_basis_pair(rng, int(rng.integers(1, 25)))
         x = int(rng.integers(0, fo.terminal_age + 1))
-        assert annuity_factor(fo, x) == pytest.approx(brute_force_annuity(fo, x), rel=1e-12)
-        assert annuity_factor(fo, x) >= 1.0
+        assert annuity_at(fo, x) == pytest.approx(brute_force_annuity(fo, x), rel=1e-12)
+        assert annuity_at(fo, x) >= 1.0
 
 
 class TestBenefitPv:
     def test_toy_value(self):
-        assert benefit_pv(toy_first_order(), 0) == 30.0
+        assert benefit_value_at(toy_first_order(), 0) == 30.0
 
     def test_zero_benefits(self):
         fo = FirstOrderBasis(k1=[0.0, 0.0], q1=[0.0, 1.0], r_calc=0.02)
-        assert benefit_pv(fo, 0) == 0.0
+        assert benefit_value_at(fo, 0) == 0.0
 
     def test_two_year_by_hand(self):
         fo = FirstOrderBasis(k1=[10.0, 20.0], q1=[0.5, 1.0], r_calc=0.0)
-        assert benefit_pv(fo, 0) == pytest.approx(20.0, abs=1e-15)
+        assert benefit_value_at(fo, 0) == pytest.approx(20.0, abs=1e-15)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_matches_brute_force_summation(self, seed):
         rng = np.random.default_rng(seed)
         fo, _ = random_basis_pair(rng, int(rng.integers(1, 25)))
         x = int(rng.integers(0, fo.terminal_age + 1))
-        assert benefit_pv(fo, x) == pytest.approx(brute_force_benefit_pv(fo, x), rel=1e-12)
+        assert benefit_value_at(fo, x) == pytest.approx(brute_force_benefit_pv(fo, x), rel=1e-12)
 
 
 class TestProject:
@@ -214,27 +226,35 @@ class TestProject:
 
 
 class TestSeasonedRs0:
+    """A running policy's provision from its premium: rs0 = A[x] - a[x] * premium."""
+
     def test_fresh_policy_premium_gives_zero(self):
-        fo = toy_first_order()
-        premium = benefit_pv(fo, 0) / annuity_factor(fo, 0)
-        assert seasoned_rs0(premium, 0, fo) == 0.0
+        premium = project(toy_policy(), np.ones(3), np.ones(3)).premiums_net[0]
+        ann, apv = first_order_values(toy_first_order(), 0)
+        assert apv - ann * premium == 0.0
 
     def test_toy_after_one_year(self):
-        assert seasoned_rs0(10.0, 1, toy_first_order()) == pytest.approx(10.0, abs=1e-12)
+        ann, apv = first_order_values(toy_first_order(), 1)
+        assert apv - ann * 10.0 == pytest.approx(10.0, abs=1e-12)
 
     def test_revalued_benefits_replay_the_reserve_path(self):
         # Observed index 1.02 after one year; premium 10.3; benefits revalued
         # to today's level.  The provision must match the projected RS[1]
         # rebased to an index of 1.
         fo = FirstOrderBasis(k1=np.array([0.0, 0.0, 30.0]) * 1.02, q1=[0.0, 0.0, 1.0], r_calc=0.0)
-        rs0 = seasoned_rs0(10.3, 1, fo)
+        ann, apv = first_order_values(fo, 1)
+        rs0 = apv - ann * 10.3
         assert rs0 == pytest.approx(10.0, abs=1e-12)
         res = project(toy_policy(), [1.0, 1.02, 1.0404], [1.0, 1.02, 1.0404])
         assert rs0 == pytest.approx(res.reserves[1] / 1.0, abs=1e-12)
 
     def test_inconsistent_premium_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            seasoned_rs0(20.0, 1, toy_first_order())
+        # Premium 20 on the toy basis at age 1 implies a negative provision,
+        # which no contract may carry.
+        fo = toy_first_order()
+        ann, apv = first_order_values(fo, 1)
+        with pytest.raises(ValueError, match="initial provision"):
+            PolicyData(x0=1, fo=fo, so=SecondOrderBasis(k2=fo.k1, q2=fo.q1), rs0=apv - ann * 20.0)
 
 
 class TestProjectRealRate:
@@ -353,7 +373,7 @@ class TestCapRule:
         portfolio = []
         for x0 in rng.integers(30, 80, 4):
             fo = inpatient_policy(int(x0)).fo
-            rs0 = float(rng.uniform(0.0, 0.5)) * benefit_pv(fo, int(x0))
+            rs0 = float(rng.uniform(0.0, 0.5)) * benefit_value_at(fo, int(x0))
             portfolio.append(inpatient_policy(int(x0), rs0=rs0))
         s = mc_model(long_curve(100), McModelParams(n_paths=50, vol_n=0.02, vol_r=0.01, corr=0.2, seed=seed))
         spread = InflationSpread(0.01, 0.005)
@@ -374,14 +394,14 @@ class TestCapRule:
 class TestFirstOrderPv:
     def test_unit_stream_is_the_annuity(self):
         fo = toy_first_order()
-        assert first_order_pv(fo, 0, np.ones(3), 0.0) == pytest.approx(annuity_factor(fo, 0))
+        assert first_order_pv(fo, 0, np.ones(3), 0.0) == pytest.approx(annuity_at(fo, 0))
 
     def test_benefit_stream_is_the_benefit_pv(self):
         rng = np.random.default_rng(3)
         fo, _ = random_basis_pair(rng, 8)
         policy_slice = fo.k1[2 : fo.terminal_age + 1]
         got = first_order_pv(fo, 2, policy_slice, fo.r_calc)
-        assert got == pytest.approx(benefit_pv(fo, 2), rel=1e-12)
+        assert got == pytest.approx(benefit_value_at(fo, 2), rel=1e-12)
 
 
 class TestFigureOneProperty:
