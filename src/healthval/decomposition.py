@@ -198,7 +198,7 @@ def _provision_response(sched: PolicySchedule) -> np.ndarray:
 def _tariff_key(p: PolicyData) -> tuple:
     """Everything a gross triangle depends on except rs0, compared exactly.
 
-    Bases copy their tables, so equal tables are told apart by their bytes,
+    Bases copy their tables, so equal tables are matched by their bytes,
     never by array identity.
     """
     fo, so = p.fo, p.so
