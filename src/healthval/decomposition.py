@@ -12,16 +12,16 @@ the basis instruments E[i_med[s] / bn[t]] (module ``pricing``).  The sum
 of the per-policy triangles values a whole portfolio, which makes the
 Monte-Carlo cost independent of the number of policies.  A seasoned
 provision rs0 enters a triangle only in column 0, and only affinely, so
-the policies of one (tariff, entry age) key sum to n * T(rs0=0) plus
-sum(rs0) times one column: the coefficient cost grows with the number of
-distinct keys, not with the number of policies.
+the n policies of one (tariff, entry age) key sum to n * T(mean rs0):
+the coefficient cost grows with the number of distinct keys, not with
+the number of policies.
 
 Triangles are stored row-packed: row t holds its t+1 entries for
 s = 0..t, so a triangle is one flat array of (T+1)(T+2)/2 floats and a
 horizon-h triangle is the first ``tri_size(h)`` entries of any longer
 one.  Portfolio aggregation is plain elementwise addition into a prefix
-of one accumulator: per-key triangles are streamed, never stored, and
-no reserve triangle is built.
+of one running accumulator: per-key triangles are streamed, never
+stored, and no reserve triangle is built.
 
 Caps on premium increases break the linearity; capped valuation must use
 the brute-force route, for which the uncapped decomposition is a lower
@@ -31,7 +31,6 @@ bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -76,10 +75,6 @@ class CoefficientTriangle:
             )
         if len(self.fixed) != self.horizon + 1:
             raise ValueError("fixed-cost vector must have one entry per date")
-
-    @classmethod
-    def zeros(cls, horizon: int) -> "CoefficientTriangle":
-        return cls(horizon, np.zeros(tri_size(horizon)), np.zeros(horizon + 1))
 
     def row(self, t: int) -> np.ndarray:
         """Entries (t, 0..t) as a view into the packed array."""
@@ -144,55 +139,24 @@ def gross_coefficients(policy: PolicyData) -> CoefficientTriangle:
 def aggregate_triangles(triangles: Iterable[CoefficientTriangle]) -> CoefficientTriangle:
     """Elementwise sum of triangles, extended with zeros to the largest horizon.
 
-    The input is consumed once, each triangle added into the leading
-    entries of its chunk's accumulator, which grows when a longer one
-    arrives.  Fixed-size chunks are accumulated in place and the chunk
-    partials reduced together, so the summation order is fixed
-    regardless of how the caller batches policies.
+    The input is consumed once: each triangle is added, in input order,
+    into the leading entries of one accumulator, which grows with zeros
+    when a longer triangle arrives.  An empty input sums to the zero
+    triangle of horizon 0.
     """
-    chunk = 256
-    coeff_parts: list[np.ndarray] = []
-    fixed_parts: list[np.ndarray] = []
-    stream = iter(triangles)
-    for first in stream:  # one pass per chunk: `first` and the next chunk - 1
-        coeffs, fixed = np.zeros(len(first.coeffs)), np.zeros(len(first.fixed))
-        for tri in chain((first,), islice(stream, chunk - 1)):
-            if len(tri.fixed) > len(fixed):
-                coeffs = np.pad(coeffs, (0, len(tri.coeffs) - len(coeffs)))
-                fixed = np.pad(fixed, (0, len(tri.fixed) - len(fixed)))
-            if len(tri.fixed) == len(fixed):
-                # Whole-array adds: no slice view, no write-back.
-                coeffs += tri.coeffs
-                fixed += tri.fixed
-            else:
-                coeffs[: len(tri.coeffs)] += tri.coeffs
-                fixed[: len(tri.fixed)] += tri.fixed
-        coeff_parts.append(coeffs)
-        fixed_parts.append(fixed)
-    if not coeff_parts:
-        return CoefficientTriangle.zeros(0)
-    horizon = max(len(fixed) for fixed in fixed_parts) - 1
-    return CoefficientTriangle(
-        horizon,
-        np.sum(np.stack([np.pad(c, (0, tri_size(horizon) - len(c))) for c in coeff_parts]), axis=0),
-        np.sum(np.stack([np.pad(f, (0, horizon + 1 - len(f))) for f in fixed_parts]), axis=0),
-    )
-
-
-def _provision_response(sched: PolicySchedule) -> np.ndarray:
-    """Gross column 0 per unit of seasoned provision: d[t] is the slope of coeffs[t, 0] in rs0.
-
-    A unit provision is the (0, 0) reserve entry; it rolls forward as
-    rs[t+1] = g[t] * (rs[t] - rs[t]/a[t]) and lowers the net premium by
-    rs[t]/a[t], with the same survival and loading as every other entry.
-    """
-    d = np.empty(sched.horizon + 1)
-    rs = 1.0
-    for t in range(sched.horizon + 1):
-        d[t] = -rs / sched.annuity[t]
-        if t < sched.horizon:
-            rs = (rs + d[t]) * sched.growth[t]
-    return d * sched.surv2 / (1.0 - sched.policy.fo.margin)
+    coeffs, fixed = np.zeros(tri_size(0)), np.zeros(1)
+    for tri in triangles:
+        if len(tri.fixed) > len(fixed):
+            coeffs = np.pad(coeffs, (0, len(tri.coeffs) - len(coeffs)))
+            fixed = np.pad(fixed, (0, len(tri.fixed) - len(fixed)))
+        if len(tri.fixed) == len(fixed):
+            # Whole-array adds: no slice view, no write-back.
+            coeffs += tri.coeffs
+            fixed += tri.fixed
+        else:
+            coeffs[: len(tri.coeffs)] += tri.coeffs
+            fixed[: len(tri.fixed)] += tri.fixed
+    return CoefficientTriangle(len(fixed) - 1, coeffs, fixed)
 
 
 def _tariff_key(p: PolicyData) -> tuple:
@@ -209,15 +173,15 @@ def _tariff_key(p: PolicyData) -> tuple:
 def aggregate(portfolio: Sequence[PolicyData]) -> CoefficientTriangle:
     """Portfolio coefficient triangle: sum of the per-policy gross triangles.
 
-    rs0 enters a policy's triangle only in column 0, and only affinely, so
-    the n policies of one (tariff, entry age) group sum to
+    A triangle is affine in rs0, T(r) = T(0) + r * d, so the n policies
+    of one (tariff, entry age) group sum to
 
-        n * T(rs0=0)  +  sum(rs0) * d      (d in column 0 only)
+        n * T(0) + sum(rs0) * d  =  n * T(sum(rs0) / n)
 
-    and one ``gross_coefficients`` call per group replaces one per policy.
-    Groups are taken in order of first appearance and summed by
-    :func:`aggregate_triangles`; with distinct keys and rs0 = 0 this is
-    bitwise the per-policy sum.
+    and one ``gross_coefficients`` call per group, at the group's mean
+    provision, replaces one per policy.  Groups are taken in order of
+    first appearance and summed by :func:`aggregate_triangles`; with
+    distinct keys this is bitwise the per-policy sum.
     """
     groups: dict[tuple, list] = {}
     for p in portfolio:
@@ -227,11 +191,8 @@ def aggregate(portfolio: Sequence[PolicyData]) -> CoefficientTriangle:
 
     def group_triangles():
         for first, n, rs0_sum in groups.values():
-            tri = gross_coefficients(replace(first, rs0=0.0))
-            coeffs = n * tri.coeffs
-            column0 = tri_offset(np.arange(tri.horizon + 1))
-            coeffs[column0] += rs0_sum * _provision_response(build_schedule(first))
-            yield CoefficientTriangle(tri.horizon, coeffs, n * tri.fixed)
+            tri = gross_coefficients(replace(first, rs0=rs0_sum / n))
+            yield CoefficientTriangle(tri.horizon, n * tri.coeffs, n * tri.fixed)
 
     return aggregate_triangles(group_triangles())
 

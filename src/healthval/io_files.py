@@ -22,6 +22,7 @@ fields.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -50,12 +51,25 @@ class ParseError(ValueError):
         super().__init__(f"{self.path}:{line}:{column}: {reason}")
 
 
-def _read_rows(path) -> list[list[str]]:
+def _read_text(path) -> str:
+    """The file decoded as UTF-8; an unreadable file or an undecodable byte is a ParseError."""
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            return [row for row in csv.reader(handle)]
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(path, 0, 0, f"cannot read file: {exc.strerror}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        line = data.count(b"\n", 0, exc.start) + 1
+        column = len(data[line_start : exc.start].decode("utf-8")) + 1
+        raise ParseError(
+            path, line, column, f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})"
+        ) from None
+
+
+def _read_rows(path) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(_read_text(path), newline="")))
 
 
 def _check_header(path, rows: list[list[str]], expected: list[str]) -> None:
@@ -102,10 +116,11 @@ def load_curve(path) -> CurvePair:
         pr_t = _cell_float(path, row, line, 3)
         if idx == 0 and (pn_t != 1.0 or pr_t != 1.0):
             raise ParseError(path, line, 2, "row t=0 must read 0,1,1")
-        if pn_t <= 0.0:
-            raise ParseError(path, line, 2, f"ZCB price must be positive, got {pn_t}")
-        if pr_t <= 0.0:
-            raise ParseError(path, line, 3, f"ZCB price must be positive, got {pr_t}")
+        for column, price in ((2, pn_t), (3, pr_t)):
+            if price <= 0.0:
+                raise ParseError(path, line, column, f"ZCB price must be positive, got {price}")
+            if math.isinf(1.0 / price):
+                raise ParseError(path, line, column, f"ZCB price {price!r} is too small: 1/price overflows")
         pn.append(pn_t)
         pr.append(pr_t)
     if len(pn) < 2:
@@ -147,11 +162,17 @@ PORTFOLIO_COLUMNS = [
 
 
 def load_portfolio(path, tables_dir) -> list[PolicyData]:
-    """Read a portfolio file, resolving table columns inside ``tables_dir``."""
+    """Read a portfolio file, resolving table columns inside ``tables_dir``.
+
+    Rows that name the same tables and parameters share one basis object,
+    built (and validated) the first time a row needs it.
+    """
     rows = _read_rows(path)
     _check_header(path, rows, PORTFOLIO_COLUMNS)
     tables_dir = Path(tables_dir)
     cache: dict[tuple[str, str], np.ndarray] = {}
+    first_order: dict[tuple, FirstOrderBasis] = {}
+    second_order: dict[tuple, SecondOrderBasis] = {}
 
     def table(name: str, column: str, line: int, col_idx: int) -> np.ndarray:
         key = (name, column)
@@ -176,19 +197,24 @@ def load_portfolio(path, tables_dir) -> list[PolicyData]:
         r_calc = _cell_float(path, row, line, 5)
         c1 = _cell_float(path, row, line, 6)
         c2 = _cell_float(path, row, line, 7)
+        k1, k2, q1, q2 = (row[i].strip() for i in range(7, 11))
+        fo_key, so_key = (k1, q1, r_calc, c1, margin), (k2, q2, c2)
         try:
-            fo = FirstOrderBasis(
-                k1=table(row[7].strip(), "k", line, 8),
-                q1=table(row[9].strip(), "q", line, 10),
-                r_calc=r_calc,
-                c1=c1,
-                margin=margin,
-            )
-            so = SecondOrderBasis(
-                k2=table(row[8].strip(), "k", line, 9),
-                q2=table(row[10].strip(), "q", line, 11),
-                c2=c2,
-            )
+            if fo_key not in first_order:
+                first_order[fo_key] = FirstOrderBasis(
+                    k1=table(k1, "k", line, 8),
+                    q1=table(q1, "q", line, 10),
+                    r_calc=r_calc,
+                    c1=c1,
+                    margin=margin,
+                )
+            if so_key not in second_order:
+                second_order[so_key] = SecondOrderBasis(
+                    k2=table(k2, "k", line, 9),
+                    q2=table(q2, "q", line, 11),
+                    c2=c2,
+                )
+            fo, so = first_order[fo_key], second_order[so_key]
             policies.append(PolicyData(x0=x0, fo=fo, so=so, rs0=rs0, id=policy_id))
         except ParseError:
             raise
@@ -293,9 +319,7 @@ def load_config(path, **overrides) -> RunConfig:
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(path, 0, 0, f"cannot read file: {exc.strerror}") from exc
+        raw = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, exc.colno, f"invalid JSON: {exc.msg}") from exc
     if not isinstance(raw, dict):

@@ -43,7 +43,8 @@ class CurvePair:
     """Current nominal and real ZCB price term structures out to horizon T.
 
     ``pn[t]`` and ``pr[t]`` for t = 0..T; both start at exactly 1 and stay
-    strictly positive.  No monotonicity is required (negative rates are
+    strictly positive, small enough above 0 that 1/p (the deterministic
+    account) is finite.  No monotonicity is required (negative rates are
     fine).
     """
 
@@ -63,6 +64,9 @@ class CurvePair:
             raise ValueError("pn[0] and pr[0] must equal 1 exactly")
         if np.any(self.pn <= 0.0) or np.any(self.pr <= 0.0):
             raise ValueError("ZCB prices must be strictly positive")
+        with np.errstate(over="ignore"):
+            if np.any(np.isinf(1.0 / self.pn)) or np.any(np.isinf(1.0 / self.pr)):
+                raise ValueError("ZCB prices must have a finite reciprocal")
 
     @property
     def horizon(self) -> int:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -69,6 +70,24 @@ class TestValue:
             record = stderr_record(result)
             assert record["kind"] == "parse"
             assert (record["line"], record["column"]) == (2, column)
+
+    @pytest.mark.parametrize(
+        "name", ["config_toy.json", "curves_toy.csv", "portfolio_toy.csv", "tables/toy_k1.csv"]
+    )
+    def test_non_utf8_byte_cites_its_file_line_and_column(self, tmp_path, name):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(FIXTURES, inputs, ignore=shutil.ignore_patterns("out"))
+        target = inputs / name
+        lines = target.read_bytes().split(b"\n")
+        lines[1] = lines[1][:3] + b"\xe9" + lines[1][3:]  # Latin-1 e-acute at line 2, column 4
+        target.write_bytes(b"\n".join(lines))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = cli.main(["value", "--config", str(inputs / "config_toy.json"), "--out", str(tmp_path / "out")])
+        assert code == 2
+        record = json.loads(stderr.getvalue())["error"]
+        assert record["kind"] == "parse"
+        assert (record["file"], record["line"], record["column"]) == (str(target), 2, 4)
 
     def test_missing_config_is_input_error(self, tmp_path):
         result = run_cli("value", "--config", str(tmp_path / "none.json"))

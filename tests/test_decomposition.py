@@ -30,6 +30,10 @@ def per_policy_sum(portfolio) -> CoefficientTriangle:
     return aggregate_triangles(gross_coefficients(p) for p in portfolio)
 
 
+def zero_triangle(horizon: int) -> CoefficientTriangle:
+    return CoefficientTriangle(horizon, np.zeros(tri_size(horizon)), np.zeros(horizon + 1))
+
+
 def counting_gross(monkeypatch) -> list:
     """Record every triangle ``aggregate`` builds through the module global."""
     calls = []
@@ -189,16 +193,16 @@ class TestAggregate:
         assert agg.coeffs == pytest.approx(base.coeffs + other.coeffs, abs=1e-15)
 
     def test_mixed_horizons_pad_with_zeros(self):
-        # Chunk 1 holds short, long, short triangles; chunk 2 only short
-        # ones, so its partial is extended at the end.  The reference pads
-        # every triangle to the final horizon through its dense form and
-        # sums in the same chunked order, so the results match bit for bit.
+        # Short, long, short triangles: the accumulator grows once, then
+        # takes the short ones into its prefix.  The reference pads every
+        # triangle to the final horizon through its dense form and sums in
+        # input order, so the results match bit for bit.
         rng = np.random.default_rng(41)
         short = [gross_coefficients(random_policy(rng, 3)) for _ in range(242)]
         long = [gross_coefficients(random_policy(rng, 9)) for _ in range(64)]
         triangles = short[:128] + long + short[128:]
         horizon = max(tri.horizon for tri in triangles)
-        assert max(tri.horizon for tri in triangles[256:]) < horizon
+        assert max(tri.horizon for tri in short) < horizon
 
         def zero_padded(tri):
             dense = np.zeros((horizon + 1, horizon + 1))
@@ -207,23 +211,18 @@ class TestAggregate:
             fixed[: tri.horizon + 1] = tri.fixed
             return dense[np.tril_indices(horizon + 1)], fixed
 
-        coeff_parts, fixed_parts = [], []
-        for start in range(0, len(triangles), 256):
-            acc, acc_fixed = np.zeros(tri_size(horizon)), np.zeros(horizon + 1)
-            for tri in triangles[start : start + 256]:
-                coeffs, fixed = zero_padded(tri)
-                acc += coeffs
-                acc_fixed += fixed
-            coeff_parts.append(acc)
-            fixed_parts.append(acc_fixed)
-        expected = np.sum(np.stack(coeff_parts), axis=0), np.sum(np.stack(fixed_parts), axis=0)
+        expected_coeffs, expected_fixed = np.zeros(tri_size(horizon)), np.zeros(horizon + 1)
+        for tri in triangles:
+            coeffs, fixed = zero_padded(tri)
+            expected_coeffs += coeffs
+            expected_fixed += fixed
 
         from_list = aggregate_triangles(triangles)
         from_generator = aggregate_triangles(tri for tri in triangles)
         for agg in (from_list, from_generator):
             assert agg.horizon == horizon
-            assert np.array_equal(agg.coeffs, expected[0])
-            assert np.array_equal(agg.fixed, expected[1])
+            assert np.array_equal(agg.coeffs, expected_coeffs)
+            assert np.array_equal(agg.fixed, expected_fixed)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_grouped_sum_matches_per_policy_sum(self, seed):
@@ -232,19 +231,21 @@ class TestAggregate:
         # half of them seasoned: one triangle per (tariff, entry age).
         rng = np.random.default_rng(seed)
         tariffs = [random_basis_pair(rng, int(rng.integers(2, 16))) for _ in range(rng.integers(2, 4))]
-        portfolio, keys = [], set()
+        portfolio, groups = [], {}
         for j in range(int(rng.integers(2, 40))):
             k = int(rng.integers(len(tariffs)))
             fo, so = tariffs[k]
             x0 = int(rng.integers(0, min(4, fo.terminal_age + 1)))
-            keys.add((k, x0))
             rs0 = float(rng.uniform(0.0, 50.0)) if rng.random() < 0.5 else 0.0
+            group = groups.setdefault((k, x0), [0, 0.0])
+            group[0] += 1
+            group[1] += rs0
             portfolio.append(rebuilt(PolicyData(x0=x0, fo=fo, so=so), rs0=rs0, id=f"p{j}"))
         with pytest.MonkeyPatch.context() as patch:
             calls = counting_gross(patch)
             got = aggregate(portfolio)
-        assert len(calls) == len(keys)
-        assert all(p.rs0 == 0.0 for p in calls)
+        # One call per group, in order of first appearance, at the group's mean provision.
+        assert [p.rs0 for p in calls] == [rs0_sum / n for n, rs0_sum in groups.values()]
         want = per_policy_sum(portfolio)
         assert got.horizon == want.horizon
         for field in ("coeffs", "fixed"):
@@ -253,14 +254,30 @@ class TestAggregate:
             assert gap <= 1e-12 * np.max(np.abs(reference)), field
 
     def test_distinct_fresh_keys_are_bitwise_the_per_policy_sum(self):
-        # 300 distinct (tariff, entry age) keys with rs0 = 0, shuffled and
-        # past one aggregation chunk: every group is one policy, and its
-        # triangle is the per-policy one, added in the same order.
+        # 300 distinct (tariff, entry age) keys with rs0 = 0, shuffled:
+        # every group is one policy, and its triangle is the per-policy
+        # one, added in the same order.
         rng = np.random.default_rng(61)
         tariffs = [random_basis_pair(rng, 99, q_max=0.2) for _ in range(3)]
         keys = [(k, x0) for k in range(3) for x0 in range(100)]
         portfolio = [
             PolicyData(x0=x0, fo=tariffs[k][0], so=tariffs[k][1], id=f"{k}-{x0}")
+            for k, x0 in (keys[i] for i in rng.permutation(len(keys)))
+        ]
+        got, want = aggregate(portfolio), per_policy_sum(portfolio)
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert np.array_equal(got.fixed, want.fixed)
+
+    def test_distinct_seasoned_keys_are_bitwise_the_per_policy_sum(self):
+        # The same 300 shuffled distinct keys, each with a positive rs0:
+        # a one-policy group is built at its own provision.
+        rng = np.random.default_rng(71)
+        tariffs = [random_basis_pair(rng, 99, q_max=0.2) for _ in range(3)]
+        keys = [(k, x0) for k in range(3) for x0 in range(100)]
+        portfolio = [
+            PolicyData(
+                x0=x0, fo=tariffs[k][0], so=tariffs[k][1], rs0=float(rng.uniform(0.1, 50.0)), id=f"{k}-{x0}"
+            )
             for k, x0 in (keys[i] for i in rng.permutation(len(keys)))
         ]
         got, want = aggregate(portfolio), per_policy_sum(portfolio)
@@ -292,7 +309,7 @@ class TestAggregate:
 class TestBeFromBlocks:
     def test_zero_triangle_prices_to_zero(self):
         blocks = building_blocks(deterministic_model(toy_curve()))
-        assert be_from_blocks(CoefficientTriangle.zeros(2), blocks) == 0.0
+        assert be_from_blocks(zero_triangle(2), blocks) == 0.0
 
     def test_toy_closed_form(self):
         curve = toy_curve()
@@ -312,7 +329,7 @@ class TestBeFromBlocks:
     def test_horizon_shortfall_raises(self):
         blocks = building_blocks(deterministic_model(toy_curve()))
         with pytest.raises(ValueError, match="shortfall"):
-            be_from_blocks(CoefficientTriangle.zeros(10), blocks)
+            be_from_blocks(zero_triangle(10), blocks)
 
     def test_matches_brute_force_on_random_portfolios(self):
         rng = np.random.default_rng(53)

@@ -46,7 +46,14 @@ class TestCurveFile:
 
     def test_bad_number_cites_column(self, tmp_path):
         path = tmp_path / "curve.csv"
-        for body, column in (("1,abc,1", 2), ("inf,0.98,1", 1), ("1,nan,1", 2), ("1,0.98,-inf", 3)):
+        for body, column in (
+            ("1,abc,1", 2),
+            ("inf,0.98,1", 1),
+            ("1,nan,1", 2),
+            ("1,0.98,-inf", 3),
+            ("1,1e-320,1", 2),  # positive, but 1/pn overflows
+            ("1,0.98,5e-309", 3),
+        ):
             path.write_text(f"t,pn,pr\n0,1,1\n{body}\n")
             with pytest.raises(ParseError) as err:
                 load_curve(path)
@@ -113,6 +120,29 @@ class TestPortfolioFile:
             load_portfolio(path, fixtures_dir / "tables")
         assert err.value.line == 2
         assert "nope.csv" in err.value.reason
+
+    def test_rows_of_one_tariff_share_their_bases(self, tmp_path, fixtures_dir):
+        path = tmp_path / "portfolio.csv"
+        path.write_text(
+            "id,x0,rs0,margin,r_calc,c1,c2,benefit_table,benefit_table_2nd,q_table,q_table_2nd\n"
+            "a,0,0,0,0,0,0,toy_k1.csv,toy_k2.csv,toy_q.csv,toy_q.csv\n"
+            "b,1,5,0,0,0,0,toy_k1.csv,toy_k2.csv,toy_q.csv,toy_q.csv\n"
+            "c,0,0,0.1,0,0,0,toy_k1.csv,toy_k2.csv,toy_q.csv,toy_q.csv\n"
+        )
+        a, b, c = load_portfolio(path, fixtures_dir / "tables")
+        assert a.fo is b.fo and a.so is b.so
+        assert c.fo is not a.fo and c.so is a.so
+
+    def test_invalid_basis_cites_the_row_that_first_needs_it(self, tmp_path, fixtures_dir):
+        path = tmp_path / "portfolio.csv"
+        path.write_text(
+            "id,x0,rs0,margin,r_calc,c1,c2,benefit_table,benefit_table_2nd,q_table,q_table_2nd\n"
+            "good,0,0,0,0,0,0,toy_k1.csv,toy_k2.csv,toy_q.csv,toy_q.csv\n"
+            "bad,0,0,1.5,0,0,0,toy_k1.csv,toy_k2.csv,toy_q.csv,toy_q.csv\n"
+        )
+        with pytest.raises(ParseError, match="margin") as err:
+            load_portfolio(path, fixtures_dir / "tables")
+        assert err.value.line == 3
 
     def test_invalid_policy_values_cite_row_and_id(self, tmp_path, fixtures_dir):
         path = tmp_path / "portfolio.csv"

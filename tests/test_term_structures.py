@@ -21,6 +21,11 @@ class TestCurvePair:
         with pytest.raises(ValueError, match="positive"):
             CurvePair(pn=[1.0, -0.5], pr=[1.0, 1.0])
 
+    def test_rejects_price_whose_reciprocal_overflows(self):
+        for pn, pr in (([1.0, 1e-320], [1.0, 1.0]), ([1.0, 0.98], [1.0, 5e-309])):
+            with pytest.raises(ValueError, match="reciprocal"):
+                CurvePair(pn=pn, pr=pr)
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             CurvePair(pn=[1.0, 0.9, 0.8], pr=[1.0, 0.9])
