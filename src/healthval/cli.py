@@ -59,7 +59,10 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.handler(args)
+        # Overflow from extreme but finite input is reported by the
+        # validators that reject the non-finite result, not by numpy.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.handler(args)
     except ParseError as exc:
         _emit_error("parse", str(exc), file=exc.path, line=exc.line, column=exc.column)
         return 2

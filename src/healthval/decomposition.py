@@ -16,12 +16,12 @@ the n policies of one (tariff, entry age) key sum to n * T(mean rs0):
 the coefficient cost grows with the number of distinct keys, not with
 the number of policies.
 
-Triangles are stored row-packed: row t holds its t+1 entries for
-s = 0..t, so a triangle is one flat array of (T+1)(T+2)/2 floats and a
-horizon-h triangle is the first ``tri_size(h)`` entries of any longer
-one.  Portfolio aggregation is plain elementwise addition into a prefix
-of one running accumulator: per-key triangles are streamed, never
-stored, and no reserve triangle is built.
+A triangle is stored like the block prices it multiplies: a dense
+(T+1, T+1) array with zeros above the diagonal, so a horizon-h triangle
+is the leading (h+1, h+1) block of any longer one.  Portfolio
+aggregation is plain elementwise addition into that block of one
+running accumulator: per-key triangles are streamed, never stored, and
+no reserve triangle is built.
 
 Caps on premium increases break the linearity; capped valuation must use
 the brute-force route, for which the uncapped decomposition is a lower
@@ -42,67 +42,48 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .pricing import BuildingBlockMatrix
 
 
-def tri_size(horizon: int) -> int:
-    """Number of packed entries of a lower triangle with rows 0..horizon."""
-    return (horizon + 1) * (horizon + 2) // 2
-
-
-def tri_offset(t: int) -> int:
-    """Packed index of entry (t, 0)."""
-    return t * (t + 1) // 2
-
-
 @dataclass(frozen=True, eq=False)
 class CoefficientTriangle:
     """Lower-triangular coefficients plus the fixed-cost vector.
 
-    ``coeffs`` is row-packed (see module docstring); entry (t, s) =
-    ``row(t)[s]`` is the amount of the index level i_med[s] paid at t,
-    ``fixed[t]`` the amount of i_cost[t] paid at t.  A shorter triangle
-    is a prefix of a longer one, so triangles of any horizons add up.
+    ``coeffs[t, s]`` is the amount of the index level i_med[s] paid at t
+    (zero for s > t), ``fixed[t]`` the amount of i_cost[t] paid at t; the
+    horizon is ``len(fixed) - 1``.  A shorter triangle is the leading
+    block of a longer one, so triangles of any horizons add up.
     """
 
-    horizon: int
     coeffs: np.ndarray
     fixed: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _readonly(self.coeffs, "coeffs"))
+        object.__setattr__(self, "coeffs", _readonly(self.coeffs, "coeffs", ndim=2))
         object.__setattr__(self, "fixed", _readonly(self.fixed, "fixed"))
-        if len(self.coeffs) != tri_size(self.horizon):
+        n = len(self.fixed)
+        if self.coeffs.shape != (n, n):
             raise ValueError(
-                f"packed length {len(self.coeffs)} does not match horizon {self.horizon}"
+                f"coeffs must be ({n}, {n}), one entry per date pair, got {self.coeffs.shape}"
             )
-        if len(self.fixed) != self.horizon + 1:
-            raise ValueError("fixed-cost vector must have one entry per date")
 
-    def row(self, t: int) -> np.ndarray:
-        """Entries (t, 0..t) as a view into the packed array."""
-        return self.coeffs[tri_offset(t) : tri_offset(t) + t + 1]
-
-    def dense(self) -> np.ndarray:
-        """(T+1, T+1) array with zeros above the diagonal."""
-        out = np.zeros((self.horizon + 1, self.horizon + 1))
-        out[np.tril_indices(self.horizon + 1)] = self.coeffs
-        return out
+    @property
+    def horizon(self) -> int:
+        return len(self.fixed) - 1
 
 
 def _net_reserve(sched: PolicySchedule) -> np.ndarray:
-    """Packed net-premium coefficients (see :func:`gross_coefficients`); one reserve row rolls forward."""
+    """Net-premium coefficients (see :func:`gross_coefficients`); one reserve row rolls forward."""
     horizon = sched.horizon
     rs0 = sched.policy.rs0
-    net = np.zeros(tri_size(horizon))
+    net = np.zeros((horizon + 1, horizon + 1))
     rs = np.zeros(horizon + 1)
     rs[0] = rs0
-    net[0] = (sched.benefit_value[0] - rs0) / sched.annuity[0]
+    net[0, 0] = (sched.benefit_value[0] - rs0) / sched.annuity[0]
     for t in range(1, horizon + 1):
-        prev, cur = tri_offset(t - 1), tri_offset(t)
         rs_row = rs[:t]
-        rs_row += net[prev : prev + t]
+        rs_row += net[t - 1, :t]
         rs_row[t - 1] -= sched.k1[t - 1]
         rs_row *= sched.growth[t - 1]
-        np.divide(rs_row, -sched.annuity[t], out=net[cur : cur + t])
-        net[cur + t] = sched.benefit_value[t] / sched.annuity[t]
+        np.divide(rs_row, -sched.annuity[t], out=net[t, :t])
+        net[t, t] = sched.benefit_value[t] / sched.annuity[t]
     return net
 
 
@@ -126,37 +107,35 @@ def gross_coefficients(policy: PolicyData) -> CoefficientTriangle:
         fixed[t]     = surv2[t] * (c1 / (1 - margin) - c2)
     """
     sched = build_schedule(policy)
-    horizon = sched.horizon
-    net = _net_reserve(sched)
     loading = 1.0 / (1.0 - policy.fo.margin)
-    t = np.arange(horizon + 1)
-    coeffs = net * np.repeat(sched.surv2 * loading, t + 1)
-    coeffs[tri_offset(t) + t] -= sched.surv2 * sched.k2
+    coeffs = _net_reserve(sched) * (sched.surv2 * loading)[:, None]
+    coeffs -= np.diag(sched.surv2 * sched.k2)
     fixed = sched.surv2 * (policy.fo.c1 * loading - policy.so.c2)
-    return CoefficientTriangle(horizon, coeffs, fixed)
+    return CoefficientTriangle(coeffs, fixed)
 
 
 def aggregate_triangles(triangles: Iterable[CoefficientTriangle]) -> CoefficientTriangle:
     """Elementwise sum of triangles, extended with zeros to the largest horizon.
 
     The input is consumed once: each triangle is added, in input order,
-    into the leading entries of one accumulator, which grows with zeros
-    when a longer triangle arrives.  An empty input sums to the zero
-    triangle of horizon 0.
+    into the leading block of one accumulator, which grows with zeros
+    along both axes when a longer triangle arrives.  An empty input sums
+    to the zero triangle of horizon 0.
     """
-    coeffs, fixed = np.zeros(tri_size(0)), np.zeros(1)
+    coeffs, fixed = np.zeros((1, 1)), np.zeros(1)
     for tri in triangles:
-        if len(tri.fixed) > len(fixed):
-            coeffs = np.pad(coeffs, (0, len(tri.coeffs) - len(coeffs)))
-            fixed = np.pad(fixed, (0, len(tri.fixed) - len(fixed)))
-        if len(tri.fixed) == len(fixed):
+        n = len(tri.fixed)
+        if n > len(fixed):
+            coeffs = np.pad(coeffs, (0, n - len(fixed)))
+            fixed = np.pad(fixed, (0, n - len(fixed)))
+        if n == len(fixed):
             # Whole-array adds: no slice view, no write-back.
             coeffs += tri.coeffs
             fixed += tri.fixed
         else:
-            coeffs[: len(tri.coeffs)] += tri.coeffs
-            fixed[: len(tri.fixed)] += tri.fixed
-    return CoefficientTriangle(len(fixed) - 1, coeffs, fixed)
+            coeffs[:n, :n] += tri.coeffs
+            fixed[:n] += tri.fixed
+    return CoefficientTriangle(coeffs, fixed)
 
 
 def _tariff_key(p: PolicyData) -> tuple:
@@ -192,7 +171,7 @@ def aggregate(portfolio: Sequence[PolicyData]) -> CoefficientTriangle:
     def group_triangles():
         for first, n, rs0_sum in groups.values():
             tri = gross_coefficients(replace(first, rs0=rs0_sum / n))
-            yield CoefficientTriangle(tri.horizon, n * tri.coeffs, n * tri.fixed)
+            yield CoefficientTriangle(n * tri.coeffs, n * tri.fixed)
 
     return aggregate_triangles(group_triangles())
 
@@ -211,7 +190,7 @@ def be_by_date(tri: CoefficientTriangle, blocks: "BuildingBlockMatrix") -> tuple
             f"horizon shortfall: triangle needs {tri.horizon}, blocks cover {blocks.horizon}"
         )
     n = tri.horizon + 1
-    priced = tri.dense() * blocks.med[:n, :n]
+    priced = tri.coeffs * blocks.med[:n, :n]
     cost = blocks.cost_diag[:n]
     be = -(float(np.sum(priced)) + float(np.dot(tri.fixed, cost)))
     return be, -(np.sum(priced, axis=1) + tri.fixed * cost)

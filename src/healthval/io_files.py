@@ -322,6 +322,8 @@ def load_config(path, **overrides) -> RunConfig:
         raw = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, exc.colno, f"invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(path, 1, 1, "invalid JSON: nested too deeply") from exc
     if not isinstance(raw, dict):
         raise ParseError(path, 1, 1, "config must be a JSON object")
 
@@ -453,7 +455,7 @@ def write_triangle(gross_path, fixed_path, tri: CoefficientTriangle) -> None:
         writer = csv.writer(handle)
         writer.writerow(["t", "s", "c_gross"])
         for t in range(tri.horizon + 1):
-            row = tri.row(t)
+            row = tri.coeffs[t]
             for s in range(t + 1):
                 writer.writerow([t, s, _fmt(row[s])])
     with open(fixed_path, "w", newline="", encoding="utf-8") as handle:

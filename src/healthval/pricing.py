@@ -36,30 +36,35 @@ from .term_structures import InflationSpread, ScenarioSet
 class BuildingBlockMatrix:
     """Prices of the delayed-index payouts plus the bond diagonals.
 
-    ``med[t, s]`` = E[i_med[s]/bn[t]] for s <= t (zeros above the
-    diagonal), ``cost_diag[t]`` = E[i_cost[t]/bn[t]], ``nominal_diag[t]``
-    = E[1/bn[t]].  ``se_med`` holds the per-entry Monte-Carlo standard
-    errors of ``med``, present only for sampled sets; no other block SE
-    is carried, because nothing reads one.
+    ``med[t, s]`` = E[i_med[s]/bn[t]] for s <= t, a (T+1, T+1) array
+    with zeros above the diagonal, the layout of the coefficient
+    triangles it prices; ``cost_diag[t]`` = E[i_cost[t]/bn[t]],
+    ``nominal_diag[t]`` = E[1/bn[t]].  The horizon is ``len(med) - 1``.
+    ``se_med`` holds the per-entry Monte-Carlo standard errors of
+    ``med``, present only for sampled sets; no other block SE is carried,
+    because nothing reads one.
     """
 
-    horizon: int
     med: np.ndarray
     cost_diag: np.ndarray
     nominal_diag: np.ndarray
     se_med: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        n = self.horizon + 1
+        n = len(self.med)
         if self.med.shape != (n, n):
-            raise ValueError(f"med must be ({n}, {n}), got {self.med.shape}")
+            raise ValueError(f"med must be square, got {self.med.shape}")
         if len(self.cost_diag) != n or len(self.nominal_diag) != n:
             raise ValueError("diagonal vectors must have one entry per date")
-        lower = self.med[np.tril_indices(n)]
-        if np.any(lower <= 0.0) or not np.all(np.isfinite(lower)):
-            raise ValueError("building-block prices must be positive and finite")
-        if np.any(self.cost_diag <= 0.0) or np.any(self.nominal_diag <= 0.0):
-            raise ValueError("building-block prices must be positive and finite")
+        for prices in (self.med[np.tril_indices(n)], self.cost_diag, self.nominal_diag):
+            if not np.all(np.isfinite(prices) & (prices > 0.0)):
+                raise ValueError("building-block prices must be positive and finite")
+        if self.se_med is not None and not np.all(np.isfinite(self.se_med)):
+            raise ValueError("building-block standard errors must be finite")
+
+    @property
+    def horizon(self) -> int:
+        return len(self.med) - 1
 
 
 def building_blocks(s: ScenarioSet, spread: Optional[InflationSpread] = None) -> BuildingBlockMatrix:
@@ -71,7 +76,6 @@ def building_blocks(s: ScenarioSet, spread: Optional[InflationSpread] = None) ->
     """
     if spread is None:
         spread = InflationSpread()
-    horizon = s.horizon
     i_med, i_cost = spread.indices(s)
     inv_bn = 1.0 / s.bn
     disc = s.weights[:, None] * inv_bn
@@ -87,7 +91,6 @@ def building_blocks(s: ScenarioSet, spread: Optional[InflationSpread] = None) ->
         se_med = np.sqrt(np.maximum(second_med - med**2, 0.0) / (n - 1))
 
     return BuildingBlockMatrix(
-        horizon=horizon,
         med=med,
         cost_diag=cost_diag,
         nominal_diag=nominal_diag,
@@ -136,7 +139,7 @@ def _be_standard_error(
         return None
     n = tri.horizon + 1
     i_med, i_cost = spread.indices(s)
-    dated = i_med[:, :n] @ tri.dense().T + i_cost[:, :n] * tri.fixed[None, :]
+    dated = i_med[:, :n] @ tri.coeffs.T + i_cost[:, :n] * tri.fixed[None, :]
     z = -np.sum(dated / s.bn[:, :n], axis=1)
     return float(np.std(z, ddof=1) / np.sqrt(s.n_paths))
 

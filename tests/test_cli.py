@@ -367,6 +367,42 @@ class TestShortCurve:
         assert calls == []
 
 
+#: Finite inputs whose prices overflow inside numpy: a curve price whose
+#: reciprocal is finite but whose products are not, and a huge cost spread.
+EXTREME_INPUTS = {
+    "tiny-curve-price": {"curves": "t,pn,pr\n0,1,1\n1,1e-307,1\n2,1e-307,1\n"},
+    "huge-cost-spread": {"spread": {"med": 0, "cost": 1e300}},
+}
+PRICING_COMMANDS = ("value", "value --model mc", "simulate", "compare")
+
+
+class TestExtremeFiniteInput:
+    @pytest.mark.parametrize(
+        "case, command",
+        [
+            *(("tiny-curve-price", c) for c in (*PRICING_COMMANDS, "demo-nonuniqueness")),
+            # The sweep ignores the configured spread, so it has nothing to reject.
+            *(("huge-cost-spread", c) for c in PRICING_COMMANDS),
+        ],
+    )
+    def test_overflow_ends_in_one_json_record(self, tmp_path, fixtures_dir, case, command):
+        payload = json.loads((fixtures_dir / "config_toy.json").read_text())
+        for key in ("curves", "portfolio", "tables_dir"):
+            payload[key] = str(fixtures_dir / payload[key])
+        changes = dict(EXTREME_INPUTS[case])
+        if "curves" in changes:
+            curve = tmp_path / "curve.csv"
+            curve.write_text(changes.pop("curves"))
+            payload["curves"] = str(curve)
+        payload.update(changes, out_dir=str(tmp_path / "out"))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        result = run_cli(*command.split(), "--config", str(config))
+        assert result.returncode == 2, result.stderr
+        record = stderr_record(result)  # the whole of stderr: no warning ahead of it
+        assert record["kind"] == "input"
+
+
 class TestCalibrateCheck:
     def test_all_models_calibrate(self, tmp_path):
         for model in ("deterministic", "two_scenario", "mc"):

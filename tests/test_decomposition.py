@@ -18,7 +18,6 @@ from healthval import (
     simulate_portfolio,
 )
 from healthval import decomposition
-from healthval.decomposition import tri_offset, tri_size
 from healthval.fixtures import toy_curve, toy_first_order, toy_policy
 from healthval.pricing import InflationSpread
 
@@ -31,7 +30,7 @@ def per_policy_sum(portfolio) -> CoefficientTriangle:
 
 
 def zero_triangle(horizon: int) -> CoefficientTriangle:
-    return CoefficientTriangle(horizon, np.zeros(tri_size(horizon)), np.zeros(horizon + 1))
+    return CoefficientTriangle(np.zeros((horizon + 1, horizon + 1)), np.zeros(horizon + 1))
 
 
 def counting_gross(monkeypatch) -> list:
@@ -74,14 +73,13 @@ def toy_with_second_order_equal_first() -> PolicyData:
 
 
 class TestTriangleContainer:
-    def test_packing_layout(self):
-        assert tri_size(2) == 6
-        assert tri_offset(2) == 3
-        tri = CoefficientTriangle(2, np.arange(6.0), np.zeros(3))
-        assert tri.row(0).tolist() == [0.0]
-        assert tri.row(2).tolist() == [3.0, 4.0, 5.0]
-        dense = tri.dense()
-        assert dense[1, 2] == 0.0 and dense[2, 1] == 4.0
+    def test_shape_follows_fixed_vector(self):
+        tri = CoefficientTriangle(np.tril(np.arange(9.0).reshape(3, 3)), np.zeros(3))
+        assert tri.horizon == 2
+        assert tri.coeffs[2].tolist() == [6.0, 7.0, 8.0]
+        for coeffs in (np.zeros((2, 2)), np.zeros((3, 2)), np.zeros((4, 4)), np.zeros(6)):
+            with pytest.raises(ValueError, match="coeffs must be"):
+                CoefficientTriangle(coeffs, np.zeros(3))
 
 
 class TestNetCoefficients:
@@ -91,31 +89,31 @@ class TestNetCoefficients:
 
     def test_toy_rows(self):
         tri = gross_coefficients(toy_policy())
-        assert tri.row(0).tolist() == [10.0]
-        assert tri.row(1).tolist() == [-5.0, 15.0]
-        assert tri.row(2).tolist() == [-5.0, -15.0, 30.0]
+        assert tri.coeffs[0, :1].tolist() == [10.0]
+        assert tri.coeffs[1, :2].tolist() == [-5.0, 15.0]
+        assert tri.coeffs[2, :3].tolist() == [-5.0, -15.0, 30.0]
 
     def test_level_benefits_have_diagonal_only(self):
         fo = FirstOrderBasis(k1=np.full(5, 25.0), q1=[0.2, 0.2, 0.2, 0.2, 1.0], r_calc=0.0)
         so = SecondOrderBasis(k2=np.zeros(5), q2=[0.0, 0.0, 0.0, 0.0, 1.0])
         tri = gross_coefficients(PolicyData(x0=0, fo=fo, so=so))
         for t in range(5):
-            row = tri.row(t)
+            row = tri.coeffs[t, : t + 1]
             assert row[t] == pytest.approx(25.0, abs=1e-12)
             if t > 0:
                 assert np.max(np.abs(row[:t])) <= 1e-12
 
     def test_seasoned_provision_enters_first_column(self):
         tri = gross_coefficients(toy_policy(rs0=6.0))
-        assert tri.row(0)[0] == pytest.approx((30.0 - 6.0) / 3.0)
+        assert tri.coeffs[0, 0] == pytest.approx((30.0 - 6.0) / 3.0)
 
 
 class TestGrossCoefficients:
     def test_toy_rows_with_benefit_leg(self):
         tri = gross_coefficients(toy_with_second_order_equal_first())
-        assert tri.row(0).tolist() == [10.0]
-        assert tri.row(1).tolist() == [-5.0, 15.0]
-        assert tri.row(2).tolist() == [-5.0, -15.0, 0.0]
+        assert tri.coeffs[0, :1].tolist() == [10.0]
+        assert tri.coeffs[1, :2].tolist() == [-5.0, 15.0]
+        assert tri.coeffs[2, :3].tolist() == [-5.0, -15.0, 0.0]
         assert np.max(np.abs(tri.fixed)) == 0.0
 
     def test_cost_loading_cancellation(self):
@@ -137,7 +135,7 @@ class TestGrossCoefficients:
             res = project(policy, i_med, i_cost)
             scale = max(1.0, np.max(np.abs(res.cashflow)))
             for t in range(policy.run_off + 1):
-                value = float(tri.row(t) @ i_med[: t + 1]) + tri.fixed[t] * i_cost[t]
+                value = float(tri.coeffs[t, : t + 1] @ i_med[: t + 1]) + tri.fixed[t] * i_cost[t]
                 assert abs(value - res.cashflow[t]) <= 1e-10 * scale
 
     def test_cost_perturbation_only_moves_fixed_vector(self):
@@ -170,7 +168,7 @@ class TestGrossCoefficients:
         fo = FirstOrderBasis(k1=level, q1=q, r_calc=0.02, margin=margin)
         so = SecondOrderBasis(k2=level / (1.0 - margin), q2=q)
         tri = gross_coefficients(PolicyData(x0=0, fo=fo, so=so))
-        diagonal = np.array([tri.row(t)[t] for t in range(tri.horizon + 1)])
+        diagonal = np.diag(tri.coeffs)
         assert np.max(np.abs(diagonal)) <= 1e-12
 
 
@@ -194,9 +192,9 @@ class TestAggregate:
 
     def test_mixed_horizons_pad_with_zeros(self):
         # Short, long, short triangles: the accumulator grows once, then
-        # takes the short ones into its prefix.  The reference pads every
-        # triangle to the final horizon through its dense form and sums in
-        # input order, so the results match bit for bit.
+        # takes the short ones into its leading block.  The reference pads
+        # every triangle to the final horizon and sums in input order, so
+        # the results match bit for bit.
         rng = np.random.default_rng(41)
         short = [gross_coefficients(random_policy(rng, 3)) for _ in range(242)]
         long = [gross_coefficients(random_policy(rng, 9)) for _ in range(64)]
@@ -204,18 +202,12 @@ class TestAggregate:
         horizon = max(tri.horizon for tri in triangles)
         assert max(tri.horizon for tri in short) < horizon
 
-        def zero_padded(tri):
-            dense = np.zeros((horizon + 1, horizon + 1))
-            dense[: tri.horizon + 1, : tri.horizon + 1] = tri.dense()
-            fixed = np.zeros(horizon + 1)
-            fixed[: tri.horizon + 1] = tri.fixed
-            return dense[np.tril_indices(horizon + 1)], fixed
-
-        expected_coeffs, expected_fixed = np.zeros(tri_size(horizon)), np.zeros(horizon + 1)
+        expected_coeffs = np.zeros((horizon + 1, horizon + 1))
+        expected_fixed = np.zeros(horizon + 1)
         for tri in triangles:
-            coeffs, fixed = zero_padded(tri)
-            expected_coeffs += coeffs
-            expected_fixed += fixed
+            grow = horizon - tri.horizon
+            expected_coeffs += np.pad(tri.coeffs, (0, grow))
+            expected_fixed += np.pad(tri.fixed, (0, grow))
 
         from_list = aggregate_triangles(triangles)
         from_generator = aggregate_triangles(tri for tri in triangles)

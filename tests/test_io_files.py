@@ -179,11 +179,13 @@ class TestConfig:
 
     def test_invalid_json_cites_position(self, tmp_path):
         path = tmp_path / "config.json"
-        path.write_text('{"curves": }')
-        with pytest.raises(ParseError) as err:
-            load_config(path)
-        assert err.value.line == 1
-        assert err.value.column > 1
+        # Nesting too deep for the decoder has no position of its own: it
+        # is cited at the start of the document.
+        for text, position in (('{"curves": }', (1, 12)), ("[" * 200_000 + "]" * 200_000, (1, 1))):
+            path.write_text(text)
+            with pytest.raises(ParseError, match="invalid JSON") as err:
+                load_config(path)
+            assert (err.value.line, err.value.column) == position
 
     def test_invalid_model_params_rejected_before_compute(self, tmp_path, fixtures_dir):
         path = tmp_path / "config.json"

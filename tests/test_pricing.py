@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from healthval import (
+    BuildingBlockMatrix,
     CapRule,
     InflationSpread,
     McModelParams,
@@ -112,6 +113,25 @@ class TestBuildingBlocks:
         )
         ratio = small.se_med[2, 1] / large.se_med[2, 1]
         assert 2.0 < ratio < 8.0
+
+    def test_horizon_follows_the_price_matrix(self):
+        blocks = building_blocks(deterministic_model(toy_curve()))
+        assert blocks.horizon == len(blocks.med) - 1 == 3
+        with pytest.raises(ValueError, match="square"):
+            BuildingBlockMatrix(blocks.med[:, :2], blocks.cost_diag, blocks.nominal_diag)
+        with pytest.raises(ValueError, match="one entry per date"):
+            BuildingBlockMatrix(blocks.med, blocks.cost_diag[:2], blocks.nominal_diag)
+
+    @pytest.mark.parametrize("field", ["med", "cost_diag", "nominal_diag", "se_med"])
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_rejects_non_finite_entries(self, field, bad):
+        s = mc_model(toy_curve(), McModelParams(n_paths=50, vol_n=0.03, vol_r=0.02, corr=0.0, seed=2))
+        blocks = building_blocks(s)
+        names = ("med", "cost_diag", "nominal_diag", "se_med")
+        fields = {name: getattr(blocks, name).copy() for name in names}
+        fields[field][-1] = bad  # the last row of a matrix holds lower-triangle entries
+        with pytest.raises(ValueError, match="finite"):
+            BuildingBlockMatrix(**fields)
 
 
 class TestBeReport:
