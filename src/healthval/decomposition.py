@@ -6,15 +6,15 @@ levels seen so far:
     CF[t] = sum_{s<=t} coeffs[t, s] * i_med[s]  +  fixed[t] * i_cost[t]
 
 with coefficients depending only on policy data.  Valuation therefore
-splits into a per-policy coefficient computation (this module, O(T^2)
-via the inductive recursion, never by symbolic expansion) and pricing of
-the basis instruments E[i_med[s] / bn[t]] (module ``pricing``).  The sum
-of the per-policy triangles values a whole portfolio, which makes the
-Monte-Carlo cost independent of the number of policies.  A seasoned
-provision rs0 enters a triangle only in column 0, and only affinely, so
-the n policies of one (tariff, entry age) key sum to n * T(mean rs0):
-the coefficient cost grows with the number of distinct keys, not with
-the number of policies.
+splits into a per-policy coefficient computation (this module, in
+closed form: an index move shifts every later net premium by one level
+amount) and pricing of the basis instruments E[i_med[s] / bn[t]]
+(module ``pricing``).  The sum of the per-policy triangles values a
+whole portfolio, which makes the Monte-Carlo cost independent of the
+number of policies.  A seasoned provision rs0 enters a triangle only
+in column 0, and only affinely, so the n policies of one (tariff, entry
+age) key sum to n * T(mean rs0): the coefficient cost grows with the
+number of distinct keys, not with the number of policies.
 
 A triangle is stored like the block prices it multiplies: a dense
 (T+1, T+1) array with zeros above the diagonal, so a horizon-h triangle
@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .policy_engine import PolicyData, PolicySchedule, build_schedule
+from .policy_engine import PolicyData, build_schedule
 from .term_structures import _readonly
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -69,47 +69,39 @@ class CoefficientTriangle:
         return len(self.fixed) - 1
 
 
-def _net_reserve(sched: PolicySchedule) -> np.ndarray:
-    """Net-premium coefficients (see :func:`gross_coefficients`); one reserve row rolls forward."""
-    horizon = sched.horizon
-    rs0 = sched.policy.rs0
-    net = np.zeros((horizon + 1, horizon + 1))
-    rs = np.zeros(horizon + 1)
-    rs[0] = rs0
-    net[0, 0] = (sched.benefit_value[0] - rs0) / sched.annuity[0]
-    for t in range(1, horizon + 1):
-        rs_row = rs[:t]
-        rs_row += net[t - 1, :t]
-        rs_row[t - 1] -= sched.k1[t - 1]
-        rs_row *= sched.growth[t - 1]
-        np.divide(rs_row, -sched.annuity[t], out=net[t, :t])
-        net[t, t] = sched.benefit_value[t] / sched.annuity[t]
-    return net
-
-
 def gross_coefficients(policy: PolicyData) -> CoefficientTriangle:
-    """Cash-flow coefficient triangle of one policy.
+    """Cash-flow coefficient triangle of one policy, in closed form.
 
-    The net premium is linear in the index levels, P[t] = sum_s
-    net[t, s] * i_med[s], and so is the reserve, RS[t] = sum_s rs[t, s]
-    * i_med[s].  Both follow the inductive recursion
+    The net premium is linear in the index levels, P[t] = sum_s net[t, s]
+    * i_med[s], and so is the reserve (coefficients rs[t, s]), with
+    net[t, s] = [s == t] * A[t]/a[t] - rs[t, s]/a[t] for the first-order
+    annuity factor a and benefit value A at age x0+t.  Past the diagonal
+    a reserve column rolls up by g[t] * (1 - 1/a[t]) = a[t+1]/a[t], as
+    a[t] = 1 + a[t+1]/g[t] with g[t] = (1+r)/(1-q1[t]); so rs[t, s]/a[t]
+    is level in t, and an index move shifts every later premium by one
+    amount:
 
-        rs[t+1, s]  = g[t] * (rs[t, s] + net[t, s] - [s == t] * k1[t])
-        net[t, s]   = [s == t] * A[t]/a[t]  -  rs[t, s]/a[t]
+        net[t, t] = A[t]/a[t],   net[t, s] = (k1[s] - A[s+1]/a[s+1]) / a[s]  for t > s,
 
-    with g[t] = (1+r)/(1-q1[t]).  A seasoned provision enters as the
-    (0, 0) reserve entry, the coefficient of i_med[0] == 1.  The net
-    triangle is then scaled by second-order survival and the margin
-    loading, the second-order benefit is netted off the diagonal, and
-    the fixed-cost mismatch is carried in the fixed vector:
+    less rs0/a[0] in column 0 for a seasoned provision.  Scaled by
+    second-order survival and the margin loading, with the second-order
+    benefit netted off the diagonal and the fixed-cost mismatch carried
+    apart:
 
         coeffs[t, s] = surv2[t] * net[t, s] / (1 - margin) - [s == t] * surv2[t] * k2[t]
         fixed[t]     = surv2[t] * (c1 / (1 - margin) - c2)
     """
     sched = build_schedule(policy)
+    a, A = sched.annuity, sched.benefit_value
     loading = 1.0 / (1.0 - policy.fo.margin)
-    coeffs = _net_reserve(sched) * (sched.surv2 * loading)[:, None]
-    coeffs -= np.diag(sched.surv2 * sched.k2)
+    scale = sched.surv2 * loading
+    # net[t, t], and the one net[t, s] of every t > s (its last entry is never read)
+    diagonal = A / a
+    later = np.append((sched.k1[:-1] - A[1:] / a[1:]) / a[:-1], 0.0)
+    diagonal[0] -= policy.rs0 / a[0]
+    later[0] -= policy.rs0 / a[0]
+    coeffs = np.tril(np.multiply.outer(scale, later), -1)
+    np.fill_diagonal(coeffs, scale * diagonal - sched.surv2 * sched.k2)
     fixed = sched.surv2 * (policy.fo.c1 * loading - policy.so.c2)
     return CoefficientTriangle(coeffs, fixed)
 

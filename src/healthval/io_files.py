@@ -68,14 +68,23 @@ def _read_text(path) -> str:
         ) from None
 
 
-def _read_rows(path) -> list[list[str]]:
-    return list(csv.reader(io.StringIO(_read_text(path), newline="")))
+def _read_rows(path) -> list[tuple[int, list[str]]]:
+    """CSV records with the physical line each starts on (a quoted cell may span lines)."""
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    rows, line = [], 1
+    try:
+        for row in reader:
+            rows.append((line, row))
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise ParseError(path, reader.line_num, 1, f"malformed CSV: {exc}") from None
+    return rows
 
 
-def _check_header(path, rows: list[list[str]], expected: list[str]) -> None:
+def _check_header(path, rows: list, expected: list[str]) -> None:
     if not rows:
         raise ParseError(path, 1, 1, "file is empty")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in rows[0][1]]
     if header != expected:
         raise ParseError(path, 1, 1, f"header must be {','.join(expected)!r}, got {','.join(header)!r}")
 
@@ -105,8 +114,7 @@ def load_curve(path) -> CurvePair:
     _check_header(path, rows, ["t", "pn", "pr"])
     pn: list[float] = []
     pr: list[float] = []
-    for idx, row in enumerate(rows[1:]):
-        line = idx + 2
+    for idx, (line, row) in enumerate(rows[1:]):
         if len(row) != 3:
             raise ParseError(path, line, len(row) + 1, f"expected 3 columns, got {len(row)}")
         t = _cell_int(path, row, line, 1)
@@ -133,8 +141,7 @@ def load_age_table(path, value_column: str) -> np.ndarray:
     rows = _read_rows(path)
     _check_header(path, rows, ["age", value_column])
     values: list[float] = []
-    for idx, row in enumerate(rows[1:]):
-        line = idx + 2
+    for idx, (line, row) in enumerate(rows[1:]):
         if len(row) != 2:
             raise ParseError(path, line, len(row) + 1, f"expected 2 columns, got {len(row)}")
         age = _cell_int(path, row, line, 1)
@@ -184,8 +191,7 @@ def load_portfolio(path, tables_dir) -> list[PolicyData]:
         return cache[key]
 
     policies: list[PolicyData] = []
-    for idx, row in enumerate(rows[1:]):
-        line = idx + 2
+    for line, row in rows[1:]:
         if len(row) != len(PORTFOLIO_COLUMNS):
             raise ParseError(
                 path, line, len(row) + 1, f"expected {len(PORTFOLIO_COLUMNS)} columns, got {len(row)}"

@@ -63,7 +63,8 @@ class TestValue:
                 }
             )
         )
-        for row, column in (("1,0.98", 3), ("0,nan,1", 2)):
+        # A 200 000-character cell exceeds csv.field_size_limit(): the reader stops at line 2.
+        for row, column in (("1,0.98", 3), ("0,nan,1", 2), ("0" * 200_000 + ",1,1", 1)):
             bad_curve.write_text(f"t,pn,pr\n{row}\n")
             result = run_cli("value", "--config", str(config))
             assert result.returncode == 2
@@ -475,4 +476,52 @@ class TestConfigSectionTypes:
             record = json.loads(stderr.getvalue())["error"]
             assert record["kind"] and record["message"]
             if code == 2:
+                assert {"file", "line", "column"} <= record.keys()
+
+
+#: Cell values for mutated fixture CSVs: non-finite and subnormal numbers,
+#: an empty cell, a NUL, a bare quote, a quoted cell that spans two lines
+#: and a cell beyond csv.field_size_limit().
+CSV_TOKENS = ("0", "1", "-1", "2.5", "nan", "inf", "-inf", "1e-320", "", "\0", '"', '"1\n2"', "9" * 200_000)
+FIXTURE_CSVS = ("curves_toy.csv", "portfolio_toy.csv", "tables/toy_k1.csv", "tables/toy_k2.csv", "tables/toy_q.csv")
+#: (operation, row, cell, token); row and cell are taken modulo the file's shape.
+CELL_EDITS = st.tuples(
+    st.sampled_from(("replace", "insert", "drop")),
+    st.integers(0, 15),
+    st.integers(0, 15),
+    st.sampled_from(CSV_TOKENS),
+)
+
+
+class TestMutatedFixtureCsv:
+    @settings(max_examples=150)
+    @given(name=st.sampled_from(FIXTURE_CSVS), edits=st.lists(CELL_EDITS, min_size=1, max_size=2))
+    @example(name="curves_toy.csv", edits=[("replace", 2, 1, "9" * 200_000)])
+    @example(name="portfolio_toy.csv", edits=[("replace", 1, 0, '"1\n2"'), ("insert", 1, 3, "\0")])
+    @example(name="tables/toy_q.csv", edits=[("replace", 1, 1, '"'), ("drop", 2, 0, "")])
+    def test_any_cell_edit_ends_in_a_documented_exit(self, name, edits):
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            inputs = Path(tmp) / "inputs"
+            shutil.copytree(FIXTURES, inputs, ignore=shutil.ignore_patterns("out"))
+            target = inputs / name
+            rows = [line.split(",") for line in target.read_text(encoding="utf-8").splitlines()]
+            for operation, row, cell, token in edits:
+                cells = rows[row % len(rows)]
+                if operation == "insert" or not cells:
+                    cells.insert(cell % (len(cells) + 1), token)
+                elif operation == "replace":
+                    cells[cell % len(cells)] = token
+                else:
+                    del cells[cell % len(cells)]
+            target.write_text("\n".join(",".join(cells) for cells in rows) + "\n", encoding="utf-8")
+            with contextlib.redirect_stderr(stderr):
+                code = cli.main(["value", "--config", str(inputs / "config_toy.json"), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert stderr.getvalue() == ""
+        else:
+            record = json.loads(stderr.getvalue())["error"]
+            assert record["kind"] and record["message"]
+            if record["kind"] == "parse":
                 assert {"file", "line", "column"} <= record.keys()

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,7 +20,7 @@ from healthval import (
     simulate_portfolio,
 )
 from healthval import decomposition
-from healthval.fixtures import toy_curve, toy_first_order, toy_policy
+from healthval.fixtures import inpatient_policy, toy_curve, toy_first_order, toy_policy
 from healthval.pricing import InflationSpread
 
 from conftest import random_basis_pair, random_inflation_path, random_policy, random_scenario_set
@@ -83,9 +85,11 @@ class TestTriangleContainer:
 
 
 class TestNetCoefficients:
-    """The net-premium recursion, read through ``gross_coefficients`` on
-    contracts where the cash flow is the net premium: no second-order
-    benefit, no second-order exits before the terminal age, no margin."""
+    """The closed-form net-premium triangle, read through
+    ``gross_coefficients`` on contracts where the cash flow is the net
+    premium: no second-order benefit, no second-order exits before the
+    terminal age, no margin.  The expected rows come from the reserve
+    recursion worked by hand."""
 
     def test_toy_rows(self):
         tri = gross_coefficients(toy_policy())
@@ -126,9 +130,15 @@ class TestGrossCoefficients:
         assert np.max(np.abs(tri.fixed)) <= 1e-12
 
     def test_rows_reproduce_projected_cashflow(self):
+        # Short random contracts, then long run-offs: inpatient entrants,
+        # fresh and seasoned, and random contracts of up to 100 years.
         rng = np.random.default_rng(31)
-        for _ in range(40):
-            policy = random_policy(rng, 5)
+        policies = itertools.chain(
+            (random_policy(rng, 5) for _ in range(40)),
+            (inpatient_policy(x0, rs0=rs0) for x0 in (21, 45, 69) for rs0 in (0.0, 800.0)),
+            (random_policy(rng, 100) for _ in range(10)),
+        )
+        for policy in policies:
             i_med = random_inflation_path(rng, policy.run_off)
             i_cost = random_inflation_path(rng, policy.run_off)
             tri = gross_coefficients(policy)

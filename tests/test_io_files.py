@@ -46,18 +46,19 @@ class TestCurveFile:
 
     def test_bad_number_cites_column(self, tmp_path):
         path = tmp_path / "curve.csv"
-        for body, column in (
-            ("1,abc,1", 2),
-            ("inf,0.98,1", 1),
-            ("1,nan,1", 2),
-            ("1,0.98,-inf", 3),
-            ("1,1e-320,1", 2),  # positive, but 1/pn overflows
-            ("1,0.98,5e-309", 3),
+        for rows, line, column in (
+            ("0,1,1\n1,abc,1", 3, 2),
+            ("0,1,1\ninf,0.98,1", 3, 1),
+            ("0,1,1\n1,nan,1", 3, 2),
+            ("0,1,1\n1,0.98,-inf", 3, 3),
+            ("0,1,1\n1,1e-320,1", 3, 2),  # positive, but 1/pn overflows
+            ("0,1,1\n1,0.98,5e-309", 3, 3),
+            ('0,1,"1\n"\n1,abc,1', 4, 2),  # the quoted cell spans lines 2 and 3
         ):
-            path.write_text(f"t,pn,pr\n0,1,1\n{body}\n")
+            path.write_text(f"t,pn,pr\n{rows}\n")
             with pytest.raises(ParseError) as err:
                 load_curve(path)
-            assert (err.value.line, err.value.column) == (3, column)
+            assert (err.value.line, err.value.column) == (line, column)
 
     def test_first_row_must_be_unit(self, tmp_path):
         path = tmp_path / "curve.csv"

@@ -178,6 +178,24 @@ class TestProject:
             rhs = i_med * sched.benefit_value
             assert np.max(np.abs(lhs - rhs)) <= 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
+    def test_index_move_shifts_later_premiums_by_a_level_amount(self):
+        # a[t] = 1 + a[t+1]/g[t] makes rs[t, s]/a[t] constant for t > s, so a
+        # move of i_med[s] alone changes every later net premium by one
+        # amount and no earlier one; the closed-form triangle rests on this.
+        rng = np.random.default_rng(43)
+        policies = [inpatient_policy(x0, rs0=rs0) for x0 in (21, 45, 69) for rs0 in (0.0, 800.0)]
+        policies += [random_policy(rng, 100) for _ in range(10)]
+        for policy in policies:
+            i_med = random_inflation_path(rng, policy.run_off)
+            base = project(policy, i_med, i_med).premiums_net
+            for s in range(1, policy.run_off, max(1, policy.run_off // 3)):
+                bumped = i_med.copy()
+                bumped[s] *= 1.01
+                move = project(policy, bumped, i_med).premiums_net - base
+                assert np.all(move[:s] == 0.0)
+                later = move[s + 1 :]
+                assert np.ptp(later) <= 1e-9 * np.max(np.abs(move))
+
     def test_homogeneity_in_amounts(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
