@@ -68,8 +68,11 @@ def _read_text(path) -> str:
         ) from None
 
 
-def _read_rows(path) -> list[tuple[int, list[str]]]:
-    """CSV records with the physical line each starts on (a quoted cell may span lines)."""
+def _read_rows(path) -> tuple[list[tuple[int, list[str]]], int]:
+    """CSV records with the physical line each starts on (a quoted cell may span lines).
+
+    Also returns the line after the last one read, where a missing record belongs.
+    """
     reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     rows, line = [], 1
     try:
@@ -78,7 +81,7 @@ def _read_rows(path) -> list[tuple[int, list[str]]]:
             line = reader.line_num + 1
     except csv.Error as exc:
         raise ParseError(path, reader.line_num, 1, f"malformed CSV: {exc}") from None
-    return rows
+    return rows, line
 
 
 def _check_header(path, rows: list, expected: list[str]) -> None:
@@ -110,7 +113,7 @@ def _cell_int(path, row: list[str], line: int, column: int) -> int:
 
 def load_curve(path) -> CurvePair:
     """Read a ``t,pn,pr`` curve file into a :class:`CurvePair`."""
-    rows = _read_rows(path)
+    rows, end = _read_rows(path)
     _check_header(path, rows, ["t", "pn", "pr"])
     pn: list[float] = []
     pr: list[float] = []
@@ -132,13 +135,13 @@ def load_curve(path) -> CurvePair:
         pn.append(pn_t)
         pr.append(pr_t)
     if len(pn) < 2:
-        raise ParseError(path, len(rows) + 1, 1, "curve needs maturities t = 0 and t = 1 at least")
+        raise ParseError(path, end, 1, "curve needs maturities t = 0 and t = 1 at least")
     return CurvePair(pn=np.array(pn), pr=np.array(pr))
 
 
 def load_age_table(path, value_column: str) -> np.ndarray:
     """Read an ``age,q`` or ``age,k`` table; ages must be contiguous from 0."""
-    rows = _read_rows(path)
+    rows, end = _read_rows(path)
     _check_header(path, rows, ["age", value_column])
     values: list[float] = []
     for idx, (line, row) in enumerate(rows[1:]):
@@ -149,7 +152,7 @@ def load_age_table(path, value_column: str) -> np.ndarray:
             raise ParseError(path, line, 1, f"ages must run 0,1,2,...; expected {idx}, got {age}")
         values.append(_cell_float(path, row, line, 2))
     if not values:
-        raise ParseError(path, 2, 1, "table has no rows")
+        raise ParseError(path, end, 1, "table has no rows")
     return np.array(values)
 
 
@@ -174,7 +177,7 @@ def load_portfolio(path, tables_dir) -> list[PolicyData]:
     Rows that name the same tables and parameters share one basis object,
     built (and validated) the first time a row needs it.
     """
-    rows = _read_rows(path)
+    rows, _ = _read_rows(path)
     _check_header(path, rows, PORTFOLIO_COLUMNS)
     tables_dir = Path(tables_dir)
     cache: dict[tuple[str, str], np.ndarray] = {}

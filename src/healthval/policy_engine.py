@@ -23,14 +23,17 @@ under the first-order basis.  Gross premiums add the cost loading and
 margin; the projected cash flow weighs the gross premium against
 second-order benefits/costs and second-order survival.
 
-Projection runs vectorized over many inflation paths at once, which is
-what the brute-force portfolio valuation (`simulate_portfolio`) builds on.
+Projection steps through the dates one at a time, vectorized over many
+inflation paths held time-major (row t is every path's level at t).
+The brute-force portfolio valuation (`simulate_portfolio`) reduces each
+date as it arrives, so it keeps no per-policy cash-flow array; `project`
+stacks the dates of its single path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -260,17 +263,6 @@ def build_schedule(policy: PolicyData) -> PolicySchedule:
     )
 
 
-@dataclass(eq=False)
-class _PathProjection:
-    cashflow: np.ndarray
-    uncapped: Optional[np.ndarray]
-    premiums_net: Optional[np.ndarray]
-    premiums_gross: Optional[np.ndarray]
-    reserves: Optional[np.ndarray]
-    negative_premium: bool
-    cap_bound: bool
-
-
 def _check_inflation(arr, horizon: int, name: str) -> np.ndarray:
     arr = np.atleast_2d(np.asarray(arr, dtype=float))
     if arr.shape[1] < horizon + 1:
@@ -289,73 +281,64 @@ def _project_paths(
     i_med: np.ndarray,
     i_cost: np.ndarray,
     cap: Optional[CapRule],
-    details: bool,
     real_rate: bool = False,
-) -> _PathProjection:
-    """Premium recursion vectorized over paths (rows of i_med / i_cost).
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Premium recursion over dates, vectorized over paths.
 
-    The reserve path ignores the cap, so under a cap the same pass also
-    writes the uncapped cash flow to ``uncapped`` (None without a cap).
+    ``i_med`` and ``i_cost`` are time-major: row t holds every path's
+    level at t.  Yields ``(net, gross, applied, reserve)`` for t = 0..run_off,
+    each one value per path; ``applied`` is the capped gross premium
+    (``gross`` itself without a cap).  The reserve follows the uncapped
+    recursion whatever the cap.
     """
     policy = schedule.policy
-    horizon = schedule.horizon
-    n = i_med.shape[0]
     one_minus_margin = 1.0 - policy.fo.margin
-    c1, c2 = policy.fo.c1, policy.so.c2
-
-    cashflow = np.empty((n, horizon + 1))
-    uncapped = np.empty((n, horizon + 1)) if cap is not None else None
-    prem_net = np.empty((n, horizon + 1)) if details else None
-    prem_gross = np.empty((n, horizon + 1)) if details else None
-    reserves = np.empty((n, horizon + 1)) if details else None
-
-    rs = np.full(n, policy.rs0)
-    prev_applied = None
-    negative = False
-    bound = False
-    for t in range(horizon + 1):
-        im = i_med[:, t]
-        ic = i_cost[:, t]
-        proposed_net = (im * schedule.benefit_value[t] - rs) / schedule.annuity[t]
-        proposed_gross = (proposed_net + ic * c1) / one_minus_margin
-        if cap is not None and t > 0:
-            step = ic / i_cost[:, t - 1]
-            applied = cap.apply(prev_applied, proposed_gross, step)
-            if schedule.surv2[t] > 0.0 and np.any(applied < proposed_gross):
-                bound = True
-        else:
-            applied = proposed_gross
-        cashflow[:, t] = (applied - im * schedule.k2[t] - ic * c2) * schedule.surv2[t]
-        if uncapped is not None:
-            uncapped[:, t] = (proposed_gross - im * schedule.k2[t] - ic * c2) * schedule.surv2[t]
-        if details:
-            prem_gross[:, t] = applied
-            prem_net[:, t] = proposed_net if cap is None else applied * one_minus_margin - ic * c1
-            reserves[:, t] = rs
-        if np.any(proposed_net < 0.0):
-            negative = True
-        if t < horizon:
+    c1 = policy.fo.c1
+    rs = np.full(i_med.shape[1], policy.rs0)
+    for t in range(schedule.horizon + 1):
+        im, ic = i_med[t], i_cost[t]
+        net = (im * schedule.benefit_value[t] - rs) / schedule.annuity[t]
+        gross = (net + ic * c1) / one_minus_margin
+        applied = gross if cap is None or t == 0 else cap.apply(applied, gross, ic / i_cost[t - 1])
+        yield net, gross, applied, rs
+        if t < schedule.horizon:
             # Proposed (uncapped) net premium feeds the reserve: the cap's
             # foregone amount is topped up from the insurer's funds.
-            rs = (rs + proposed_net - im * schedule.k1[t]) * schedule.growth[t]
+            rs = (rs + net - im * schedule.k1[t]) * schedule.growth[t]
             if real_rate:
-                rs = rs * (i_med[:, t + 1] / im)
-        prev_applied = applied
-    if not (np.all(np.isfinite(cashflow)) and (uncapped is None or np.all(np.isfinite(uncapped)))):
-        raise ValueError(f"policy {policy.id!r}: projection produced non-finite values")
-    return _PathProjection(cashflow, uncapped, prem_net, prem_gross, reserves, negative, bound)
+                rs = rs * (i_med[t + 1] / im)
+
+
+def _cashflow(schedule: PolicySchedule, t, gross, im, ic) -> np.ndarray:
+    """Gross premium less second-order benefits and costs, weighted by survival.
+
+    ``t`` is a date (``im``, ``ic``, ``gross`` one value per path) or
+    ``slice(None)`` (one value per date along a single path).
+    """
+    return (gross - im * schedule.k2[t] - ic * schedule.policy.so.c2) * schedule.surv2[t]
 
 
 def _project_one(
     policy: PolicyData, i_med, i_cost, cap: Optional[CapRule], real_rate: bool = False
 ) -> ProjectionResult:
-    """Validate one inflation path, run the kernel with details, keep row 0."""
+    """Validate one inflation path, run the kernel on it and stack its dates."""
     schedule = build_schedule(policy)
-    i_med = _check_inflation(i_med, schedule.horizon, "i_med")
-    i_cost = _check_inflation(i_cost, schedule.horizon, "i_cost")
-    out = _project_paths(schedule, i_med, i_cost, cap, details=True, real_rate=real_rate)
-    rows = (out.premiums_net[0], out.premiums_gross[0], out.reserves[0], out.cashflow[0])
-    return ProjectionResult(*rows, negative_premium=out.negative_premium, cap_bound=out.cap_bound)
+    im = _check_inflation(i_med, schedule.horizon, "i_med")[0]
+    ic = _check_inflation(i_cost, schedule.horizon, "i_cost")[0]
+    dates = _project_paths(schedule, im[:, None], ic[:, None], cap, real_rate)
+    net, gross, applied, reserves = (np.concatenate(rows) for rows in zip(*dates))
+    cashflow, uncapped = (_cashflow(schedule, slice(None), g, im, ic) for g in (applied, gross))
+    if not (np.all(np.isfinite(cashflow)) and np.all(np.isfinite(uncapped))):
+        raise ValueError(f"policy {policy.id!r}: projection produced non-finite values")
+    paid_net = net if cap is None else applied * (1.0 - policy.fo.margin) - ic * policy.fo.c1
+    return ProjectionResult(
+        paid_net,
+        applied,
+        reserves,
+        cashflow,
+        negative_premium=bool(np.any(net < 0.0)),
+        cap_bound=bool(np.any((applied < gross) & (schedule.surv2 > 0.0))),
+    )
 
 
 def project(
@@ -429,8 +412,11 @@ def simulate_portfolio(
 
     BE = -sum_k w_k sum_policies sum_t CF[t](path k) / bn_k[t].  This is
     the reference route the coefficient decomposition is tested against,
-    and the only route that supports premium caps.  Under a cap each policy
-    is still projected once; the same pass gives ``.uncapped``.
+    and the only route that supports premium caps.  Indices and discount
+    factors are transposed once to time-major; each policy's projection
+    is reduced date by date into ``per_t``, with no per-policy (paths x
+    dates) array.  Under a cap each policy is still projected once; the
+    same pass gives ``.uncapped``.
     """
     horizon = max((p.run_off for p in portfolio), default=0)
     for p in portfolio:
@@ -442,14 +428,16 @@ def simulate_portfolio(
         spread = InflationSpread()
     per_t, per_t_uncapped = np.zeros(horizon + 1), np.zeros(horizon + 1)
     bound = False
-    i_med, i_cost = spread.indices(s)
-    disc = s.weights[:, None] / s.bn
+    i_med, i_cost = (np.ascontiguousarray(x.T) for x in spread.indices(s))
+    disc = np.ascontiguousarray((s.weights[:, None] / s.bn).T)
     for p in portfolio:
-        cols = p.run_off + 1
-        out = _project_paths(build_schedule(p), i_med[:, :cols], i_cost[:, :cols], cap, details=False)
-        per_t[:cols] -= np.sum(disc[:, :cols] * out.cashflow, axis=0)
-        if out.uncapped is not None:
-            per_t_uncapped[:cols] -= np.sum(disc[:, :cols] * out.uncapped, axis=0)
-        bound = bound or out.cap_bound
+        schedule = build_schedule(p)
+        for t, (_, gross, applied, _) in enumerate(_project_paths(schedule, i_med, i_cost, cap)):
+            per_t[t] -= np.sum(disc[t] * _cashflow(schedule, t, applied, i_med[t], i_cost[t]))
+            if cap is not None:
+                per_t_uncapped[t] -= np.sum(disc[t] * _cashflow(schedule, t, gross, i_med[t], i_cost[t]))
+                bound = bound or (schedule.surv2[t] > 0.0 and bool(np.any(applied < gross)))
+        if not (np.all(np.isfinite(per_t)) and np.all(np.isfinite(per_t_uncapped))):
+            raise ValueError(f"policy {p.id!r}: projection produced non-finite values")
     uncapped = None if cap is None else SimulationResult(float(per_t_uncapped.sum()), per_t_uncapped, False)
     return SimulationResult(be=float(per_t.sum()), per_t=per_t, cap_bound=bound, uncapped=uncapped)

@@ -479,6 +479,50 @@ class TestConfigSectionTypes:
                 assert {"file", "line", "column"} <= record.keys()
 
 
+#: Per config section: a valid section to start from, the fields to fuzz and
+#: the command that reads them.  The MC model stays small (20 paths).
+NESTED_SECTIONS = {
+    "model": ({"kind": "mc", "n_paths": 20}, ("n_paths", "vol_n", "vol_r", "corr"), ["value"]),
+    "model_b": ({"kind": "two_scenario"}, ("cn1", "cr1", "p1"), ["compare"]),
+    "spread": ({"med": 0.01, "cost": 0.0}, ("med", "cost"), ["value"]),
+    "cap": (
+        {"abs_increase": 0.05, "inflation_multiple": 2.0},
+        ("abs_increase", "inflation_multiple"),
+        ["simulate", "--cap"],
+    ),
+    "premium_path": (
+        {"policy_id": "toy-1"},
+        ("policy_id", "r_nominal", "r_real", "inflation_factor"),
+        ["premium-path"],
+    ),
+}
+NESTED_FIELDS = [(section, name) for section, (_, names, _) in NESTED_SECTIONS.items() for name in names]
+
+
+class TestNestedConfigFields:
+    @pytest.mark.parametrize("section,name", NESTED_FIELDS)
+    @settings(max_examples=25)
+    @given(value=JSON_VALUES)
+    def test_any_json_value_ends_in_a_documented_exit(self, section, name, value):
+        base, _, command = NESTED_SECTIONS[section]
+        payload = json.loads((FIXTURES / "config_toy.json").read_text())
+        for key in ("curves", "portfolio", "tables_dir"):
+            payload[key] = str(FIXTURES / payload[key])
+        payload[section] = {**base, name: value}
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps(payload))
+            with contextlib.redirect_stderr(stderr):
+                code = cli.main([*command, "--config", str(config), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert stderr.getvalue() == ""
+        else:
+            record = json.loads(stderr.getvalue())["error"]  # exactly one JSON document
+            assert record["kind"] and record["message"]
+
+
 #: Cell values for mutated fixture CSVs: non-finite and subnormal numbers,
 #: an empty cell, a NUL, a bare quote, a quoted cell that spans two lines
 #: and a cell beyond csv.field_size_limit().

@@ -60,6 +60,14 @@ class TestCurveFile:
                 load_curve(path)
             assert (err.value.line, err.value.column) == (line, column)
 
+    def test_too_short_curve_cites_the_line_after_the_last(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        for rows, line in (("0,1,1", 3), ('0,1,"1\n"', 4)):  # the quoted cell spans lines 2 and 3
+            path.write_text(f"t,pn,pr\n{rows}\n")
+            with pytest.raises(ParseError, match="t = 1") as err:
+                load_curve(path)
+            assert (err.value.line, err.value.column) == (line, 1)
+
     def test_first_row_must_be_unit(self, tmp_path):
         path = tmp_path / "curve.csv"
         path.write_text("t,pn,pr\n0,0.99,1\n1,0.98,1\n")
@@ -92,6 +100,14 @@ class TestAgeTables:
         path.write_text("age,q\n1,0.5\n")
         with pytest.raises(ParseError, match="expected 0"):
             load_age_table(path, "q")
+
+    def test_empty_table_cites_the_line_after_the_header(self, tmp_path):
+        path = tmp_path / "q.csv"
+        for header, line in (("age,q", 2), ('"age\n",q', 3)):  # the quoted cell spans lines 1 and 2
+            path.write_text(f"{header}\n")
+            with pytest.raises(ParseError, match="no rows") as err:
+                load_age_table(path, "q")
+            assert (err.value.line, err.value.column) == (line, 1)
 
     def test_value_column_name_must_match(self, tmp_path):
         path = tmp_path / "k.csv"

@@ -408,6 +408,40 @@ class TestCapRule:
             assert report.be_oracle_capped == capped.be
             assert report.cap_bound is capped.cap_bound
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_capped_value_matches_a_scalar_reference(self, seed):
+        # Rebuild the capped cash flow path by path from the uncapped gross
+        # premiums, applying the rule as CapRule states it, one date at a time.
+        rng = np.random.default_rng(10 + seed)
+        portfolio = []
+        for x0 in rng.integers(30, 80, 4):
+            fo = inpatient_policy(int(x0)).fo
+            rs0 = float(rng.uniform(0.1, 0.5)) * benefit_value_at(fo, int(x0))
+            portfolio.append(inpatient_policy(int(x0), rs0=rs0))
+        s = mc_model(long_curve(100), McModelParams(n_paths=30, vol_n=0.02, vol_r=0.01, corr=0.2, seed=seed))
+        spread = InflationSpread(0.01, 0.005)
+        cap = CapRule(abs_increase=0.03, inflation_multiple=1.0)
+        i_med, i_cost = spread.indices(s)
+        per_t = [0.0] * (max(p.run_off for p in portfolio) + 1)
+        for policy in portfolio:
+            surv2 = build_schedule(policy).surv2
+            for k in range(s.n_paths):
+                res = project(policy, i_med[k], i_cost[k])
+                gross = [float(g) for g in res.premiums_gross]
+                applied = [gross[0]]
+                for t in range(1, len(gross)):
+                    prev, step = applied[-1], i_cost[k, t] / i_cost[k, t - 1]
+                    factor = max(1.0 + cap.abs_increase, cap.inflation_multiple * step)
+                    applied.append(min(gross[t], prev * factor) if prev > 0.0 else gross[t])
+                for t, (cf, a, g) in enumerate(zip(res.cashflow, applied, gross)):
+                    per_t[t] -= s.weights[k] * (cf + (a - g) * surv2[t]) / s.bn[k, t]
+        capped = simulate_portfolio(portfolio, s, spread, cap)
+        assert capped.cap_bound
+        assert capped.be > capped.uncapped.be
+        scale = max(abs(v) for v in per_t)
+        assert np.max(np.abs(capped.per_t - per_t)) <= 1e-12 * scale
+        assert abs(capped.be - sum(per_t)) <= 1e-12 * abs(sum(per_t))
+
 
 class TestFirstOrderPv:
     def test_unit_stream_is_the_annuity(self):
