@@ -45,13 +45,20 @@ DEFAULT_TERMINAL_AGE = 121
 
 @dataclass(frozen=True, eq=False)
 class FirstOrderBasis:
-    """Prudent pricing basis: benefits, terminations, rate, cost, margin."""
+    """Prudent pricing basis: benefits, terminations, rate, cost, margin.
+
+    ``annuity[x]`` and ``benefit_value[x]`` are the premium annuity factor
+    and benefit present value at every age x = 0..omega, computed once
+    here (see `_value_tables`); every contract on the basis slices them.
+    """
 
     k1: np.ndarray
     q1: np.ndarray
     r_calc: float
     c1: float = 0.0
     margin: float = 0.0
+    annuity: np.ndarray = field(init=False, repr=False)
+    benefit_value: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k1", _readonly(self.k1, "k1"))
@@ -63,6 +70,9 @@ class FirstOrderBasis:
             raise ValueError("annual fixed cost must be nonnegative")
         if not 0.0 <= self.margin < 1.0:
             raise ValueError(f"margin must lie in [0, 1), got {self.margin}")
+        for name, table in zip(("annuity", "benefit_value"), _value_tables(self)):
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
 
     @property
     def terminal_age(self) -> int:
@@ -162,17 +172,30 @@ class CapRule:
         if not self.inflation_multiple >= 0.0:
             raise ValueError("inflation_multiple must be nonnegative")
 
-    def allowed_factor(self, cost_step) -> np.ndarray:
-        return np.maximum(1.0 + self.abs_increase, self.inflation_multiple * np.asarray(cost_step))
+    def allowed_factors(self, i_cost: np.ndarray) -> np.ndarray:
+        """Allowed increase factor of every date t >= 1 of a time-major cost index.
 
-    def apply(self, prev_gross, proposed_gross, cost_step) -> np.ndarray:
-        """Applied gross premium; passes decreases and non-positive bases through."""
-        prev_gross = np.asarray(prev_gross, dtype=float)
-        proposed_gross = np.asarray(proposed_gross, dtype=float)
-        ceiling = np.where(
-            prev_gross > 0.0, prev_gross * self.allowed_factor(cost_step), np.inf
-        )
-        return np.minimum(proposed_gross, ceiling)
+        Row t-1 holds max(1 + abs_increase, inflation_multiple * i_cost[t] / i_cost[t-1]),
+        one value per path; the factors depend on the index alone, so one
+        table serves every policy projected along the same paths.
+        """
+        factors = np.divide(i_cost[1:], i_cost[:-1])
+        np.multiply(factors, self.inflation_multiple, out=factors)
+        return np.maximum(factors, 1.0 + self.abs_increase, out=factors)
+
+    @staticmethod
+    def apply(applied: np.ndarray, proposed: np.ndarray, factor: np.ndarray, passthrough: np.ndarray) -> None:
+        """Advance the applied gross premium by one date, in place.
+
+        On entry ``applied`` holds the previous date's applied premium; on
+        exit min(proposed, applied * factor), or ``proposed`` itself where
+        the previous premium was not positive.  Decreases always pass.
+        ``passthrough`` is a boolean buffer of the same shape, overwritten.
+        """
+        np.less_equal(applied, 0.0, out=passthrough)
+        np.multiply(applied, factor, out=applied)
+        np.minimum(proposed, applied, out=applied)
+        np.copyto(applied, proposed, where=passthrough)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,33 +243,30 @@ class PolicySchedule:
         return self.policy.run_off
 
 
-def _value_tables(fo: FirstOrderBasis, x: int) -> tuple[np.ndarray, np.ndarray]:
-    """First-order annuity factors a and benefit PVs A for ages x..omega, one backward pass.
+def _value_tables(fo: FirstOrderBasis) -> tuple[np.ndarray, np.ndarray]:
+    """First-order annuity factors a and benefit PVs A for ages 0..omega, one backward pass.
 
-    a[j] is the PV of an annual unit payment from age x+j while in force
-    (>= 1: the first payment is certain), A[j] the PV of the benefits at
+    a[x] is the PV of an annual unit payment from age x while in force
+    (>= 1: the first payment is certain), A[x] the PV of the benefits at
     today's price level; both discount by (1-q1)/(1+r) per year, so they
-    truncate where survival hits zero.
+    truncate where survival hits zero.  The pass runs from omega down, so
+    the entries at ages >= x do not depend on where a contract enters.
     """
-    if not 0 <= x <= fo.terminal_age:
-        raise ValueError(f"age {x} outside the table (terminal age {fo.terminal_age})")
     omega = fo.terminal_age
-    n = omega - x + 1
-    ann = np.empty(n)
-    apv = np.empty(n)
-    ann[-1] = 1.0
-    apv[-1] = fo.k1[omega]
-    for j in range(n - 2, -1, -1):
-        disc = (1.0 - fo.q1[x + j]) / (1.0 + fo.r_calc)
-        ann[j] = 1.0 + disc * ann[j + 1]
-        apv[j] = fo.k1[x + j] + disc * apv[j + 1]
+    ann = np.empty(omega + 1)
+    apv = np.empty(omega + 1)
+    ann[omega] = 1.0
+    apv[omega] = fo.k1[omega]
+    for x in range(omega - 1, -1, -1):
+        disc = (1.0 - fo.q1[x]) / (1.0 + fo.r_calc)
+        ann[x] = 1.0 + disc * ann[x + 1]
+        apv[x] = fo.k1[x] + disc * apv[x + 1]
     return ann, apv
 
 
 def build_schedule(policy: PolicyData) -> PolicySchedule:
     """Precompute everything projection and decomposition need per date."""
     x0, horizon = policy.x0, policy.run_off
-    ann, apv = _value_tables(policy.fo, x0)
     q1 = policy.fo.q1[x0 : x0 + horizon + 1]
     q2 = policy.so.q2[x0 : x0 + horizon + 1]
     surv2 = np.empty(horizon + 1)
@@ -254,8 +274,8 @@ def build_schedule(policy: PolicyData) -> PolicySchedule:
     np.cumprod(1.0 - q2[:-1], out=surv2[1:])
     return PolicySchedule(
         policy=policy,
-        annuity=ann[: horizon + 1],
-        benefit_value=apv[: horizon + 1],
+        annuity=policy.fo.annuity[x0 : x0 + horizon + 1],
+        benefit_value=policy.fo.benefit_value[x0 : x0 + horizon + 1],
         k1=policy.fo.k1[x0 : x0 + horizon + 1],
         k2=policy.so.k2[x0 : x0 + horizon + 1],
         growth=(1.0 + policy.fo.r_calc) / (1.0 - q1[:-1]) if horizon > 0 else np.empty(0),
@@ -280,42 +300,72 @@ def _project_paths(
     schedule: PolicySchedule,
     i_med: np.ndarray,
     i_cost: np.ndarray,
-    cap: Optional[CapRule],
+    cap: Optional[CapRule] = None,
+    cap_factors: Optional[np.ndarray] = None,
     real_rate: bool = False,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[np.ndarray, ...]]:
     """Premium recursion over dates, vectorized over paths.
 
     ``i_med`` and ``i_cost`` are time-major: row t holds every path's
-    level at t.  Yields ``(net, gross, applied, reserve)`` for t = 0..run_off,
-    each one value per path; ``applied`` is the capped gross premium
-    (``gross`` itself without a cap).  The reserve follows the uncapped
-    recursion whatever the cap.
+    level at t.  ``cap_factors`` is ``cap.allowed_factors(i_cost)``, made
+    once by the caller for every policy on the same paths.  Yields
+    ``(net, gross, applied, reserve, cashflow, cashflow_uncapped)`` for
+    t = 0..run_off, each one value per path: ``applied`` is the capped
+    gross premium and ``cashflow`` the flow it pays, ``cashflow_uncapped``
+    the flow of ``gross``; without a cap both pairs are the same array.
+    The reserve follows the uncapped recursion whatever the cap.  The
+    yielded arrays are buffers made once per call and overwritten at the
+    next date, so a caller reads them before it resumes the generator.
     """
     policy = schedule.policy
     one_minus_margin = 1.0 - policy.fo.margin
-    c1 = policy.fo.c1
-    rs = np.full(i_med.shape[1], policy.rs0)
+    c1, c2 = policy.fo.c1, policy.so.c2
+    n = i_med.shape[1]
+    rs = np.full(n, policy.rs0)
+    net, gross, benefits, costs, cashflow = (np.empty(n) for _ in range(5))
+    if cap is None:
+        applied, uncapped = gross, cashflow
+    else:
+        applied, uncapped, passthrough = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
     for t in range(schedule.horizon + 1):
         im, ic = i_med[t], i_cost[t]
-        net = (im * schedule.benefit_value[t] - rs) / schedule.annuity[t]
-        gross = (net + ic * c1) / one_minus_margin
-        applied = gross if cap is None or t == 0 else cap.apply(applied, gross, ic / i_cost[t - 1])
-        yield net, gross, applied, rs
+        # net = (im * A[t] - rs) / a[t]; gross = (net + ic * c1) / (1 - margin)
+        np.multiply(im, schedule.benefit_value[t], out=net)
+        net -= rs
+        net /= schedule.annuity[t]
+        np.multiply(ic, c1, out=gross)
+        np.add(net, gross, out=gross)
+        gross /= one_minus_margin
+        # Second-order outgo, shared by the capped and the uncapped flow.
+        np.multiply(im, schedule.k2[t], out=benefits)
+        np.multiply(ic, c2, out=costs)
+        if cap is not None:
+            if t == 0:
+                np.copyto(applied, gross)
+            else:
+                cap.apply(applied, gross, cap_factors[t - 1], passthrough)
+            _cashflow(gross, benefits, costs, schedule.surv2[t], out=uncapped)
+        _cashflow(applied, benefits, costs, schedule.surv2[t], out=cashflow)
+        yield net, gross, applied, rs, cashflow, uncapped
         if t < schedule.horizon:
             # Proposed (uncapped) net premium feeds the reserve: the cap's
             # foregone amount is topped up from the insurer's funds.
-            rs = (rs + net - im * schedule.k1[t]) * schedule.growth[t]
+            # rs = (rs + net - im * k1[t]) * growth[t]
+            rs += net
+            np.multiply(im, schedule.k1[t], out=benefits)
+            rs -= benefits
+            rs *= schedule.growth[t]
             if real_rate:
-                rs = rs * (i_med[t + 1] / im)
+                np.divide(i_med[t + 1], im, out=benefits)
+                rs *= benefits
 
 
-def _cashflow(schedule: PolicySchedule, t, gross, im, ic) -> np.ndarray:
-    """Gross premium less second-order benefits and costs, weighted by survival.
-
-    ``t`` is a date (``im``, ``ic``, ``gross`` one value per path) or
-    ``slice(None)`` (one value per date along a single path).
-    """
-    return (gross - im * schedule.k2[t] - ic * schedule.policy.so.c2) * schedule.surv2[t]
+def _cashflow(premium, benefits, costs, surv2: float, out: np.ndarray) -> np.ndarray:
+    """(premium - benefits - costs) * surv2 into ``out``: insurer income positive."""
+    np.subtract(premium, benefits, out=out)
+    out -= costs
+    out *= surv2
+    return out
 
 
 def _project_one(
@@ -323,14 +373,16 @@ def _project_one(
 ) -> ProjectionResult:
     """Validate one inflation path, run the kernel on it and stack its dates."""
     schedule = build_schedule(policy)
-    im = _check_inflation(i_med, schedule.horizon, "i_med")[0]
-    ic = _check_inflation(i_cost, schedule.horizon, "i_cost")[0]
-    dates = _project_paths(schedule, im[:, None], ic[:, None], cap, real_rate)
-    net, gross, applied, reserves = (np.concatenate(rows) for rows in zip(*dates))
-    cashflow, uncapped = (_cashflow(schedule, slice(None), g, im, ic) for g in (applied, gross))
+    im = _check_inflation(i_med, schedule.horizon, "i_med")[0][:, None]
+    ic = _check_inflation(i_cost, schedule.horizon, "i_cost")[0][:, None]
+    factors = None if cap is None else cap.allowed_factors(ic)
+    rows = np.empty((6, schedule.horizon + 1))
+    for t, values in enumerate(_project_paths(schedule, im, ic, cap, factors, real_rate)):
+        rows[:, t] = np.concatenate(values)
+    net, gross, applied, reserves, cashflow, uncapped = rows
     if not (np.all(np.isfinite(cashflow)) and np.all(np.isfinite(uncapped))):
         raise ValueError(f"policy {policy.id!r}: projection produced non-finite values")
-    paid_net = net if cap is None else applied * (1.0 - policy.fo.margin) - ic * policy.fo.c1
+    paid_net = net if cap is None else applied * (1.0 - policy.fo.margin) - ic[:, 0] * policy.fo.c1
     return ProjectionResult(
         paid_net,
         applied,
@@ -430,12 +482,15 @@ def simulate_portfolio(
     bound = False
     i_med, i_cost = (np.ascontiguousarray(x.T) for x in spread.indices(s))
     disc = np.ascontiguousarray((s.weights[:, None] / s.bn).T)
+    factors = None if cap is None else cap.allowed_factors(i_cost)
+    weighted = np.empty(s.n_paths)
     for p in portfolio:
         schedule = build_schedule(p)
-        for t, (_, gross, applied, _) in enumerate(_project_paths(schedule, i_med, i_cost, cap)):
-            per_t[t] -= np.sum(disc[t] * _cashflow(schedule, t, applied, i_med[t], i_cost[t]))
+        dates = _project_paths(schedule, i_med, i_cost, cap, factors)
+        for t, (_, gross, applied, _, cashflow, uncapped) in enumerate(dates):
+            per_t[t] -= np.multiply(disc[t], cashflow, out=weighted).sum()
             if cap is not None:
-                per_t_uncapped[t] -= np.sum(disc[t] * _cashflow(schedule, t, gross, i_med[t], i_cost[t]))
+                per_t_uncapped[t] -= np.multiply(disc[t], uncapped, out=weighted).sum()
                 bound = bound or (schedule.surv2[t] > 0.0 and bool(np.any(applied < gross)))
         if not (np.all(np.isfinite(per_t)) and np.all(np.isfinite(per_t_uncapped))):
             raise ValueError(f"policy {p.id!r}: projection produced non-finite values")

@@ -95,9 +95,8 @@ class TestValue:
         assert result.returncode == 2
 
     def test_unallocatable_path_count_is_input_error(self, tmp_path, fixtures_dir):
-        # 10**15 paths ask numpy for 21 PiB, far beyond the virtual address
-        # space a process is given, so the allocation fails at once and
-        # nothing is allocated.
+        # 10**15 paths would ask numpy for 21 PiB, far beyond the virtual
+        # address space a process is given; nothing is allocated.
         payload = json.loads((fixtures_dir / "config_toy.json").read_text())
         for key in ("curves", "portfolio", "tables_dir"):
             payload[key] = str(fixtures_dir / payload[key])
@@ -108,6 +107,24 @@ class TestValue:
         result = run_cli("value", "--config", str(config))
         assert result.returncode == 2, result.stderr
         assert stderr_record(result)["kind"] == "input"
+
+    @pytest.mark.parametrize("command, section", [("value", "model"), ("compare", "model_b")])
+    def test_path_count_beyond_memory_names_the_config_field(self, tmp_path, fixtures_dir, command, section):
+        # 10**11 paths over the toy curve's 4 dates fit a 64-bit address
+        # space (3.2 TB per array) but no machine's memory: the path-date
+        # bound rejects them before anything is allocated.
+        payload = json.loads((fixtures_dir / "config_toy.json").read_text())
+        for key in ("curves", "portfolio", "tables_dir"):
+            payload[key] = str(fixtures_dir / payload[key])
+        payload[section] = {"kind": "mc", "n_paths": 10**11}
+        payload["out_dir"] = str(tmp_path / "out")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        result = run_cli(command, "--config", str(config))
+        assert result.returncode == 2, result.stderr
+        record = stderr_record(result)
+        assert record["kind"] == "input"
+        assert record["message"].startswith(f"{section}.n_paths = 100000000000: ")
 
     def test_seed_flag_changes_mc_report(self, tmp_path):
         args = ["value", "--config", str(FIXTURES / "config_inpatient.json"), "--model", "mc"]

@@ -8,7 +8,10 @@ import pytest
 from healthval import CurvePair, McModelParams, mc_model
 from healthval.fixtures import toy_curve, toy_policy, write_fixture_tree
 from healthval.io_files import (
+    MAX_PATH_DATES,
+    ModelConfig,
     ParseError,
+    check_path_dates,
     load_age_table,
     load_config,
     load_curve,
@@ -243,6 +246,30 @@ class TestConfig:
         path.write_text(json.dumps(base))
         with pytest.raises(ParseError, match="tolerance"):
             load_config(path, tolerance=float("inf"))
+
+
+class TestPathDateBound:
+    """The scenario-size bound is arithmetic on the config: nothing is allocated here."""
+
+    @pytest.mark.parametrize("horizon", [1, 3, 100, 120])
+    def test_largest_admitted_set_sits_at_the_limit(self, horizon):
+        largest = MAX_PATH_DATES // (horizon + 1)
+        check_path_dates(largest, horizon, "model.n_paths")
+        with pytest.raises(ValueError, match=r"^model\.n_paths = %d: " % (largest + 1)):
+            check_path_dates(largest + 1, horizon, "model.n_paths")
+
+    def test_limit_admits_production_size_and_rejects_what_fits_only_the_address_space(self):
+        check_path_dates(10_000, 100, "model.n_paths")
+        # 10**11 paths over 4 dates: 3.2 TB per array, within a 64-bit
+        # address space but beyond the memory of any machine this runs on.
+        with pytest.raises(ValueError, match=r"400000000000 scenario entries, above the limit"):
+            check_path_dates(10**11, 3, "model_b.n_paths")
+
+    def test_build_checks_before_sampling(self, monkeypatch):
+        model = ModelConfig(kind="mc", params={"n_paths": 10**11}, section="model_b")
+        monkeypatch.setattr("healthval.io_files.mc_model", lambda *args: pytest.fail("sampled"))
+        with pytest.raises(ValueError, match=r"^model_b\.n_paths = 100000000000: "):
+            model.build(toy_curve(), seed=1)
 
 
 class TestExports:

@@ -20,6 +20,7 @@ from healthval import (
     project_real_rate,
     simulate_portfolio,
 )
+from healthval.io_files import load_portfolio
 from healthval.fixtures import (
     flat_curve,
     inpatient_policy,
@@ -123,6 +124,34 @@ class TestAnnuityFactor:
         x = int(rng.integers(0, fo.terminal_age + 1))
         assert annuity_at(fo, x) == pytest.approx(brute_force_annuity(fo, x), rel=1e-12)
         assert annuity_at(fo, x) >= 1.0
+
+
+def backward_value_tables(fo: FirstOrderBasis, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """Annuity factors and benefit PVs for ages x..omega, recursing from omega down to x."""
+    omega = fo.terminal_age
+    ann, apv = [1.0], [float(fo.k1[omega])]
+    for age in range(omega - 1, x - 1, -1):
+        disc = (1.0 - fo.q1[age]) / (1.0 + fo.r_calc)
+        ann.insert(0, 1.0 + disc * ann[0])
+        apv.insert(0, fo.k1[age] + disc * apv[0])
+    return np.array(ann), np.array(apv)
+
+
+class TestAgeTables:
+    @pytest.mark.parametrize("name", ["toy", "inpatient"])
+    def test_schedule_slices_equal_a_backward_recursion_from_every_entry_age(self, fixtures_dir, name):
+        # The basis computes its tables once for ages 0..omega; a contract
+        # entering at x must see exactly what a recursion stopping at x gives.
+        portfolio = load_portfolio(fixtures_dir / f"portfolio_{name}.csv", fixtures_dir / "tables")
+        bases = {id(p.fo): p.fo for p in portfolio}
+        assert len(bases) == 1
+        (fo,) = bases.values()
+        so = SecondOrderBasis(k2=fo.k1, q2=fo.q1)
+        for x in range(fo.terminal_age + 1):
+            sched = build_schedule(PolicyData(x0=x, fo=fo, so=so))
+            ann, apv = backward_value_tables(fo, x)
+            assert np.array_equal(sched.annuity, ann[: sched.horizon + 1])
+            assert np.array_equal(sched.benefit_value, apv[: sched.horizon + 1])
 
 
 class TestBenefitPv:
@@ -330,6 +359,14 @@ class TestOracleBe:
         assert spread != base
 
 
+def cap_one_step(cap: CapRule, prev: float, proposed: float, step: float) -> float:
+    """The applied premium after one date on one path, through the kernel's CapRule calls."""
+    applied = np.array([prev])
+    factor = cap.allowed_factors(np.array([[1.0], [step]]))[0]
+    cap.apply(applied, np.array([proposed]), factor, np.empty(1, dtype=bool))
+    return float(applied[0])
+
+
 class TestCapRule:
     def test_rejects_negative_or_nan_parameters(self):
         for bad in (-0.01, float("nan")):
@@ -340,16 +377,21 @@ class TestCapRule:
 
     def test_decreases_pass_through(self):
         cap = CapRule(abs_increase=0.0, inflation_multiple=1.0)
-        assert cap.apply(100.0, 80.0, 1.1) == 80.0
+        assert cap_one_step(cap, 100.0, 80.0, 1.1) == 80.0
 
     def test_increase_capped_at_inflation_multiple(self):
         cap = CapRule(abs_increase=0.01, inflation_multiple=1.0)
-        assert cap.apply(100.0, 130.0, 1.05) == pytest.approx(105.0)
-        assert cap.apply(100.0, 103.0, 1.05) == pytest.approx(103.0)
+        assert cap_one_step(cap, 100.0, 130.0, 1.05) == pytest.approx(105.0)
+        assert cap_one_step(cap, 100.0, 103.0, 1.05) == pytest.approx(103.0)
 
     def test_absolute_floor_dominates_weak_inflation(self):
         cap = CapRule(abs_increase=0.04, inflation_multiple=1.0)
-        assert cap.apply(100.0, 130.0, 1.01) == pytest.approx(104.0)
+        assert cap_one_step(cap, 100.0, 130.0, 1.01) == pytest.approx(104.0)
+
+    def test_non_positive_base_passes_through(self):
+        cap = CapRule(abs_increase=0.0, inflation_multiple=1.0)
+        for prev in (0.0, -5.0):
+            assert cap_one_step(cap, prev, 130.0, 1.01) == 130.0
 
     def test_capped_projection_tops_up_reserves(self):
         # The reserve path must match the uncapped one: foregone premium is
@@ -475,3 +517,43 @@ class TestFigureOneProperty:
             pv_nom = first_order_pv(fo_nom, 0, res_nom.premiums_net, r_nom)
             pv_real = first_order_pv(fo_nom, 0, res_real.premiums_net, r_nom)
             assert pv_nom == pytest.approx(pv_real, rel=1e-9)
+
+
+class TestOracleDigits:
+    """Golden figures of the brute-force kernel, pinned bit for bit.
+
+    Any rewrite of the premium recursion must keep these; a change that
+    moves them changes every oracle figure the reports print.
+    """
+
+    def test_seeded_capped_portfolio(self):
+        rng = np.random.default_rng(2024)
+        portfolio = []
+        for x0 in rng.integers(30, 80, 4):
+            fo = inpatient_policy(int(x0)).fo
+            rs0 = float(rng.uniform(0.1, 0.5)) * benefit_value_at(fo, int(x0))
+            portfolio.append(inpatient_policy(int(x0), rs0=rs0))
+        s = mc_model(long_curve(100), McModelParams(n_paths=40, vol_n=0.02, vol_r=0.01, corr=0.2, seed=2024))
+        capped = simulate_portfolio(portfolio, s, InflationSpread(0.01, 0.005), CapRule(0.03, 1.0))
+        assert capped.cap_bound
+        assert capped.be.hex() == "0x1.39e2f89e40842p+13"
+        assert capped.uncapped.be.hex() == "0x1.a1972b176ef24p+12"
+        per_t = {
+            1: ("0x1.e51cafdd9999dp+7", "0x1.942b3995121b7p+7"),
+            10: ("0x1.7aa7ca686ef68p+8", "0x1.fe2e195c00bbdp+7"),
+            40: ("0x1.5304776b26d54p+5", "0x1.8f683dea25b6cp+4"),
+        }
+        for t, (want_capped, want_uncapped) in per_t.items():
+            assert float(capped.per_t[t]).hex() == want_capped
+            assert float(capped.uncapped.per_t[t]).hex() == want_uncapped
+
+    def test_capped_projection(self):
+        policy = inpatient_policy(40, rs0=500.0)
+        dates = np.arange(policy.run_off + 1)
+        res = project(policy, 1.05**dates, 1.04**dates, cap=CapRule(0.01, 1.0))
+        assert res.cap_bound
+        assert float(res.premiums_net[20]).hex() == "0x1.130b192c0f2aap+11"
+        assert float(res.premiums_gross[20]).hex() == "0x1.28704bb220152p+11"
+        assert float(res.reserves[20]).hex() == "0x1.047d748aa48d4p+13"
+        assert float(res.cashflow[20]).hex() == "-0x1.ace5536e3af9ep+7"
+        assert float(np.sum(res.cashflow)).hex() == "-0x1.e806acefe6bb8p+11"
