@@ -178,7 +178,7 @@ def write_fixture_tree(root) -> None:
             "tables_dir": "tables",
             "model": {"kind": "mc", "n_paths": 2000, "vol_n": 0.015, "vol_r": 0.008, "corr": 0.25},
             "spread": {"med": 0.01, "cost": 0.0},
-            "cap": {"abs_increase": 0.05, "inflation_multiple": 2.0},
+            "cap": {"abs_increase": 0.05, "inflation_multiple": 1.0},
             "seed": 42,
             "out_dir": "out/inpatient",
             "tolerance": 1e-9,

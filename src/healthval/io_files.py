@@ -240,7 +240,10 @@ def load_portfolio(path, tables_dir) -> list[PolicyData]:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Scenario-model selection: kind plus its module parameters."""
+    """Scenario-model selection: kind plus its module parameters.
+
+    ``section`` is the config key the model came from, for error messages.
+    """
 
     kind: str
     params: dict = field(default_factory=dict)

@@ -23,11 +23,18 @@ under the first-order basis.  Gross premiums add the cost loading and
 margin; the projected cash flow weighs the gross premium against
 second-order benefits/costs and second-order survival.
 
+The annuity factors a[x] and benefit values A[x] depend on the age alone,
+so a first-order basis computes them once for ages 0..omega and every
+contract slices its own ages from them.
+
 Projection steps through the dates one at a time, vectorized over many
 inflation paths held time-major (row t is every path's level at t).
-The brute-force portfolio valuation (`simulate_portfolio`) reduces each
-date as it arrives, so it keeps no per-policy cash-flow array; `project`
-stacks the dates of its single path.
+Each step writes into path-length buffers made once per projection, so
+it allocates nothing.  The brute-force portfolio valuation
+(`simulate_portfolio`) reduces each date as it arrives, so it keeps no
+per-policy cash-flow array; the cap's allowed increase factors depend
+on the cost index alone, so it tabulates them once per call for every
+policy.  `project` stacks the dates of its single path.
 """
 
 from __future__ import annotations
@@ -465,7 +472,8 @@ def simulate_portfolio(
     BE = -sum_k w_k sum_policies sum_t CF[t](path k) / bn_k[t].  This is
     the reference route the coefficient decomposition is tested against,
     and the only route that supports premium caps.  Indices and discount
-    factors are transposed once to time-major; each policy's projection
+    factors are transposed once to time-major, and the cap's allowed
+    factors tabulated once for all policies; each policy's projection
     is reduced date by date into ``per_t``, with no per-policy (paths x
     dates) array.  Under a cap each policy is still projected once; the
     same pass gives ``.uncapped``.
