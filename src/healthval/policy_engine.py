@@ -307,15 +307,14 @@ def _project_paths(
     schedule: PolicySchedule,
     i_med: np.ndarray,
     i_cost: np.ndarray,
-    cap: Optional[CapRule] = None,
     cap_factors: Optional[np.ndarray] = None,
     real_rate: bool = False,
 ) -> Iterator[tuple[np.ndarray, ...]]:
     """Premium recursion over dates, vectorized over paths.
 
     ``i_med`` and ``i_cost`` are time-major: row t holds every path's
-    level at t.  ``cap_factors`` is ``cap.allowed_factors(i_cost)``, made
-    once by the caller for every policy on the same paths.  Yields
+    level at t.  Under a cap, ``cap_factors`` is ``cap.allowed_factors(i_cost)``,
+    made once by the caller for every policy on the same paths.  Yields
     ``(net, gross, applied, reserve, cashflow, cashflow_uncapped)`` for
     t = 0..run_off, each one value per path: ``applied`` is the capped
     gross premium and ``cashflow`` the flow it pays, ``cashflow_uncapped``
@@ -330,10 +329,12 @@ def _project_paths(
     n = i_med.shape[1]
     rs = np.full(n, policy.rs0)
     net, gross, benefits, costs, cashflow = (np.empty(n) for _ in range(5))
-    if cap is None:
+    if cap_factors is None:
         applied, uncapped = gross, cashflow
     else:
         applied, uncapped, passthrough = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+    # The in-place steps keep the order of operations of the formulas in
+    # the comments, so every figure is bit for bit the formula's.
     for t in range(schedule.horizon + 1):
         im, ic = i_med[t], i_cost[t]
         # net = (im * A[t] - rs) / a[t]; gross = (net + ic * c1) / (1 - margin)
@@ -346,11 +347,11 @@ def _project_paths(
         # Second-order outgo, shared by the capped and the uncapped flow.
         np.multiply(im, schedule.k2[t], out=benefits)
         np.multiply(ic, c2, out=costs)
-        if cap is not None:
+        if cap_factors is not None:
             if t == 0:
                 np.copyto(applied, gross)
             else:
-                cap.apply(applied, gross, cap_factors[t - 1], passthrough)
+                CapRule.apply(applied, gross, cap_factors[t - 1], passthrough)
             _cashflow(gross, benefits, costs, schedule.surv2[t], out=uncapped)
         _cashflow(applied, benefits, costs, schedule.surv2[t], out=cashflow)
         yield net, gross, applied, rs, cashflow, uncapped
@@ -384,7 +385,7 @@ def _project_one(
     ic = _check_inflation(i_cost, schedule.horizon, "i_cost")[0][:, None]
     factors = None if cap is None else cap.allowed_factors(ic)
     rows = np.empty((6, schedule.horizon + 1))
-    for t, values in enumerate(_project_paths(schedule, im, ic, cap, factors, real_rate)):
+    for t, values in enumerate(_project_paths(schedule, im, ic, factors, real_rate)):
         rows[:, t] = np.concatenate(values)
     net, gross, applied, reserves, cashflow, uncapped = rows
     if not (np.all(np.isfinite(cashflow)) and np.all(np.isfinite(uncapped))):
@@ -494,7 +495,7 @@ def simulate_portfolio(
     weighted = np.empty(s.n_paths)
     for p in portfolio:
         schedule = build_schedule(p)
-        dates = _project_paths(schedule, i_med, i_cost, cap, factors)
+        dates = _project_paths(schedule, i_med, i_cost, factors)
         for t, (_, gross, applied, _, cashflow, uncapped) in enumerate(dates):
             per_t[t] -= np.multiply(disc[t], cashflow, out=weighted).sum()
             if cap is not None:

@@ -20,7 +20,6 @@ from healthval import (
     project_real_rate,
     simulate_portfolio,
 )
-from healthval.io_files import load_portfolio
 from healthval.fixtures import (
     flat_curve,
     inpatient_policy,
@@ -29,6 +28,7 @@ from healthval.fixtures import (
     toy_first_order,
     toy_policy,
 )
+from healthval.io_files import load_portfolio
 
 from conftest import random_basis_pair, random_inflation_path, random_policy
 
