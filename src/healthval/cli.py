@@ -11,6 +11,12 @@ re-running writes byte-identical reports.  Exit codes: 0 success, 2
 input error (with a machine-readable JSON record on stderr), 3 tolerance
 or route-disagreement failure, including an ``ArithmeticError`` raised
 when a numerical identity breaks down.
+
+Each subcommand is a handler ``_cmd_*(args, config)``.  ``main`` reads
+the config once and passes it in; the handler writes its files through
+``_write_report`` and returns ``None`` or a ``(kind, message)`` failure,
+which ``main`` emits as a JSON record before returning 3.  So a command
+whose check fails has written all of its files first.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -32,6 +39,7 @@ from .esg import (
     two_scenario_model,
 )
 from .io_files import (
+    MODEL_KINDS,
     ParseError,
     RunConfig,
     load_config,
@@ -43,6 +51,9 @@ from .io_files import (
 )
 from .policy_engine import PolicyData, first_order_pv, project, project_real_rate, simulate_portfolio
 from .pricing import be_report, building_blocks
+
+#: What a handler returns: None, or the (kind, message) of a failed check.
+_Failure = Optional[tuple[str, str]]
 
 #: Fixed two-scenario sweep: tilt ladders approaching the two price limits.
 SWEEP_SPIKE = [(cn1, 1.0, 0.5) for cn1 in (0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005)]
@@ -62,7 +73,8 @@ def main(argv=None) -> int:
         # Overflow from extreme but finite input is reported by the
         # validators that reject the non-finite result, not by numpy.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.handler(args)
+            config = load_config(args.config, **_overrides(args))
+            failure = args.handler(args, config)
     except ParseError as exc:
         _emit_error("parse", str(exc), file=exc.path, line=exc.line, column=exc.column)
         return 2
@@ -72,6 +84,10 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         _emit_error("tolerance", str(exc))
         return 3
+    if failure is not None:
+        _emit_error(*failure)
+        return 3
+    return 0
 
 
 def _emit_error(kind: str, message: str, **context) -> None:
@@ -90,12 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="JSON run configuration")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-        cmd.add_argument(
-            "--model",
-            choices=("deterministic", "two_scenario", "mc"),
-            default=None,
-            help="override the config model kind",
-        )
+        cmd.add_argument("--model", choices=MODEL_KINDS, default=None, help="override the config model kind")
         cmd.add_argument("--out", default=None, help="override the output directory")
         cmd.add_argument("--tolerance", type=float, default=None, help="override the tolerance")
         cmd.set_defaults(handler=handler)
@@ -130,9 +141,17 @@ def _load_inputs(config: RunConfig):
     return curve, portfolio
 
 
-def _out_dir(config: RunConfig) -> Path:
+def _write_report(args, config: RunConfig, name: str, report: dict, texts: dict) -> Path:
+    """Write the JSON report ``name`` with the command and config echo, then ``texts``.
+
+    Returns the output directory, where the command writes its CSV exports.
+    """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    payload = {"command": args.command, "config": _config_echo(config), **report}
+    (out / name).write_text(reporting.dumps(payload), encoding="utf-8")
+    for text_name, text in texts.items():
+        (out / text_name).write_text(text, encoding="utf-8")
     return out
 
 
@@ -154,23 +173,23 @@ def _config_echo(config: RunConfig) -> dict:
     }
 
 
-def _cmd_value(args) -> int:
-    config = load_config(args.config, **_overrides(args))
+def _scenarios_echo(scenarios) -> dict:
+    return {"n_paths": scenarios.n_paths, "horizon": scenarios.horizon, "sampled": scenarios.sampled}
+
+
+def _contributions_chart(per_t) -> str:
+    return reporting.svg_bar_chart(per_t, "Best-Estimate contribution by date", "t", "BE")
+
+
+def _cmd_value(args, config: RunConfig) -> _Failure:
     curve, portfolio = _load_inputs(config)
     scenarios = config.model.build(curve, config.seed)
     report = be_report(
         portfolio, scenarios, config.spread, tolerance=config.tolerance, cap=config.cap
     )
-    out = _out_dir(config)
     payload = {
-        "command": "value",
-        "config": _config_echo(config),
         "portfolio": {"n_policies": report.n_policies, "horizon": report.horizon},
-        "scenarios": {
-            "n_paths": scenarios.n_paths,
-            "horizon": scenarios.horizon,
-            "sampled": scenarios.sampled,
-        },
+        "scenarios": _scenarios_echo(scenarios),
         "best_estimate": {
             "decomposition": report.be_decomposition,
             "oracle": report.be_oracle,
@@ -184,7 +203,6 @@ def _cmd_value(args) -> int:
         },
         "per_t": report.per_t,
     }
-    (out / "report.json").write_text(reporting.dumps(payload), encoding="utf-8")
     rows = [
         ["BE (decomposition)", report.be_decomposition],
         ["BE (brute force)", report.be_oracle],
@@ -197,63 +215,43 @@ def _cmd_value(args) -> int:
     if report.be_oracle_capped is not None:
         rows.append(["BE (capped, brute force)", report.be_oracle_capped])
         rows.append(["cap bound", report.cap_bound])
-    (out / "report.txt").write_text(reporting.table(["quantity", "value"], rows), encoding="utf-8")
-    (out / "contributions.svg").write_text(
-        reporting.svg_bar_chart(report.per_t, "Best-Estimate contribution by date", "t", "BE"),
-        encoding="utf-8",
-    )
+    texts = {
+        "report.txt": reporting.table(["quantity", "value"], rows),
+        "contributions.svg": _contributions_chart(report.per_t),
+    }
+    out = _write_report(args, config, "report.json", payload, texts)
     write_triangle(out / "triangle_gross.csv", out / "triangle_fixed.csv", report.triangle)
     write_blocks(out / "blocks.csv", report.blocks)
     if not report.routes_agree:
-        _emit_error(
+        return (
             "route-disagreement",
             f"decomposition and brute-force Best Estimates differ by {report.relative_difference:.3e} "
             f"(tolerance {report.tolerance:.3e})",
         )
-        return 3
-    return 0
+    return None
 
 
-def _cmd_simulate(args) -> int:
-    config = load_config(args.config, **_overrides(args))
-    curve, portfolio = _load_inputs(config)
-    scenarios = config.model.build(curve, config.seed)
-    cap = config.cap if args.cap else None
+def _cmd_simulate(args, config: RunConfig) -> _Failure:
     if args.cap and config.cap is None:
         raise ValueError("--cap requested but the config has no cap section")
+    cap = config.cap if args.cap else None
+    curve, portfolio = _load_inputs(config)
+    scenarios = config.model.build(curve, config.seed)
     sim = simulate_portfolio(portfolio, scenarios, config.spread, cap=cap)
-    out = _out_dir(config)
     payload = {
-        "command": "simulate",
-        "config": _config_echo(config),
         "cap_applied": bool(cap),
         "cap_bound": sim.cap_bound,
         "best_estimate": sim.be,
         "per_t": sim.per_t,
-        "scenarios": {
-            "n_paths": scenarios.n_paths,
-            "horizon": scenarios.horizon,
-            "sampled": scenarios.sampled,
-        },
+        "scenarios": _scenarios_echo(scenarios),
     }
-    (out / "simulate.json").write_text(reporting.dumps(payload), encoding="utf-8")
-    (out / "simulate.txt").write_text(
-        reporting.table(
-            ["quantity", "value"],
-            [
-                ["BE (brute force)", sim.be],
-                ["cap applied", bool(cap)],
-                ["cap bound", sim.cap_bound],
-            ],
-        ),
-        encoding="utf-8",
-    )
-    (out / "simulate_contributions.svg").write_text(
-        reporting.svg_bar_chart(sim.per_t, "Best-Estimate contribution by date", "t", "BE"),
-        encoding="utf-8",
-    )
+    rows = [["BE (brute force)", sim.be], ["cap applied", bool(cap)], ["cap bound", sim.cap_bound]]
+    texts = {
+        "simulate.txt": reporting.table(["quantity", "value"], rows),
+        "simulate_contributions.svg": _contributions_chart(sim.per_t),
+    }
+    out = _write_report(args, config, "simulate.json", payload, texts)
     write_scenarios(out / "scenarios.csv", scenarios)
-    return 0
 
 
 def _sweep(curve) -> dict:
@@ -293,29 +291,20 @@ def _sweep(curve) -> dict:
     }
 
 
-def _cmd_demo(args) -> int:
-    config = load_config(args.config, **_overrides(args))
-    curve = load_curve(config.curves)
-    sweep = _sweep(curve)
-    out = _out_dir(config)
-    payload = {"command": "demo-nonuniqueness", "config": _config_echo(config), "sweep": sweep}
-    (out / "nonuniqueness.json").write_text(reporting.dumps(payload), encoding="utf-8")
+def _cmd_demo(args, config: RunConfig) -> _Failure:
+    sweep = _sweep(load_curve(config.curves))
     rows = [
         [e["direction"], e["cn1"], e["cr1"], e["p1"], e["delayed_block_price"], e["ratio_vs_deterministic"]]
         for e in sweep["entries"]
     ]
-    (out / "nonuniqueness.txt").write_text(
-        reporting.table(["direction", "cn1", "cr1", "p1", "price", "ratio"], rows), encoding="utf-8"
-    )
-    ok = sweep["exhibits_above_10x"] and sweep["exhibits_below_0p1x"] and sweep["all_calibrated"]
-    if not ok:
-        _emit_error("sweep", "sweep failed to exhibit both price limits with exact calibration")
-        return 3
-    return 0
+    texts = {"nonuniqueness.txt": reporting.table(["direction", "cn1", "cr1", "p1", "price", "ratio"], rows)}
+    _write_report(args, config, "nonuniqueness.json", {"sweep": sweep}, texts)
+    if not (sweep["exhibits_above_10x"] and sweep["exhibits_below_0p1x"] and sweep["all_calibrated"]):
+        return ("sweep", "sweep failed to exhibit both price limits with exact calibration")
+    return None
 
 
-def _cmd_compare(args) -> int:
-    config = load_config(args.config, **_overrides(args))
+def _cmd_compare(args, config: RunConfig) -> _Failure:
     if config.model_b is None:
         raise ValueError("compare needs a model_b section in the config")
     curve, portfolio = _load_inputs(config)
@@ -342,8 +331,6 @@ def _cmd_compare(args) -> int:
     if side_a["delayed_block_price_2_1"] and side_b["delayed_block_price_2_1"]:
         ratio = side_b["delayed_block_price_2_1"] / side_a["delayed_block_price_2_1"]
     payload = {
-        "command": "compare",
-        "config": _config_echo(config),
         "model_a": side_a,
         "model_b": side_b,
         "be_delta": side_b["be_decomposition"] - side_a["be_decomposition"],
@@ -351,32 +338,20 @@ def _cmd_compare(args) -> int:
         "delayed_block_ratio_2_1": ratio,
         "sweep": sweep,
     }
-    out = _out_dir(config)
-    (out / "compare.json").write_text(reporting.dumps(payload), encoding="utf-8")
-    (out / "compare.txt").write_text(
-        reporting.table(
-            ["quantity", "model A", "model B"],
-            [
-                ["BE (decomposition)", side_a["be_decomposition"], side_b["be_decomposition"]],
-                [
-                    "delayed block (t=2,s=1)",
-                    side_a["delayed_block_price_2_1"],
-                    side_b["delayed_block_price_2_1"],
-                ],
-            ],
-        ),
-        encoding="utf-8",
-    )
+    rows = [
+        ["BE (decomposition)", side_a["be_decomposition"], side_b["be_decomposition"]],
+        ["delayed block (t=2,s=1)", side_a["delayed_block_price_2_1"], side_b["delayed_block_price_2_1"]],
+    ]
+    texts = {"compare.txt": reporting.table(["quantity", "model A", "model B"], rows)}
+    out = _write_report(args, config, "compare.json", payload, texts)
     write_blocks(out / "blocks_a.csv", blocks_a)
     write_blocks(out / "blocks_b.csv", blocks_b)
     # The portfolio triangle is model-independent: one export serves both
     # sides and is what portfolio diffs compare.
     write_triangle(out / "triangle_gross.csv", out / "triangle_fixed.csv", tri)
-    return 0
 
 
-def _cmd_premium_path(args) -> int:
-    config = load_config(args.config, **_overrides(args))
+def _cmd_premium_path(args, config: RunConfig) -> _Failure:
     if config.premium_path is None:
         raise ValueError("premium-path needs a premium_path section in the config")
     _, portfolio = _load_inputs(config)
@@ -406,10 +381,7 @@ def _cmd_premium_path(args) -> int:
     rel_gap = abs(pv_nominal - pv_real) / max(abs(pv_nominal), 1e-300)
     initial_gap = abs(res_real.premiums_net[0] / res_nominal.premiums_net[0] - 1.0)
 
-    out = _out_dir(config)
     payload = {
-        "command": "premium-path",
-        "config": _config_echo(config),
         "policy_id": policy.id,
         "r_nominal": pp.r_nominal,
         "r_real": pp.r_real,
@@ -422,61 +394,47 @@ def _cmd_premium_path(args) -> int:
         "initial_premium_relative_gap": initial_gap,
         "tolerance": config.tolerance,
     }
-    (out / "premium_path.json").write_text(reporting.dumps(payload), encoding="utf-8")
-    (out / "premium_path.svg").write_text(
-        reporting.svg_line_chart(
-            {
-                f"nominal rate {pp.r_nominal:.4g}": res_nominal.premiums_net,
-                f"real rate {pp.r_real:.4g}": res_real.premiums_net,
-            },
-            f"Net premium development, policy {policy.id}",
-        ),
-        encoding="utf-8",
-    )
-    (out / "premium_path.txt").write_text(
-        reporting.table(
-            ["quantity", "value"],
-            [
-                ["PV nominal convention", pv_nominal],
-                ["PV real convention", pv_real],
-                ["PV relative gap", rel_gap],
-                ["initial premium gap", initial_gap],
-            ],
-        ),
-        encoding="utf-8",
-    )
+    series = {
+        f"nominal rate {pp.r_nominal:.4g}": res_nominal.premiums_net,
+        f"real rate {pp.r_real:.4g}": res_real.premiums_net,
+    }
+    rows = [
+        ["PV nominal convention", pv_nominal],
+        ["PV real convention", pv_real],
+        ["PV relative gap", rel_gap],
+        ["initial premium gap", initial_gap],
+    ]
+    texts = {
+        "premium_path.svg": reporting.svg_line_chart(series, f"Net premium development, policy {policy.id}"),
+        "premium_path.txt": reporting.table(["quantity", "value"], rows),
+    }
+    _write_report(args, config, "premium_path.json", payload, texts)
     if rel_gap > config.tolerance:
-        _emit_error(
+        return (
             "tolerance",
             f"premium-path present values differ by {rel_gap:.3e} (tolerance {config.tolerance:.3e})",
         )
-        return 3
-    return 0
+    return None
 
 
-def _cmd_calibrate(args) -> int:
-    config = load_config(args.config, **_overrides(args))
+def _cmd_calibrate(args, config: RunConfig) -> _Failure:
     curve = load_curve(config.curves)
     scenarios = config.model.build(curve, config.seed)
     report = calibration_check(scenarios, curve, tolerance=config.tolerance)
-    out = _out_dir(config)
     payload = {
-        "command": "calibrate-check",
-        "config": _config_echo(config),
         "max_error_nominal": report.max_error_nominal,
         "max_error_real": report.max_error_real,
         "tolerance": report.tolerance,
         "passed": report.passed,
     }
-    (out / "calibration.json").write_text(reporting.dumps(payload), encoding="utf-8")
+    _write_report(args, config, "calibration.json", payload, {})
     if not report.passed:
-        _emit_error(
+        return (
             "tolerance",
             f"calibration errors ({report.max_error_nominal:.3e}, {report.max_error_real:.3e}) "
             f"exceed tolerance {report.tolerance:.3e}",
         )
-        return 3
-    return 0
+    return None
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -37,7 +37,22 @@ from .pricing import BuildingBlockMatrix
 from .decomposition import CoefficientTriangle
 from .term_structures import CurvePair, InflationSpread, ScenarioSet
 
-MODEL_KINDS = ("deterministic", "two_scenario", "mc")
+#: Fields of each config section.  A field a section does not define is an
+#: input error; an absent field keeps the default of the class it builds.
+_MODEL_FIELDS = {
+    "deterministic": ("kind",),
+    "two_scenario": ("kind", "cn1", "cr1", "p1"),
+    "mc": ("kind", "n_paths", "vol_n", "vol_r", "corr"),
+}
+_CONFIG_FIELDS = (
+    "curves", "portfolio", "tables_dir", "model", "model_b", "spread",
+    "cap", "seed", "out_dir", "tolerance", "premium_path",
+)
+_SPREAD_FIELDS = {"med": "med_spread", "cost": "cost_spread"}  # JSON name: InflationSpread field
+_CAP_FIELDS = ("abs_increase", "inflation_multiple")
+_PREMIUM_PATH_FIELDS = ("policy_id", "r_nominal", "r_real", "inflation_factor")
+
+MODEL_KINDS = tuple(_MODEL_FIELDS)
 
 #: Most scenario entries (paths x dates) a configured MC model may ask for.
 #: A run holds about a dozen float arrays of that size at its peak (some
@@ -365,31 +380,26 @@ def load_config(path, **overrides) -> RunConfig:
         return p if p.is_absolute() else base / p
 
     try:
+        _fields(raw, "top-level", _CONFIG_FIELDS)
         model = _model_from(raw.get("model", {"kind": "deterministic"}), "model")
         if overrides.get("model"):
             model = _model_from({"kind": overrides["model"], **_params_for(raw, overrides["model"])}, "model")
         model_b = _model_from(raw["model_b"], "model_b") if "model_b" in raw else None
-        spread_raw = _object(raw.get("spread", {}), "spread")
+        spread_raw = _fields(raw.get("spread", {}), "spread", _SPREAD_FIELDS)
         spread = InflationSpread(
-            med_spread=float(spread_raw.get("med", 0.0)),
-            cost_spread=float(spread_raw.get("cost", 0.0)),
+            **{attr: float(spread_raw[name]) for name, attr in _SPREAD_FIELDS.items() if name in spread_raw}
         )
         cap = None
         if raw.get("cap") is not None:
-            cap_raw = _object(raw["cap"], "cap")
-            cap = CapRule(
-                abs_increase=float(cap_raw.get("abs_increase", 0.05)),
-                inflation_multiple=float(cap_raw.get("inflation_multiple", 2.0)),
-            )
+            cap = CapRule(**_floats(_fields(raw["cap"], "cap", _CAP_FIELDS), _CAP_FIELDS))
         premium_path = None
         if raw.get("premium_path") is not None:
-            pp = _object(raw["premium_path"], "premium_path")
+            pp = _fields(raw["premium_path"], "premium_path", _PREMIUM_PATH_FIELDS)
             premium_path = PremiumPathConfig(
-                policy_id=str(pp["policy_id"]),
-                r_nominal=float(pp.get("r_nominal", 0.01)),
-                r_real=float(pp.get("r_real", -0.01)),
-                inflation_factor=float(pp.get("inflation_factor", 101.0 / 99.0)),
+                policy_id=str(pp["policy_id"]), **_floats(pp, _PREMIUM_PATH_FIELDS[1:])
             )
+        settings = {**raw, **overrides}
+        run_settings = {"seed": lambda v: _integer(v, "seed"), "out_dir": Path, "tolerance": float}
         config = RunConfig(
             curves=resolve(raw["curves"]),
             portfolio=resolve(raw["portfolio"]),
@@ -398,10 +408,8 @@ def load_config(path, **overrides) -> RunConfig:
             model_b=model_b,
             spread=spread,
             cap=cap,
-            seed=_integer(overrides.get("seed", raw.get("seed", 0)), "seed"),
-            out_dir=Path(overrides.get("out_dir", raw.get("out_dir", "out"))),
-            tolerance=float(overrides.get("tolerance", raw.get("tolerance", 1e-9))),
             premium_path=premium_path,
+            **{name: convert(settings[name]) for name, convert in run_settings.items() if name in settings},
         )
     except KeyError as exc:
         raise ParseError(path, 1, 1, f"missing config field: {exc.args[0]}") from exc
@@ -416,6 +424,20 @@ def _object(value, name: str) -> dict:
     return value
 
 
+def _fields(value, section: str, defined) -> dict:
+    """``value`` as a JSON object holding only fields that ``section`` defines."""
+    value = _object(value, section)
+    for name in value:
+        if name not in defined:
+            raise ValueError(f"{section} section has no field {name!r}; it defines {', '.join(defined)}")
+    return value
+
+
+def _floats(raw: dict, names) -> dict:
+    """The fields of ``names`` that ``raw`` holds, as floats, in the order of ``names``."""
+    return {name: float(raw[name]) for name in names if name in raw}
+
+
 def _integer(value, name: str) -> int:
     """A JSON integer; integral floats such as 1e3 pass, fractions, booleans and strings do not."""
     if isinstance(value, float) and value.is_integer():
@@ -428,8 +450,11 @@ def _integer(value, name: str) -> int:
 def _model_from(raw: dict, section: str) -> ModelConfig:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ValueError("model section must be an object with a 'kind' field")
+    kind = str(raw["kind"])
+    if kind in _MODEL_FIELDS:  # an unknown kind is ModelConfig's error
+        _fields(raw, section, _MODEL_FIELDS[kind])
     params = {k: v for k, v in raw.items() if k != "kind"}
-    return ModelConfig(kind=str(raw["kind"]), params=params, section=section)
+    return ModelConfig(kind=kind, params=params, section=section)
 
 
 def _params_for(raw: dict, kind: str) -> dict:

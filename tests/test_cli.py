@@ -165,6 +165,26 @@ class TestSimulate:
         assert result.returncode == 2
         assert "cap" in stderr_record(result)["message"]
 
+    def test_cap_flag_without_config_section_fails_before_loading_the_portfolio(self, tmp_path, monkeypatch):
+        calls = []
+        original = cli.load_portfolio
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_portfolio", counting)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = cli.main(
+                ["simulate", "--cap", "--config", str(FIXTURES / "config_toy.json"), "--out", str(tmp_path)]
+            )
+        assert code == 2
+        record = json.loads(stderr.getvalue())["error"]
+        assert record == {"kind": "input", "message": "--cap requested but the config has no cap section"}
+        assert calls == []
+        assert not any(tmp_path.iterdir())
+
 
 class TestCompare:
     def test_deterministic_vs_demo_two_scenario(self, tmp_path):
@@ -385,6 +405,100 @@ class TestShortCurve:
         assert record["kind"] == "input"
         assert "horizon >= 2" in record["message"]
         assert calls == []
+
+
+#: The files each command writes, by subcommand, with the config it runs on.
+COMMAND_FILES = {
+    "value": (
+        "config_toy.json",
+        {"report.json", "report.txt", "contributions.svg", "triangle_gross.csv", "triangle_fixed.csv", "blocks.csv"},
+    ),
+    "simulate": (
+        "config_toy.json",
+        {"simulate.json", "simulate.txt", "simulate_contributions.svg", "scenarios.csv"},
+    ),
+    "compare": (
+        "config_toy.json",
+        {"compare.json", "compare.txt", "blocks_a.csv", "blocks_b.csv", "triangle_gross.csv", "triangle_fixed.csv"},
+    ),
+    "premium-path": ("config_inpatient.json", {"premium_path.json", "premium_path.txt", "premium_path.svg"}),
+    "demo-nonuniqueness": ("config_toy.json", {"nonuniqueness.json", "nonuniqueness.txt"}),
+    "calibrate-check": ("config_toy.json", {"calibration.json"}),
+}
+
+
+def run_in_process(argv) -> tuple[int, str]:
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    return code, stderr.getvalue()
+
+
+def assert_command_files(out: Path, command: str) -> None:
+    files = COMMAND_FILES[command][1]
+    assert {p.name for p in out.iterdir()} == files
+    (report,) = [name for name in files if name.endswith(".json")]
+    assert json.loads((out / report).read_text())["command"] == command
+
+
+class TestDriverContract:
+    @pytest.mark.parametrize("command", COMMAND_FILES)
+    def test_each_command_writes_its_files(self, tmp_path, command):
+        config = FIXTURES / COMMAND_FILES[command][0]
+        code, stderr = run_in_process([command, "--config", str(config), "--out", str(tmp_path)])
+        assert (code, stderr) == (0, "")
+        assert_command_files(tmp_path, command)
+
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["value", "--config", "config_toy.json", "--model", "mc", "--tolerance", "1e-300"], "route-disagreement"),
+            (["calibrate-check", "--config", "config_toy.json", "--model", "mc", "--tolerance", "1e-30"], "tolerance"),
+            (["premium-path", "--config", "config_inpatient.json", "--tolerance", "1e-300"], "tolerance"),
+        ],
+    )
+    def test_a_failing_check_writes_every_file_before_exit_three(self, tmp_path, argv, kind):
+        argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+        code, stderr = run_in_process([*argv, "--out", str(tmp_path)])
+        assert code == 3
+        assert json.loads(stderr)["error"]["kind"] == kind
+        assert_command_files(tmp_path, argv[0])
+
+
+#: Per section: a valid section to misspell a field in (None: the top level)
+#: and the misspelt field.
+MISSPELT_FIELDS = [
+    (None, None, "tolerence"),
+    ("spread", {"med": 0.01}, "medical"),
+    ("cap", {"inflation_multiple": 1.0}, "abs_increse"),
+    ("premium_path", {"policy_id": "toy-1"}, "r_norminal"),
+    ("model", {"kind": "deterministic"}, "n_paths"),
+    ("model", {"kind": "two_scenario"}, "p"),
+    ("model", {"kind": "mc", "n_paths": 20}, "seed"),
+    ("model_b", {"kind": "deterministic"}, "cn1"),
+    ("model_b", {"kind": "two_scenario"}, "cn2"),
+    ("model_b", {"kind": "mc"}, "n_path"),
+]
+
+
+class TestUnknownConfigFields:
+    @pytest.mark.parametrize("section, base, name", MISSPELT_FIELDS)
+    def test_a_field_the_section_does_not_define_is_a_parse_error(self, tmp_path, section, base, name):
+        payload = json.loads((FIXTURES / "config_toy.json").read_text())
+        for key in ("curves", "portfolio", "tables_dir"):
+            payload[key] = str(FIXTURES / payload[key])
+        if section is None:
+            payload[name] = 1e-9
+        else:
+            payload[section] = {**base, name: 0.5}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        code, stderr = run_in_process(["value", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        record = json.loads(stderr)["error"]
+        assert (record["kind"], record["file"], record["line"], record["column"]) == ("parse", str(config), 1, 1)
+        assert f"{section or 'top-level'} section has no field {name!r}" in record["message"]
+        assert not (tmp_path / "out").exists()
 
 
 #: Finite inputs whose prices overflow inside numpy: a curve price whose
