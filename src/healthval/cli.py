@@ -354,7 +354,7 @@ def _cmd_compare(args, config: RunConfig) -> _Failure:
 def _cmd_premium_path(args, config: RunConfig) -> _Failure:
     if config.premium_path is None:
         raise ValueError("premium-path needs a premium_path section in the config")
-    _, portfolio = _load_inputs(config)
+    portfolio = load_portfolio(config.portfolio, config.tables_dir)  # the curve file plays no part
     pp = config.premium_path
     matches = [p for p in portfolio if p.id == pp.policy_id]
     if not matches:

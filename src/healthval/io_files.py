@@ -13,6 +13,14 @@ separators):
 - scenario export: ``path,weight,t,bn,br,i``; triangle export:
   ``t,s,c_gross`` plus ``t,c_fixed``; block export: ``t,s,b_med,se_med``.
 
+Every export writes its header, then CRLF-ended rows whose integer cells
+are plain decimals and whose float cells are ``%.17g`` (17 significant
+digits, so every float reads back exactly); ``se_med`` is an empty cell
+for exact (unsampled) scenario sets.  These are the bytes ``csv.writer``
+makes of the same cells.  The writers stream, one scenario path or one
+triangle row t per write (the short ``t,c_fixed`` file in one), so no
+whole-file text is built.
+
 Every parse failure raises :class:`ParseError` carrying file, line and
 column (1-based), so callers can report exact positions.  The run
 configuration is one JSON document; command-line flags override single
@@ -465,11 +473,6 @@ def _params_for(raw: dict, kind: str) -> dict:
     return {}
 
 
-def _fmt(x: float) -> str:
-    """Full binary precision, 17 significant digits (scenario export contract)."""
-    return f"{x:.17g}"
-
-
 def _fmt_short(x: float) -> str:
     """Shortest decimal that round-trips; integers without a trailing .0."""
     x = float(x)
@@ -492,41 +495,48 @@ def write_age_table(path, values, value_column: str) -> None:
             writer.writerow([age, _fmt_short(value)])
 
 
+def _write_rows(handle, prefix: str, tails: list[str], *columns) -> None:
+    """Write one row ``prefix + tails[j]`` per entry j of ``columns``, in one ``%`` operation.
+
+    Each tail holds one ``%.17g`` per column; the cells are the columns'
+    entries interleaved as Python floats, so the only per-number work is
+    the float formatting itself.
+    """
+    cells = np.column_stack(columns).ravel().tolist()
+    handle.write((prefix + prefix.join(tails)) % tuple(cells))
+
+
 def write_scenarios(path, s: ScenarioSet) -> None:
-    """Scenario export: one row per (path, t), full 17-digit precision."""
+    """Scenario export: one row per (path, t), one path at a time."""
+    tails = [f"{t},%.17g,%.17g,%.17g\r\n" for t in range(s.horizon + 1)]
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        # CRLF rows like the csv.writer exports; one path at a time, from
-        # Python floats, so no whole-file array or text is built.
         handle.write("path,weight,t,bn,br,i\r\n")
         for k, w in enumerate(s.weights.tolist()):
-            rows = zip(s.bn[k].tolist(), s.br[k].tolist(), s.i[k].tolist())
-            handle.writelines(
-                f"{k},{w:.17g},{t},{bn:.17g},{br:.17g},{i:.17g}\r\n" for t, (bn, br, i) in enumerate(rows)
-            )
+            _write_rows(handle, f"{k},{w:.17g},", tails, s.bn[k], s.br[k], s.i[k])
 
 
 def write_triangle(gross_path, fixed_path, tri: CoefficientTriangle) -> None:
-    """Triangle export: ``t,s,c_gross`` rows plus a ``t,c_fixed`` file."""
+    """Triangle export: ``t,s,c_gross`` rows, one t at a time, plus a ``t,c_fixed`` file."""
+    dates = range(tri.horizon + 1)
     with open(gross_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "s", "c_gross"])
-        for t in range(tri.horizon + 1):
-            row = tri.coeffs[t]
-            for s in range(t + 1):
-                writer.writerow([t, s, _fmt(row[s])])
+        handle.write("t,s,c_gross\r\n")
+        tails = [f"{s},%.17g\r\n" for s in dates]
+        for t in dates:
+            _write_rows(handle, f"{t},", tails[: t + 1], tri.coeffs[t, : t + 1])
     with open(fixed_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "c_fixed"])
-        for t in range(tri.horizon + 1):
-            writer.writerow([t, _fmt(tri.fixed[t])])
+        handle.write("t,c_fixed\r\n")
+        _write_rows(handle, "", [f"{t},%.17g\r\n" for t in dates], tri.fixed)
 
 
 def write_blocks(path, blocks: BuildingBlockMatrix) -> None:
-    """Block export: ``t,s,b_med,se_med``; the SE column is empty for exact sets."""
+    """Block export: ``t,s,b_med,se_med`` rows, one t at a time; the SE cell is empty for exact sets."""
+    dates = range(blocks.horizon + 1)
+    cells = "%.17g," if blocks.se_med is None else "%.17g,%.17g"
+    tails = [f"{s},{cells}\r\n" for s in dates]
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "s", "b_med", "se_med"])
-        for t in range(blocks.horizon + 1):
-            for s in range(t + 1):
-                se = "" if blocks.se_med is None else _fmt(blocks.se_med[t, s])
-                writer.writerow([t, s, _fmt(blocks.med[t, s]), se])
+        handle.write("t,s,b_med,se_med\r\n")
+        for t in dates:
+            columns = [blocks.med[t, : t + 1]]
+            if blocks.se_med is not None:
+                columns.append(blocks.se_med[t, : t + 1])
+            _write_rows(handle, f"{t},", tails[: t + 1], *columns)

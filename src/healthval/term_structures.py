@@ -27,9 +27,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _readonly(values, name: str, ndim: int = 1) -> np.ndarray:
-    """Copy to a read-only float64 array of ``ndim`` dimensions, rejecting non-finite entries."""
-    arr = np.array(values, dtype=float)
+def _readonly(values, name: str, ndim: int = 1, copy: bool = True) -> np.ndarray:
+    """Copy to a read-only float64 array of ``ndim`` dimensions, rejecting non-finite entries.
+
+    ``copy=False`` takes a float64 array that nothing else holds, such as
+    a fresh quotient, and marks it read-only in place.
+    """
+    arr = np.array(values, dtype=float) if copy else values
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -107,7 +111,7 @@ class ScenarioSet:
             raise ValueError("money-market accounts must be strictly positive")
         if np.any(self.bn[:, 0] != 1.0) or np.any(self.br[:, 0] != 1.0):
             raise ValueError("every path must start with bn[0] = br[0] = 1")
-        object.__setattr__(self, "i", _readonly(self.bn / self.br, "i", ndim=2))
+        object.__setattr__(self, "i", _readonly(self.bn / self.br, "i", ndim=2, copy=False))
 
     @property
     def n_paths(self) -> int:

@@ -305,6 +305,28 @@ class TestPremiumPath:
         assert record["kind"] == "tolerance"
         assert "real-rate premium identity" in record["message"]
 
+    def test_broken_curve_file_does_not_stop_premium_path(self, tmp_path, fixtures_dir):
+        # premium-path uses only the portfolio; value reads the curve and rejects it.
+        curves = tmp_path / "curves.csv"
+        rows = (fixtures_dir / "curves_long.csv").read_text().splitlines()
+        rows[2] = "1,nan,1"
+        curves.write_text("\n".join(rows) + "\n")
+        payload = json.loads((fixtures_dir / "config_inpatient.json").read_text())
+        payload["curves"] = str(curves)
+        payload["portfolio"] = str(fixtures_dir / payload["portfolio"])
+        payload["tables_dir"] = str(fixtures_dir / payload["tables_dir"])
+        payload["out_dir"] = str(tmp_path / "out")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        result = run_cli("premium-path", "--config", str(config))
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "out/premium_path.json").is_file()
+        result = run_cli("value", "--config", str(config))
+        assert result.returncode == 2
+        record = stderr_record(result)
+        assert record["kind"] == "parse"
+        assert (record["file"], record["line"], record["column"]) == (str(curves), 3, 2)
+
     def test_zero_premium_policy_is_input_error(self, tmp_path, fixtures_dir):
         # toy_k2.csv holds zero benefits at every age: with no cost either,
         # every premium is 0 and the initial premium gap would be 0/0.

@@ -5,8 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from healthval import CurvePair, McModelParams, mc_model
-from healthval.fixtures import toy_curve, toy_policy, write_fixture_tree
+from healthval import (
+    CurvePair,
+    InflationSpread,
+    McModelParams,
+    ScenarioSet,
+    TwoScenarioParams,
+    mc_model,
+    two_scenario_model,
+)
+from healthval.fixtures import inpatient_policy, long_curve, toy_curve, toy_policy, write_fixture_tree
 from healthval.io_files import (
     MAX_PATH_DATES,
     ModelConfig,
@@ -272,6 +280,19 @@ class TestPathDateBound:
             model.build(toy_curve(), seed=1)
 
 
+def _csv_bytes(header, rows) -> bytes:
+    """What csv.writer makes of ``header`` and ``rows``: the reference the exports must match byte for byte."""
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return reference.getvalue().encode()
+
+
+def _g17(x) -> str:
+    return f"{x:.17g}"
+
+
 class TestExports:
     def test_scenario_export_is_full_precision(self, tmp_path):
         s = mc_model(toy_curve(), McModelParams(n_paths=3, vol_n=0.02, vol_r=0.01, corr=0.1, seed=7))
@@ -284,15 +305,62 @@ class TestExports:
         assert float(bn) == s.bn[0, 1]
         assert float(br) == s.br[0, 1]
         assert float(i) == s.i[0, 1]
+        assert path.read_bytes() == self._scenario_reference(s)
+
+    @staticmethod
+    def _scenario_reference(s) -> bytes:
         # Byte for byte what csv.writer makes of the cells, one per row and column.
-        reference = io.StringIO(newline="")
-        writer = csv.writer(reference)
-        writer.writerow(["path", "weight", "t", "bn", "br", "i"])
-        for k in range(s.n_paths):
-            for t in range(s.horizon + 1):
-                weight, *values = (f"{x:.17g}" for x in (s.weights[k], s.bn[k, t], s.br[k, t], s.i[k, t]))
-                writer.writerow([k, weight, t, *values])
-        assert path.read_bytes() == reference.getvalue().encode()
+        rows = (
+            [k, _g17(s.weights[k]), t, _g17(s.bn[k, t]), _g17(s.br[k, t]), _g17(s.i[k, t])]
+            for k in range(s.n_paths)
+            for t in range(s.horizon + 1)
+        )
+        return _csv_bytes(["path", "weight", "t", "bn", "br", "i"], rows)
+
+    def test_scenario_export_of_a_reweighted_subset(self, tmp_path):
+        s = mc_model(toy_curve(), McModelParams(n_paths=9, vol_n=0.02, vol_r=0.01, corr=0.1, seed=3))
+        keep = [7, 2, 4, 0]
+        raw = np.array([0.1, 0.35, 0.2, 0.3])
+        subset = ScenarioSet(bn=s.bn[keep], br=s.br[keep], weights=raw / raw.sum())
+        assert not np.allclose(subset.weights, 1 / len(keep))
+        path = tmp_path / "scen.csv"
+        write_scenarios(path, subset)
+        assert path.read_bytes() == self._scenario_reference(subset)
+
+    def test_triangle_export_matches_csv_writer_with_negative_and_zero_coefficients(self, tmp_path):
+        tri = aggregate([inpatient_policy(40), inpatient_policy(60, rs0=0.5), toy_policy(rs0=0.3)])
+        lower = tri.coeffs[np.tril_indices(tri.horizon + 1)]
+        assert np.any(lower < 0) and np.any(lower == 0)
+        gross, fixed = tmp_path / "g.csv", tmp_path / "f.csv"
+        write_triangle(gross, fixed, tri)
+        dates = range(tri.horizon + 1)
+        assert gross.read_bytes() == _csv_bytes(
+            ["t", "s", "c_gross"], ([t, s, _g17(tri.coeffs[t, s])] for t in dates for s in range(t + 1))
+        )
+        assert fixed.read_bytes() == _csv_bytes(["t", "c_fixed"], ([t, _g17(tri.fixed[t])] for t in dates))
+
+    @staticmethod
+    def _blocks_reference(blocks) -> bytes:
+        se = (lambda t, s: "") if blocks.se_med is None else (lambda t, s: _g17(blocks.se_med[t, s]))
+        rows = (
+            [t, s, _g17(blocks.med[t, s]), se(t, s)] for t in range(blocks.horizon + 1) for s in range(t + 1)
+        )
+        return _csv_bytes(["t", "s", "b_med", "se_med"], rows)
+
+    def test_block_export_of_a_sampled_set_matches_csv_writer(self, tmp_path):
+        s = mc_model(long_curve(30), McModelParams(n_paths=50, vol_n=0.02, vol_r=0.01, corr=0.1, seed=5))
+        blocks = building_blocks(s, InflationSpread(med_spread=0.01, cost_spread=0.005))
+        assert blocks.se_med is not None
+        path = tmp_path / "blocks.csv"
+        write_blocks(path, blocks)
+        assert path.read_bytes() == self._blocks_reference(blocks)
+
+    def test_block_export_of_an_exact_set_matches_csv_writer(self, tmp_path):
+        blocks = building_blocks(two_scenario_model(long_curve(30), TwoScenarioParams(0.2, 1.0, 0.5)))
+        assert blocks.se_med is None
+        path = tmp_path / "blocks.csv"
+        write_blocks(path, blocks)
+        assert path.read_bytes() == self._blocks_reference(blocks)
 
     def test_triangle_export_layout(self, tmp_path):
         tri = aggregate([toy_policy()])
