@@ -88,6 +88,7 @@ class TestScenarioPath:
         )
         assert s.i[0].tolist() == [1.0, 1.02, 1.05]
         assert np.array_equal(s.i, s.bn / s.br)
+        assert not s.i.flags.writeable
 
     def test_equal_accounts_give_unit_index(self):
         s = one_path([1.0, 1.3, 1.7], [1.0, 1.3, 1.7])
