@@ -6,22 +6,24 @@ levels seen so far:
     CF[t] = sum_{s<=t} coeffs[t, s] * i_med[s]  +  fixed[t] * i_cost[t]
 
 with coefficients depending only on policy data.  Valuation therefore
-splits into a per-policy coefficient computation (this module, in
-closed form: an index move shifts every later net premium by one level
-amount) and pricing of the basis instruments E[i_med[s] / bn[t]]
-(module ``pricing``).  The sum of the per-policy triangles values a
-whole portfolio, which makes the Monte-Carlo cost independent of the
-number of policies.  A seasoned provision rs0 enters a triangle only
-in column 0, and only affinely, so the n policies of one (tariff, entry
-age) key sum to n * T(mean rs0): the coefficient cost grows with the
-number of distinct keys, not with the number of policies.
+splits into a coefficient computation (this module, in closed form: an
+index move shifts every later net premium by one level amount) and
+pricing of the basis instruments E[i_med[s] / bn[t]] (module
+``pricing``).  The sum of the per-policy triangles values a whole
+portfolio, which makes the Monte-Carlo cost independent of the number
+of policies.  A seasoned provision rs0 enters a triangle only in column
+0, and only affinely, so the n policies of one (tariff, entry age) key
+sum to n * T(mean rs0): the coefficient cost grows with the number of
+distinct keys, not with the number of policies.
 
 A triangle is stored like the block prices it multiplies: a dense
 (T+1, T+1) array with zeros above the diagonal, so a horizon-h triangle
-is the leading (h+1, h+1) block of any longer one.  Portfolio
-aggregation is plain elementwise addition into that block of one
-running accumulator: per-key triangles are streamed, never stored, and
-no reserve triangle is built.
+is the leading (h+1, h+1) block of any longer one.  Below the diagonal
+each key's triangle is rank one, the outer product of a row scale and
+a column of later net amounts, so :func:`aggregate` builds a
+portfolio's triangle from the keys' vectors alone, with one matrix
+product; it is the one builder, and :func:`gross_coefficients` is its
+one-policy case.  No per-key or reserve triangle is built.
 
 Caps on premium increases break the linearity; capped valuation must use
 the brute-force route, for which the uncapped decomposition is a lower
@@ -30,7 +32,7 @@ bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -70,40 +72,8 @@ class CoefficientTriangle:
 
 
 def gross_coefficients(policy: PolicyData) -> CoefficientTriangle:
-    """Cash-flow coefficient triangle of one policy, in closed form.
-
-    The net premium is linear in the index levels, P[t] = sum_s net[t, s]
-    * i_med[s], and so is the reserve (coefficients rs[t, s]), with
-    net[t, s] = [s == t] * A[t]/a[t] - rs[t, s]/a[t] for the first-order
-    annuity factor a and benefit value A at age x0+t.  Past the diagonal
-    a reserve column rolls up by g[t] * (1 - 1/a[t]) = a[t+1]/a[t], as
-    a[t] = 1 + a[t+1]/g[t] with g[t] = (1+r)/(1-q1[t]); so rs[t, s]/a[t]
-    is level in t, and an index move shifts every later premium by one
-    amount:
-
-        net[t, t] = A[t]/a[t],   net[t, s] = (k1[s] - A[s+1]/a[s+1]) / a[s]  for t > s,
-
-    less rs0/a[0] in column 0 for a seasoned provision.  Scaled by
-    second-order survival and the margin loading, with the second-order
-    benefit netted off the diagonal and the fixed-cost mismatch carried
-    apart:
-
-        coeffs[t, s] = surv2[t] * net[t, s] / (1 - margin) - [s == t] * surv2[t] * k2[t]
-        fixed[t]     = surv2[t] * (c1 / (1 - margin) - c2)
-    """
-    sched = build_schedule(policy)
-    a, A = sched.annuity, sched.benefit_value
-    loading = 1.0 / (1.0 - policy.fo.margin)
-    scale = sched.surv2 * loading
-    # net[t, t], and the one net[t, s] of every t > s (its last entry is never read)
-    diagonal = A / a
-    later = np.append((sched.k1[:-1] - A[1:] / a[1:]) / a[:-1], 0.0)
-    diagonal[0] -= policy.rs0 / a[0]
-    later[0] -= policy.rs0 / a[0]
-    coeffs = np.tril(np.multiply.outer(scale, later), -1)
-    np.fill_diagonal(coeffs, scale * diagonal - sched.surv2 * sched.k2)
-    fixed = sched.surv2 * (policy.fo.c1 * loading - policy.so.c2)
-    return CoefficientTriangle(coeffs, fixed)
+    """Cash-flow coefficient triangle of one policy: ``aggregate([policy])``."""
+    return aggregate([policy])
 
 
 def aggregate_triangles(triangles: Iterable[CoefficientTriangle]) -> CoefficientTriangle:
@@ -142,30 +112,64 @@ def _tariff_key(p: PolicyData) -> tuple:
 
 
 def aggregate(portfolio: Sequence[PolicyData]) -> CoefficientTriangle:
-    """Portfolio coefficient triangle: sum of the per-policy gross triangles.
+    """Portfolio coefficient triangle, the sum of the per-policy gross triangles, in closed form.
 
-    A triangle is affine in rs0, T(r) = T(0) + r * d, so the n policies
-    of one (tariff, entry age) group sum to
+    The net premium is linear in the index levels, P[t] = sum_s net[t, s]
+    * i_med[s], and so is the reserve (coefficients rs[t, s]), with
+    net[t, s] = [s == t] * A[t]/a[t] - rs[t, s]/a[t] for the first-order
+    annuity factor a and benefit value A at age x0+t.  Past the diagonal
+    a reserve column rolls up by g[t] * (1 - 1/a[t]) = a[t+1]/a[t], as
+    a[t] = 1 + a[t+1]/g[t] with g[t] = (1+r)/(1-q1[t]); so rs[t, s]/a[t]
+    is level in t, and an index move shifts every later premium by one
+    amount:
 
-        n * T(0) + sum(rs0) * d  =  n * T(sum(rs0) / n)
+        net[t, t] = A[t]/a[t],   net[t, s] = later[s] = (k1[s] - A[s+1]/a[s+1]) / a[s]  for t > s,
 
-    and one ``gross_coefficients`` call per group, at the group's mean
-    provision, replaces one per policy.  Groups are taken in order of
-    first appearance and summed by :func:`aggregate_triangles`; with
-    distinct keys this is bitwise the per-policy sum.
+    less rs0/a[0] in column 0 for a seasoned provision.  Scaled by
+    second-order survival and the margin loading, scale[t] = surv2[t] /
+    (1 - margin), with the second-order benefit netted off the diagonal
+    and the fixed-cost mismatch carried apart:
+
+        coeffs[t, s] = scale[t] * later[s]                          for t > s
+        coeffs[t, t] = scale[t] * net[t, t] - surv2[t] * k2[t]
+        fixed[t]     = surv2[t] * (c1 / (1 - margin) - c2)
+
+    A triangle is affine in rs0, so the n policies of one (tariff, entry
+    age) key sum to n times the triangle at their mean provision: the
+    closed form is evaluated once per key, in order of first appearance.
+    Below the diagonal every key is rank one, so the portfolio block is
+    tril(S^T L, -1) for the keys x dates matrices S (rows n * scale) and
+    L (rows later), one matrix product; the diagonal and ``fixed`` are
+    sums of the keys' vectors, in key order.  A shorter key's rows are
+    zero past its run-off.
     """
     groups: dict[tuple, list] = {}
     for p in portfolio:
         group = groups.setdefault(_tariff_key(p), [p, 0, 0.0])
         group[1] += 1
         group[2] += p.rs0
-
-    def group_triangles():
-        for first, n, rs0_sum in groups.values():
-            tri = gross_coefficients(replace(first, rs0=rs0_sum / n))
-            yield CoefficientTriangle(n * tri.coeffs, n * tri.fixed)
-
-    return aggregate_triangles(group_triangles())
+    dates = max((first.run_off + 1 for first, _, _ in groups.values()), default=1)
+    scales, laters = np.zeros((2, len(groups), dates))
+    diagonal, fixed = np.zeros((2, dates))
+    for k, (first, n, rs0_sum) in enumerate(groups.values()):
+        sched = build_schedule(first)
+        a, A = sched.annuity, sched.benefit_value
+        m = len(a)
+        loading = 1.0 / (1.0 - first.fo.margin)
+        scale = sched.surv2 * loading
+        # net[t, t], and the one net[t, s] of every t > s, into row k of L.
+        # Columns m - 1 on of that row meet only the zeros of S[k], so the
+        # provision may land in L[k, 0] even when m = 1.
+        current = A / a
+        laters[k, : m - 1] = (sched.k1[:-1] - A[1:] / a[1:]) / a[:-1]
+        current[0] -= rs0_sum / n / a[0]
+        laters[k, 0] -= rs0_sum / n / a[0]
+        scales[k, :m] = n * scale
+        diagonal[:m] += n * (scale * current - sched.surv2 * sched.k2)
+        fixed[:m] += n * (sched.surv2 * (first.fo.c1 * loading - first.so.c2))
+    coeffs = np.tril(scales.T @ laters, -1)
+    np.fill_diagonal(coeffs, diagonal)
+    return CoefficientTriangle(coeffs, fixed)
 
 
 def be_by_date(tri: CoefficientTriangle, blocks: "BuildingBlockMatrix") -> tuple[float, np.ndarray]:

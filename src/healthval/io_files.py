@@ -515,28 +515,27 @@ def write_scenarios(path, s: ScenarioSet) -> None:
             _write_rows(handle, f"{k},{w:.17g},", tails, s.bn[k], s.br[k], s.i[k])
 
 
+def _write_lower(path, header: str, cells: str, *matrices: np.ndarray) -> None:
+    """``t,s,<cells>`` rows over the lower triangles of square ``matrices``, one t at a time."""
+    dates = range(len(matrices[0]))
+    tails = [f"{s},{cells}\r\n" for s in dates]
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(header)
+        for t in dates:
+            _write_rows(handle, f"{t},", tails[: t + 1], *(matrix[t, : t + 1] for matrix in matrices))
+
+
 def write_triangle(gross_path, fixed_path, tri: CoefficientTriangle) -> None:
     """Triangle export: ``t,s,c_gross`` rows, one t at a time, plus a ``t,c_fixed`` file."""
-    dates = range(tri.horizon + 1)
-    with open(gross_path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("t,s,c_gross\r\n")
-        tails = [f"{s},%.17g\r\n" for s in dates]
-        for t in dates:
-            _write_rows(handle, f"{t},", tails[: t + 1], tri.coeffs[t, : t + 1])
+    _write_lower(gross_path, "t,s,c_gross\r\n", "%.17g", tri.coeffs)
     with open(fixed_path, "w", newline="", encoding="utf-8") as handle:
         handle.write("t,c_fixed\r\n")
-        _write_rows(handle, "", [f"{t},%.17g\r\n" for t in dates], tri.fixed)
+        _write_rows(handle, "", [f"{t},%.17g\r\n" for t in range(tri.horizon + 1)], tri.fixed)
 
 
 def write_blocks(path, blocks: BuildingBlockMatrix) -> None:
     """Block export: ``t,s,b_med,se_med`` rows, one t at a time; the SE cell is empty for exact sets."""
-    dates = range(blocks.horizon + 1)
-    cells = "%.17g," if blocks.se_med is None else "%.17g,%.17g"
-    tails = [f"{s},{cells}\r\n" for s in dates]
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("t,s,b_med,se_med\r\n")
-        for t in dates:
-            columns = [blocks.med[t, : t + 1]]
-            if blocks.se_med is not None:
-                columns.append(blocks.se_med[t, : t + 1])
-            _write_rows(handle, f"{t},", tails[: t + 1], *columns)
+    if blocks.se_med is None:
+        _write_lower(path, "t,s,b_med,se_med\r\n", "%.17g,", blocks.med)
+    else:
+        _write_lower(path, "t,s,b_med,se_med\r\n", "%.17g,%.17g", blocks.med, blocks.se_med)

@@ -1,5 +1,6 @@
 """Shared generators and paths for the test suite."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,17 @@ from healthval import FirstOrderBasis, PolicyData, ScenarioSet, SecondOrderBasis
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
+
+# Hypothesis imports its patch writer when it reports a failing example.
+# That import pulls in libcst, which may raise a DeprecationWarning; with
+# warnings as errors that would turn an ordinary test failure into an
+# internal error that ends the run.  Import it once here, warning-free.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = REPO_ROOT / "fixtures"

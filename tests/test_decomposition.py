@@ -35,17 +35,38 @@ def zero_triangle(horizon: int) -> CoefficientTriangle:
     return CoefficientTriangle(np.zeros((horizon + 1, horizon + 1)), np.zeros(horizon + 1))
 
 
-def counting_gross(monkeypatch) -> list:
-    """Record every triangle ``aggregate`` builds through the module global."""
+def counting_closed_forms(monkeypatch) -> list:
+    """Record every closed-form evaluation ``aggregate`` makes: one schedule per key."""
     calls = []
-    original = decomposition.gross_coefficients
+    original = decomposition.build_schedule
 
     def wrapper(policy):
         calls.append(policy)
         return original(policy)
 
-    monkeypatch.setattr(decomposition, "gross_coefficients", wrapper)
+    monkeypatch.setattr(decomposition, "build_schedule", wrapper)
     return calls
+
+
+def assert_is_per_policy_sum(got: CoefficientTriangle, portfolio) -> None:
+    """``got`` against the per-policy reference, for a portfolio of distinct keys.
+
+    ``fixed``, the diagonal and the zeros above it are the same sums in
+    the same order, so they agree bit for bit.  Below the diagonal both
+    sides add the same K products, the reference one by one and
+    ``aggregate`` in one matrix product, so each entry lies within the
+    standard summation bound 2 K 2**-53 sum_k |T_k| of the other, for K
+    keys and the per-policy triangles T_k.
+    """
+    triangles = [gross_coefficients(p) for p in portfolio]
+    want = aggregate_triangles(triangles)
+    magnitude = aggregate_triangles(CoefficientTriangle(np.abs(t.coeffs), np.abs(t.fixed)) for t in triangles)
+    assert got.horizon == want.horizon
+    assert np.array_equal(got.fixed, want.fixed)
+    assert np.array_equal(np.diag(got.coeffs), np.diag(want.coeffs))
+    assert np.array_equal(np.triu(got.coeffs, 1), np.zeros_like(got.coeffs))
+    bound = 2 * len(triangles) * 2.0**-53 * np.tril(magnitude.coeffs, -1)
+    assert np.all(np.abs(np.tril(got.coeffs - want.coeffs, -1)) <= bound)
 
 
 def rebuilt(policy: PolicyData, **changes) -> PolicyData:
@@ -244,10 +265,13 @@ class TestAggregate:
             group[1] += rs0
             portfolio.append(rebuilt(PolicyData(x0=x0, fo=fo, so=so), rs0=rs0, id=f"p{j}"))
         with pytest.MonkeyPatch.context() as patch:
-            calls = counting_gross(patch)
+            calls = counting_closed_forms(patch)
             got = aggregate(portfolio)
-        # One call per group, in order of first appearance, at the group's mean provision.
-        assert [p.rs0 for p in calls] == [rs0_sum / n for n, rs0_sum in groups.values()]
+        # One closed form per group, in order of first appearance; the
+        # comparison below checks that it is taken at the mean provision.
+        assert [(p.x0, p.fo.k1.tobytes(), p.so.k2.tobytes()) for p in calls] == [
+            (x0, tariffs[k][0].k1.tobytes(), tariffs[k][1].k2.tobytes()) for k, x0 in groups
+        ]
         want = per_policy_sum(portfolio)
         assert got.horizon == want.horizon
         for field in ("coeffs", "fixed"):
@@ -266,13 +290,13 @@ class TestAggregate:
             PolicyData(x0=x0, fo=tariffs[k][0], so=tariffs[k][1], id=f"{k}-{x0}")
             for k, x0 in (keys[i] for i in rng.permutation(len(keys)))
         ]
-        got, want = aggregate(portfolio), per_policy_sum(portfolio)
-        assert np.array_equal(got.coeffs, want.coeffs)
-        assert np.array_equal(got.fixed, want.fixed)
+        assert_is_per_policy_sum(aggregate(portfolio), portfolio)
 
     def test_distinct_seasoned_keys_are_bitwise_the_per_policy_sum(self):
         # The same 300 shuffled distinct keys, each with a positive rs0:
-        # a one-policy group is built at its own provision.
+        # a one-policy group is built at its own provision.  A seasoned
+        # run-off-0 key comes first and a longer seasoned inpatient key
+        # last, so the first key's rows are shorter than the portfolio's.
         rng = np.random.default_rng(71)
         tariffs = [random_basis_pair(rng, 99, q_max=0.2) for _ in range(3)]
         keys = [(k, x0) for k in range(3) for x0 in range(100)]
@@ -282,9 +306,9 @@ class TestAggregate:
             )
             for k, x0 in (keys[i] for i in rng.permutation(len(keys)))
         ]
-        got, want = aggregate(portfolio), per_policy_sum(portfolio)
-        assert np.array_equal(got.coeffs, want.coeffs)
-        assert np.array_equal(got.fixed, want.fixed)
+        portfolio = [inpatient_policy(121, rs0=500.0), *portfolio, inpatient_policy(40, rs0=800.0)]
+        assert portfolio[0].run_off == 0
+        assert_is_per_policy_sum(aggregate(portfolio), portfolio)
 
     @pytest.mark.parametrize("field", ["k1", "q1", "k2", "q2", "c2"])
     def test_one_differing_input_keeps_two_groups(self, field, monkeypatch):
@@ -295,17 +319,17 @@ class TestAggregate:
             change = getattr(policy.fo if field in ("k1", "q1") else policy.so, field).copy()
             change[1] *= 0.5  # age 1 lies inside the run-off; q stays in [0, 1)
         other = rebuilt(policy, **{field: change})
-        calls = counting_gross(monkeypatch)
+        calls = counting_closed_forms(monkeypatch)
         got = aggregate([policy, other])
         assert len(calls) == 2
-        want = per_policy_sum([policy, other])
-        assert np.array_equal(got.coeffs, want.coeffs)
-        assert np.array_equal(got.fixed, want.fixed)
+        monkeypatch.undo()
+        assert_is_per_policy_sum(got, [policy, other])
 
     def test_empty_portfolio_is_zero_triangle(self):
-        agg = aggregate_triangles([])
-        assert agg.horizon == 0
-        assert np.max(np.abs(agg.coeffs)) == 0.0
+        for agg in (aggregate_triangles([]), aggregate([])):
+            assert agg.horizon == 0
+            assert np.max(np.abs(agg.coeffs)) == 0.0
+            assert np.max(np.abs(agg.fixed)) == 0.0
 
 
 class TestBeFromBlocks:
