@@ -103,12 +103,13 @@ def aggregate_triangles(triangles: Iterable[CoefficientTriangle]) -> Coefficient
 def _tariff_key(p: PolicyData) -> tuple:
     """Everything a gross triangle depends on except rs0, compared exactly.
 
-    Bases copy their tables, so equal tables are matched by their bytes,
-    never by array identity.
+    Tables are matched by their bytes, never by array identity: equal
+    tables may live in distinct arrays (a writable input is copied) and
+    one array may serve several bases (a read-only one is adopted).  Each
+    basis makes its tables' bytes once, however many policies share it.
     """
     fo, so = p.fo, p.so
-    tables = (fo.k1, fo.q1, so.k2, so.q2)
-    return (p.x0, fo.r_calc, fo.margin, fo.c1, so.c2, *(table.tobytes() for table in tables))
+    return (p.x0, fo.r_calc, fo.margin, fo.c1, so.c2, *fo._table_bytes, *so._table_bytes)
 
 
 def aggregate(portfolio: Sequence[PolicyData]) -> CoefficientTriangle:

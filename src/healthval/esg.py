@@ -159,28 +159,47 @@ def mc_model(curve: CurvePair, params: McModelParams) -> ScenarioSet:
     n, horizon = params.n_paths, curve.horizon
     rng = np.random.default_rng(np.uint64(params.seed))
     z_n = rng.standard_normal((n, horizon))
-    z_ind = rng.standard_normal((n, horizon))
-    z_r = params.corr * z_n + np.sqrt(1.0 - params.corr**2) * z_ind
-
+    z_r = rng.standard_normal((n, horizon))
     fn, fr = implied_forwards(curve)
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_bn = np.cumsum(np.log1p(fn)[None, :] + params.vol_n * z_n, axis=1)
-        log_br = np.cumsum(np.log1p(fr)[None, :] + params.vol_r * z_r, axis=1)
-        bn = np.hstack([np.ones((n, 1)), np.exp(log_bn)])
-        br = np.hstack([np.ones((n, 1)), np.exp(log_br)])
 
-        # Exact per-slice moment matching: slice t is scaled so that
-        # mean(1/b[:, t]) == p[t].  Slice 0 is pinned at 1 already.
-        scale_n = np.mean(1.0 / bn, axis=0) / curve.pn
-        scale_r = np.mean(1.0 / br, axis=0) / curve.pr
-        scale_n[0] = 1.0
-        scale_r[0] = 1.0
-        bn *= scale_n[None, :]
-        br *= scale_r[None, :]
+    # Every step works in place and keeps the order of operations of the
+    # formulas in the comments (an addition may swap its operands), so
+    # each account is bit for bit the formula's.  The accounts are the
+    # only full-size arrays allocated besides the two shock arrays, and
+    # each shock array is dropped once its account is summed.
+    bn = np.empty((n, horizon + 1))
+    bn[:, 0] = 1.0
+    # z_r = corr * z_n + sqrt(1 - corr^2) * z_ind, with bn's later
+    # columns holding corr * z_n until the nominal account overwrites them.
+    np.multiply(z_n, params.corr, out=bn[:, 1:])
+    z_r *= np.sqrt(1.0 - params.corr**2)
+    z_r += bn[:, 1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # b[:, 1:] = exp(cumsum(log1p(f) + vol * z, axis=1))
+        z_n *= params.vol_n
+        z_n += np.log1p(fn)
+        np.cumsum(z_n, axis=1, out=bn[:, 1:])
+        del z_n
+        br = np.empty((n, horizon + 1))
+        br[:, 0] = 1.0
+        z_r *= params.vol_r
+        z_r += np.log1p(fr)
+        np.cumsum(z_r, axis=1, out=br[:, 1:])
+        del z_r
+        for b, prices in ((bn, curve.pn), (br, curve.pr)):
+            np.exp(b[:, 1:], out=b[:, 1:])
+            # Exact per-slice moment matching: slice t is scaled so that
+            # mean(1/b[:, t]) == p[t].  Slice 0 is pinned at 1 already.
+            scale = np.mean(1.0 / b, axis=0) / prices
+            scale[0] = 1.0
+            b *= scale
     if not (np.all(np.isfinite(bn)) and np.all(np.isfinite(br))):
         raise ValueError("non-finite scenario draws; volatilities too large for the horizon")
 
     weights = np.full(n, 1.0 / n)
+    # Read-only arrays that own their data: the set adopts them uncopied.
+    for arr in (bn, br, weights):
+        arr.setflags(write=False)
     return ScenarioSet(bn=bn, br=br, weights=weights, sampled=True)
 
 

@@ -63,9 +63,10 @@ _PREMIUM_PATH_FIELDS = ("policy_id", "r_nominal", "r_real", "inflation_factor")
 MODEL_KINDS = tuple(_MODEL_FIELDS)
 
 #: Most scenario entries (paths x dates) a configured MC model may ask for.
-#: A run holds about a dozen float arrays of that size at its peak (some
-#: 92 bytes per entry measured on ``value``), so the limit is about 2.8 GB;
-#: the production size of 10 000 paths over 101 dates is 1 010 000.
+#: A run holds about seven float arrays of that size at its peak (some
+#: 57 bytes per entry: the peak RSS of ``value`` on ``config_inpatient.json``
+#: at 2000 and at 20 000 paths), so the limit is about 1.7 GB; the
+#: production size of 10 000 paths over 101 dates is 1 010 000.
 MAX_PATH_DATES = 30_000_000
 
 

@@ -40,6 +40,7 @@ policy.  `project` stacks the dates of its single path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -85,6 +86,11 @@ class FirstOrderBasis:
     def terminal_age(self) -> int:
         return len(self.q1) - 1
 
+    @cached_property
+    def _table_bytes(self) -> tuple[bytes, bytes]:
+        """The bytes of ``k1`` and ``q1``, made once per basis for tariff keys."""
+        return self.k1.tobytes(), self.q1.tobytes()
+
 
 @dataclass(frozen=True, eq=False)
 class SecondOrderBasis:
@@ -104,6 +110,11 @@ class SecondOrderBasis:
     @property
     def terminal_age(self) -> int:
         return len(self.q2) - 1
+
+    @cached_property
+    def _table_bytes(self) -> tuple[bytes, bytes]:
+        """The bytes of ``k2`` and ``q2``, made once per basis for tariff keys."""
+        return self.k2.tobytes(), self.q2.tobytes()
 
 
 def _validate_tables(k: np.ndarray, q: np.ndarray, label: str) -> None:
@@ -473,11 +484,11 @@ def simulate_portfolio(
     BE = -sum_k w_k sum_policies sum_t CF[t](path k) / bn_k[t].  This is
     the reference route the coefficient decomposition is tested against,
     and the only route that supports premium caps.  Indices and discount
-    factors are transposed once to time-major, and the cap's allowed
-    factors tabulated once for all policies; each policy's projection
-    is reduced date by date into ``per_t``, with no per-policy (paths x
-    dates) array.  Under a cap each policy is still projected once; the
-    same pass gives ``.uncapped``.
+    factors are built once time-major, straight into their buffers, and
+    the cap's allowed factors tabulated once for all policies; each
+    policy's projection is reduced date by date into ``per_t``, with no
+    per-policy (paths x dates) array.  Under a cap each policy is still
+    projected once; the same pass gives ``.uncapped``.
     """
     horizon = max((p.run_off for p in portfolio), default=0)
     for p in portfolio:
@@ -489,8 +500,8 @@ def simulate_portfolio(
         spread = InflationSpread()
     per_t, per_t_uncapped = np.zeros(horizon + 1), np.zeros(horizon + 1)
     bound = False
-    i_med, i_cost = (np.ascontiguousarray(x.T) for x in spread.indices(s))
-    disc = np.ascontiguousarray((s.weights[:, None] / s.bn).T)
+    i_med, i_cost = spread._time_major_indices(s)
+    disc = np.divide(s.weights, s.bn.T, out=np.empty((s.horizon + 1, s.n_paths)))
     factors = None if cap is None else cap.allowed_factors(i_cost)
     weighted = np.empty(s.n_paths)
     for p in portfolio:

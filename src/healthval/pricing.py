@@ -83,11 +83,16 @@ def building_blocks(s: ScenarioSet, spread: Optional[InflationSpread] = None) ->
     med = np.tril(disc.T @ i_med)
     nominal_diag = disc.sum(axis=0)
     cost_diag = np.einsum("kt,kt->t", disc, i_cost)
+    del disc, i_cost
 
     se_med = None
     if s.sampled:
+        # second_med = tril((inv_bn**2 / n).T @ i_med**2), squared in place.
         n = s.n_paths
-        second_med = np.tril((inv_bn**2 / n).T @ i_med**2)
+        np.square(inv_bn, out=inv_bn)
+        inv_bn /= n
+        np.square(i_med, out=i_med)
+        second_med = np.tril(inv_bn.T @ i_med)
         se_med = np.sqrt(np.maximum(second_med - med**2, 0.0) / (n - 1))
 
     return BuildingBlockMatrix(
@@ -139,8 +144,16 @@ def _be_standard_error(
         return None
     n = tri.horizon + 1
     i_med, i_cost = spread.indices(s)
-    dated = i_med[:, :n] @ tri.coeffs.T + i_cost[:, :n] * tri.fixed[None, :]
-    z = -np.sum(dated / s.bn[:, :n], axis=1)
+    # z = -sum(dated / bn, axis=1) for dated = i_med @ coeffs.T + i_cost * fixed,
+    # each step in place once the product has its buffer.
+    dated = i_med[:, :n] @ tri.coeffs.T
+    del i_med
+    cost = i_cost[:, :n]
+    cost *= tri.fixed
+    dated += cost
+    del i_cost, cost
+    dated /= s.bn[:, :n]
+    z = -np.sum(dated, axis=1)
     return float(np.std(z, ddof=1) / np.sqrt(s.n_paths))
 
 

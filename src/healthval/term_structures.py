@@ -27,13 +27,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _readonly(values, name: str, ndim: int = 1, copy: bool = True) -> np.ndarray:
-    """Copy to a read-only float64 array of ``ndim`` dimensions, rejecting non-finite entries.
+def _readonly(values, name: str, ndim: int = 1) -> np.ndarray:
+    """Read-only float64 array of ``ndim`` dimensions, rejecting non-finite entries.
 
-    ``copy=False`` takes a float64 array that nothing else holds, such as
-    a fresh quotient, and marks it read-only in place.
+    Adoption rule: a float64 ndarray that owns its data and is already
+    read-only is taken as it is, because its maker has given up writing
+    to it (``esg.mc_model`` hands over its accounts this way).  Anything
+    else is copied: a writable array, a view of any base, a list.  So a
+    caller's later writes to its own array never reach the result.  The
+    checks run either way.
     """
-    arr = np.array(values, dtype=float) if copy else values
+    adopt = (
+        type(values) is np.ndarray
+        and values.dtype == np.float64
+        and values.flags.owndata
+        and not values.flags.writeable
+    )
+    arr = values if adopt else np.array(values, dtype=float)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -85,6 +95,11 @@ class ScenarioSet:
     can run as matrix arithmetic.  Weights are strictly positive and sum
     to 1 within 1e-12.  ``sampled`` marks equal-weight Monte-Carlo
     output, for which standard errors are meaningful.
+
+    ``bn``, ``br`` and ``weights`` follow the adoption rule of
+    :func:`_readonly`: a read-only float64 array that owns its data is
+    kept without a copy, any other input is copied, and every check runs
+    on both.  The index ``i`` is a fresh quotient, adopted the same way.
     """
 
     bn: np.ndarray
@@ -111,7 +126,9 @@ class ScenarioSet:
             raise ValueError("money-market accounts must be strictly positive")
         if np.any(self.bn[:, 0] != 1.0) or np.any(self.br[:, 0] != 1.0):
             raise ValueError("every path must start with bn[0] = br[0] = 1")
-        object.__setattr__(self, "i", _readonly(self.bn / self.br, "i", ndim=2, copy=False))
+        i = self.bn / self.br
+        i.setflags(write=False)
+        object.__setattr__(self, "i", _readonly(i, "i", ndim=2))
 
     @property
     def n_paths(self) -> int:
@@ -140,10 +157,28 @@ class InflationSpread:
         if not (self.med_spread > -1.0 and self.cost_spread > -1.0):
             raise ValueError("spreads must exceed -1")
 
+    def _factors(self, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+        """Spread factors (1 + spread)^t of the medical and cost index, t = 0..horizon."""
+        t = np.arange(horizon + 1)
+        return (1.0 + self.med_spread) ** t, (1.0 + self.cost_spread) ** t
+
     def indices(self, s: ScenarioSet) -> tuple[np.ndarray, np.ndarray]:
         """Medical and cost index levels ``(i_med, i_cost)`` of every path of ``s``."""
-        t = np.arange(s.horizon + 1)
-        return s.i * (1.0 + self.med_spread) ** t, s.i * (1.0 + self.cost_spread) ** t
+        f_med, f_cost = self._factors(s.horizon)
+        return s.i * f_med, s.i * f_cost
+
+    def _time_major_indices(self, s: ScenarioSet) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`indices` time-major: row t holds every path's level at t, C-contiguous.
+
+        Each level is the same product as in :meth:`indices`, written
+        straight into its buffer, so no path-major array is made.
+        """
+        f_med, f_cost = self._factors(s.horizon)
+        shape = (s.horizon + 1, s.n_paths)
+        return (
+            np.multiply(s.i.T, f_med[:, None], out=np.empty(shape)),
+            np.multiply(s.i.T, f_cost[:, None], out=np.empty(shape)),
+        )
 
 
 def implied_forwards(curve: CurvePair) -> tuple[np.ndarray, np.ndarray]:

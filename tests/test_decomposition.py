@@ -70,11 +70,15 @@ def assert_is_per_policy_sum(got: CoefficientTriangle, portfolio) -> None:
 
 
 def rebuilt(policy: PolicyData, **changes) -> PolicyData:
-    """The same contract on new bases (which copy their tables), with optional field changes."""
+    """The same contract on new bases over copies of its tables, with optional field changes.
+
+    The copies are writable, so each new basis holds its own arrays: equal
+    tables in distinct arrays, which tariff keys must still match.
+    """
     fo, so = policy.fo, policy.so
     fields = dict(
-        k1=fo.k1, q1=fo.q1, r_calc=fo.r_calc, c1=fo.c1, margin=fo.margin,
-        k2=so.k2, q2=so.q2, c2=so.c2, x0=policy.x0, rs0=policy.rs0, id=policy.id,
+        k1=fo.k1.copy(), q1=fo.q1.copy(), r_calc=fo.r_calc, c1=fo.c1, margin=fo.margin,
+        k2=so.k2.copy(), q2=so.q2.copy(), c2=so.c2, x0=policy.x0, rs0=policy.rs0, id=policy.id,
     )
     fields.update(changes)
     return PolicyData(

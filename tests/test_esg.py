@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from healthval import (
     CurvePair,
+    InflationSpread,
     McModelParams,
     ScenarioSet,
     TwoScenarioParams,
@@ -10,6 +13,7 @@ from healthval import (
     calibration_check,
     delayed_inflation_factor,
     deterministic_model,
+    implied_forwards,
     mc_model,
     two_scenario_model,
 )
@@ -179,6 +183,92 @@ class TestMcModel:
         for vol_n, vol_r, corr in ((nan, 0.1, 0.0), (0.1, nan, 0.0), (0.1, 0.1, nan)):
             with pytest.raises(ValueError, match="volatilities|corr"):
                 McModelParams(n_paths=4, vol_n=vol_n, vol_r=vol_r, corr=corr, seed=1)
+
+
+def reference_mc_model(curve, params):
+    """``mc_model``'s formulas with a fresh temporary per step: ``(bn, br, weights)``."""
+    n, horizon = params.n_paths, curve.horizon
+    rng = np.random.default_rng(np.uint64(params.seed))
+    z_n = rng.standard_normal((n, horizon))
+    z_ind = rng.standard_normal((n, horizon))
+    z_r = params.corr * z_n + np.sqrt(1.0 - params.corr**2) * z_ind
+
+    fn, fr = implied_forwards(curve)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_bn = np.cumsum(np.log1p(fn)[None, :] + params.vol_n * z_n, axis=1)
+        log_br = np.cumsum(np.log1p(fr)[None, :] + params.vol_r * z_r, axis=1)
+        bn = np.hstack([np.ones((n, 1)), np.exp(log_bn)])
+        br = np.hstack([np.ones((n, 1)), np.exp(log_br)])
+        scale_n = np.mean(1.0 / bn, axis=0) / curve.pn
+        scale_r = np.mean(1.0 / br, axis=0) / curve.pr
+        scale_n[0] = 1.0
+        scale_r[0] = 1.0
+        bn *= scale_n[None, :]
+        br *= scale_r[None, :]
+    return bn, br, np.full(n, 1.0 / n)
+
+
+class TestMcModelMatchesReference:
+    """The in-place sampler gives the reference formulas' bits, not just their values."""
+
+    @pytest.mark.parametrize(
+        "horizon, n_paths, vol_n, vol_r, corr",
+        [
+            (20, 300, 0.03, 0.02, -1.0),
+            (20, 300, 0.03, 0.02, 0.0),
+            (20, 300, 0.03, 0.02, 0.25),
+            (20, 300, 0.03, 0.02, 1.0),
+            (20, 300, 0.0, 0.0, 0.25),
+            (20, 2, 0.03, 0.02, 0.25),
+            (1, 300, 0.03, 0.02, 0.25),
+            (100, 300, 0.015, 0.008, 0.25),
+        ],
+    )
+    def test_bitwise_equal_to_reference(self, horizon, n_paths, vol_n, vol_r, corr):
+        curve = random_curve(np.random.default_rng(horizon), horizon)
+        params = McModelParams(n_paths=n_paths, vol_n=vol_n, vol_r=vol_r, corr=corr, seed=11)
+        s = mc_model(curve, params)
+        bn, br, weights = reference_mc_model(curve, params)
+        assert np.array_equal(s.bn, bn)
+        assert np.array_equal(s.br, br)
+        assert np.array_equal(s.weights, weights)
+
+    def test_arrays_are_read_only_and_calibrated(self):
+        curve = random_curve(np.random.default_rng(5), 30)
+        s = mc_model(curve, McModelParams(n_paths=200, vol_n=0.03, vol_r=0.02, corr=0.25, seed=3))
+        for arr in (s.bn, s.br, s.weights, s.i):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert calibration_check(s, curve, tolerance=1e-12).passed
+
+
+class TestScenarioPipelineMemory:
+    def test_peak_allocation_stays_below_eight_scenario_arrays(self):
+        # mc_model -> calibration_check -> building_blocks at 4000 paths x
+        # 101 dates, in units of one (paths x dates) float64 array.  The set
+        # holds three (bn, br, i) and the block pricer four more at once
+        # (1/bn, the weighted discount and both indices), about 7.3 in all:
+        # one more full-size temporary beside those crosses the bound.
+        n_paths, horizon = 4000, 100
+        t = np.arange(horizon + 1)
+        curve = CurvePair(pn=1.02**-t, pr=1.005**-t)
+        params = McModelParams(n_paths=n_paths, vol_n=0.015, vol_r=0.008, corr=0.25, seed=1)
+        unit = 8 * n_paths * (horizon + 1)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            s = mc_model(curve, params)
+            assert calibration_check(s, curve, tolerance=1e-12).passed
+            building_blocks(s, InflationSpread(0.01, 0.005))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak / unit < 8.0
 
 
 class TestCalibrationCheck:

@@ -29,8 +29,9 @@ from healthval.fixtures import (
     toy_policy,
 )
 from healthval.io_files import load_portfolio
+from healthval.policy_engine import _project_paths
 
-from conftest import random_basis_pair, random_inflation_path, random_policy
+from conftest import random_basis_pair, random_inflation_path, random_policy, random_scenario_set
 
 
 def brute_force_annuity(fo: FirstOrderBasis, x: int) -> float:
@@ -483,6 +484,52 @@ class TestCapRule:
         scale = max(abs(v) for v in per_t)
         assert np.max(np.abs(capped.per_t - per_t)) <= 1e-12 * scale
         assert abs(capped.be - sum(per_t)) <= 1e-12 * abs(sum(per_t))
+
+
+def reference_simulate_portfolio(portfolio, s, spread, cap=None):
+    """``simulate_portfolio``'s loop on time-major inputs made as transposed copies.
+
+    Returns ``(per_t, per_t_uncapped, cap_bound)``.
+    """
+    horizon = max(p.run_off for p in portfolio)
+    per_t, per_t_uncapped = np.zeros(horizon + 1), np.zeros(horizon + 1)
+    bound = False
+    t = np.arange(s.horizon + 1)
+    i_med = np.ascontiguousarray((s.i * (1.0 + spread.med_spread) ** t).T)
+    i_cost = np.ascontiguousarray((s.i * (1.0 + spread.cost_spread) ** t).T)
+    disc = np.ascontiguousarray((s.weights[:, None] / s.bn).T)
+    factors = None if cap is None else cap.allowed_factors(i_cost)
+    weighted = np.empty(s.n_paths)
+    for p in portfolio:
+        schedule = build_schedule(p)
+        dates = _project_paths(schedule, i_med, i_cost, factors)
+        for t, (_, gross, applied, _, cashflow, uncapped) in enumerate(dates):
+            per_t[t] -= np.multiply(disc[t], cashflow, out=weighted).sum()
+            if cap is not None:
+                per_t_uncapped[t] -= np.multiply(disc[t], uncapped, out=weighted).sum()
+                bound = bound or (schedule.surv2[t] > 0.0 and bool(np.any(applied < gross)))
+    return per_t, per_t_uncapped, bound
+
+
+class TestSimulatePortfolioMatchesReference:
+    @pytest.mark.parametrize("spread", [InflationSpread(), InflationSpread(0.01, 0.005)])
+    def test_bitwise_equal_to_reference(self, spread):
+        portfolio = [inpatient_policy(40, rs0=800.0), inpatient_policy(75), inpatient_policy(21)]
+        curve = long_curve(100)
+        cap = CapRule(abs_increase=0.03, inflation_multiple=1.0)
+        for s in (
+            mc_model(curve, McModelParams(n_paths=60, vol_n=0.02, vol_r=0.01, corr=0.25, seed=5)),
+            random_scenario_set(np.random.default_rng(6), 100, 40),
+        ):
+            plain = simulate_portfolio(portfolio, s, spread)
+            per_t, _, _ = reference_simulate_portfolio(portfolio, s, spread)
+            assert np.array_equal(plain.per_t, per_t)
+            assert plain.be == float(per_t.sum())
+            capped = simulate_portfolio(portfolio, s, spread, cap)
+            per_t, per_t_uncapped, bound = reference_simulate_portfolio(portfolio, s, spread, cap)
+            assert np.array_equal(capped.per_t, per_t)
+            assert np.array_equal(capped.uncapped.per_t, per_t_uncapped)
+            assert capped.cap_bound is bound
 
 
 class TestFirstOrderPv:

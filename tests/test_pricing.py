@@ -8,15 +8,17 @@ from healthval import (
     McModelParams,
     TwoScenarioParams,
     be_report,
+    aggregate,
     building_blocks,
     calibration_check,
     deterministic_model,
     mc_model,
     two_scenario_model,
 )
-from healthval.fixtures import flat_curve, toy_curve, toy_policy
+from healthval.fixtures import flat_curve, inpatient_policy, long_curve, toy_curve, toy_policy
+from healthval.pricing import _be_standard_error
 
-from conftest import random_curve
+from conftest import random_curve, random_scenario_set
 
 
 class TestInflationSpread:
@@ -132,6 +134,76 @@ class TestBuildingBlocks:
         fields[field][-1] = bad  # the last row of a matrix holds lower-triangle entries
         with pytest.raises(ValueError, match="finite"):
             BuildingBlockMatrix(**fields)
+
+
+def reference_indices(s, spread):
+    """``InflationSpread.indices`` as its formula: i * (1 + spread)^t."""
+    t = np.arange(s.horizon + 1)
+    return s.i * (1.0 + spread.med_spread) ** t, s.i * (1.0 + spread.cost_spread) ** t
+
+
+def reference_building_blocks(s, spread):
+    """``building_blocks``' formulas with a fresh temporary per step.
+
+    Returns ``(med, cost_diag, nominal_diag, se_med)``.
+    """
+    i_med, i_cost = reference_indices(s, spread)
+    inv_bn = 1.0 / s.bn
+    disc = s.weights[:, None] * inv_bn
+    med = np.tril(disc.T @ i_med)
+    se_med = None
+    if s.sampled:
+        n = s.n_paths
+        second_med = np.tril((inv_bn**2 / n).T @ i_med**2)
+        se_med = np.sqrt(np.maximum(second_med - med**2, 0.0) / (n - 1))
+    return med, np.einsum("kt,kt->t", disc, i_cost), disc.sum(axis=0), se_med
+
+
+def reference_be_standard_error(tri, s, spread):
+    """``_be_standard_error``'s formula with a fresh temporary per step."""
+    n = tri.horizon + 1
+    i_med, i_cost = reference_indices(s, spread)
+    dated = i_med[:, :n] @ tri.coeffs.T + i_cost[:, :n] * tri.fixed[None, :]
+    z = -np.sum(dated / s.bn[:, :n], axis=1)
+    return float(np.std(z, ddof=1) / np.sqrt(s.n_paths))
+
+
+def reference_sets():
+    """A sampled set, an exact two-path set and an exact unequally weighted set."""
+    curve = long_curve(100)
+    return [
+        mc_model(curve, McModelParams(n_paths=300, vol_n=0.02, vol_r=0.01, corr=0.25, seed=9)),
+        two_scenario_model(curve, TwoScenarioParams(cn1=0.5, cr1=1.0, p1=0.5)),
+        random_scenario_set(np.random.default_rng(4), 100, 50),
+    ]
+
+
+SPREADS = [InflationSpread(), InflationSpread(0.01, 0.005), InflationSpread(-0.02, 0.03)]
+
+
+class TestPricingMatchesReference:
+    """The in-place pricers give the reference formulas' bits, not just their values."""
+
+    @pytest.mark.parametrize("spread", SPREADS)
+    def test_building_blocks_bitwise(self, spread):
+        for s in reference_sets():
+            blocks = building_blocks(s, spread)
+            med, cost_diag, nominal_diag, se_med = reference_building_blocks(s, spread)
+            assert np.array_equal(blocks.med, med)
+            assert np.array_equal(blocks.cost_diag, cost_diag)
+            assert np.array_equal(blocks.nominal_diag, nominal_diag)
+            if s.sampled:
+                assert np.array_equal(blocks.se_med, se_med)
+            else:
+                assert blocks.se_med is None
+
+    @pytest.mark.parametrize("spread", SPREADS)
+    def test_be_standard_error_bitwise(self, spread):
+        s = reference_sets()[0]
+        # A triangle shorter than the set, and one over the whole horizon.
+        for portfolio in ([inpatient_policy(40, rs0=800.0), inpatient_policy(75)], [inpatient_policy(21)]):
+            tri = aggregate(portfolio)
+            assert _be_standard_error(tri, s, spread) == reference_be_standard_error(tri, s, spread)
 
 
 class TestBeReport:

@@ -3,7 +3,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from healthval import CurvePair, ScenarioSet, deterministic_model, implied_forwards
+from healthval import (
+    CoefficientTriangle,
+    CurvePair,
+    FirstOrderBasis,
+    ProjectionResult,
+    ScenarioSet,
+    SecondOrderBasis,
+    deterministic_model,
+    implied_forwards,
+)
 
 from conftest import random_curve
 
@@ -137,3 +146,77 @@ class TestScenarioSet:
     def test_paths_must_share_horizon(self):
         with pytest.raises(ValueError, match="identical shapes"):
             ScenarioSet(bn=np.ones((2, 3)), br=np.ones((2, 2)), weights=[0.5, 0.5])
+
+
+def read_only(arr) -> np.ndarray:
+    """A fresh float64 array that owns its data, marked read-only."""
+    arr = np.array(arr, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
+class TestAdoptionRule:
+    """Read-only float64 arrays that own their data are adopted; all else is copied."""
+
+    def accounts(self):
+        return np.array([[1.0, 1.1, 1.3], [1.0, 0.9, 0.8]]), np.array([[1.0, 1.0, 1.1], [1.0, 1.05, 1.0]])
+
+    def test_writable_input_is_copied(self):
+        bn, br = self.accounts()
+        weights = np.array([0.25, 0.75])
+        s = ScenarioSet(bn=bn, br=br, weights=weights)
+        before = (s.bn.copy(), s.br.copy(), s.i.copy(), s.weights.copy())
+        bn[1, 1], br[1, 1], weights[0] = 5.0, 7.0, 0.5
+        assert bn.flags.writeable
+        for got, want in zip((s.bn, s.br, s.i, s.weights), before):
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+
+    def test_read_only_view_of_writable_base_is_copied(self):
+        bn, br = self.accounts()
+        view = bn[:, :]
+        view.setflags(write=False)
+        s = ScenarioSet(bn=view, br=br, weights=[0.5, 0.5])
+        assert s.bn is not view
+        bn[0, 2] = 9.0
+        assert s.bn[0, 2] == 1.3
+
+    def test_read_only_owned_array_is_adopted(self):
+        bn, br = (read_only(a) for a in self.accounts())
+        weights = read_only([0.5, 0.5])
+        s = ScenarioSet(bn=bn, br=br, weights=weights)
+        assert s.bn is bn and s.br is br and s.weights is weights
+        curve = CurvePair(pn=read_only([1.0, 0.98]), pr=[1.0, 0.99])
+        assert CurvePair(pn=curve.pn, pr=curve.pr).pn is curve.pn
+
+    def test_adopted_arrays_are_still_validated(self):
+        bn, br = self.accounts()
+        bad_start, non_finite = bn.copy(), bn.copy()
+        bad_start[0, 0] = 2.0
+        non_finite[1, 2] = np.inf
+        with pytest.raises(ValueError, match="start with"):
+            ScenarioSet(bn=read_only(bad_start), br=read_only(br), weights=read_only([0.5, 0.5]))
+        with pytest.raises(ValueError, match="non-finite"):
+            ScenarioSet(bn=read_only(non_finite), br=read_only(br), weights=read_only([0.5, 0.5]))
+        with pytest.raises(ValueError, match="2-dimensional"):
+            ScenarioSet(bn=read_only(bn[0]), br=read_only(br), weights=read_only([0.5, 0.5]))
+
+    @pytest.mark.parametrize(
+        "make, names",
+        [
+            (lambda a: CurvePair(pn=a, pr=a), ("pn", "pr")),
+            (lambda a: FirstOrderBasis(k1=a, q1=np.array([0.1, 0.2, 1.0]), r_calc=0.01), ("k1",)),
+            (lambda a: SecondOrderBasis(k2=a, q2=np.array([0.1, 0.2, 1.0])), ("k2",)),
+            (lambda a: CoefficientTriangle(coeffs=np.diag(a), fixed=a), ("fixed",)),
+            (lambda a: ProjectionResult(a, a, a, a), ("premiums_net", "cashflow")),
+        ],
+    )
+    def test_other_holders_copy_writable_input(self, make, names):
+        values = np.array([1.0, 0.5, 0.25])
+        held = make(values)
+        values[1] = 3.0
+        for name in names:
+            arr = getattr(held, name)
+            assert arr.tolist() == [1.0, 0.5, 0.25]
+            assert not arr.flags.writeable
+            assert arr is not values
