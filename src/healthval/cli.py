@@ -73,7 +73,9 @@ def main(argv=None) -> int:
         # Overflow from extreme but finite input is reported by the
         # validators that reject the non-finite result, not by numpy.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            config = load_config(args.config, **_overrides(args))
+            config = load_config(
+                args.config, model=args.model, seed=args.seed, out_dir=args.out, tolerance=args.tolerance
+            )
             failure = args.handler(args, config)
     except ParseError as exc:
         _emit_error("parse", str(exc), file=exc.path, line=exc.line, column=exc.column)
@@ -122,19 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _overrides(args) -> dict:
-    out = {}
-    if args.seed is not None:
-        out["seed"] = args.seed
-    if args.model is not None:
-        out["model"] = args.model
-    if args.out is not None:
-        out["out_dir"] = args.out
-    if args.tolerance is not None:
-        out["tolerance"] = args.tolerance
-    return out
-
-
 def _load_inputs(config: RunConfig):
     curve = load_curve(config.curves)
     portfolio = load_portfolio(config.portfolio, config.tables_dir)
@@ -148,29 +137,18 @@ def _write_report(args, config: RunConfig, name: str, report: dict, texts: dict)
     """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = {"command": args.command, "config": _config_echo(config), **report}
+    payload = {"command": args.command, "config": config.echo(), **report}
     (out / name).write_text(reporting.dumps(payload), encoding="utf-8")
     for text_name, text in texts.items():
         (out / text_name).write_text(text, encoding="utf-8")
     return out
 
 
-def _config_echo(config: RunConfig) -> dict:
-    return {
-        "curves": str(config.curves),
-        "portfolio": str(config.portfolio),
-        "tables_dir": str(config.tables_dir),
-        "model": config.model.describe(),
-        "model_b": config.model_b.describe() if config.model_b else None,
-        "spread": {"med": config.spread.med_spread, "cost": config.spread.cost_spread},
-        "cap": (
-            {"abs_increase": config.cap.abs_increase, "inflation_multiple": config.cap.inflation_multiple}
-            if config.cap
-            else None
-        ),
-        "seed": config.seed,
-        "tolerance": config.tolerance,
-    }
+def _section(args, section, message: str):
+    """A config section the command needs; a missing one is a parse error at the config's start."""
+    if section is None:
+        raise ParseError(args.config, 1, 1, message)
+    return section
 
 
 def _scenarios_echo(scenarios) -> dict:
@@ -183,7 +161,7 @@ def _contributions_chart(per_t) -> str:
 
 def _cmd_value(args, config: RunConfig) -> _Failure:
     curve, portfolio = _load_inputs(config)
-    scenarios = config.model.build(curve, config.seed)
+    scenarios = config.model.build(curve)
     report = be_report(
         portfolio, scenarios, config.spread, tolerance=config.tolerance, cap=config.cap
     )
@@ -232,11 +210,9 @@ def _cmd_value(args, config: RunConfig) -> _Failure:
 
 
 def _cmd_simulate(args, config: RunConfig) -> _Failure:
-    if args.cap and config.cap is None:
-        raise ValueError("--cap requested but the config has no cap section")
-    cap = config.cap if args.cap else None
+    cap = _section(args, config.cap, "--cap requested but the config has no cap section") if args.cap else None
     curve, portfolio = _load_inputs(config)
-    scenarios = config.model.build(curve, config.seed)
+    scenarios = config.model.build(curve)
     sim = simulate_portfolio(portfolio, scenarios, config.spread, cap=cap)
     payload = {
         "cap_applied": bool(cap),
@@ -305,17 +281,16 @@ def _cmd_demo(args, config: RunConfig) -> _Failure:
 
 
 def _cmd_compare(args, config: RunConfig) -> _Failure:
-    if config.model_b is None:
-        raise ValueError("compare needs a model_b section in the config")
+    model_b = _section(args, config.model_b, "compare needs a model_b section in the config")
     curve, portfolio = _load_inputs(config)
     sweep = _sweep(curve)  # rejects a short curve before either model is built
     tri = aggregate(portfolio)
 
     def side(model) -> dict:
-        scen = model.build(curve, config.seed)
+        scen = model.build(curve)
         blocks = building_blocks(scen, config.spread)
         return {
-            "model": model.describe(),
+            "model": model.echo(),
             "be_decomposition": be_from_blocks(tri, blocks),
             "delayed_block_price_2_1": float(blocks.med[2, 1]) if blocks.horizon >= 2 else None,
             "nominal_diag": blocks.nominal_diag,
@@ -323,7 +298,7 @@ def _cmd_compare(args, config: RunConfig) -> _Failure:
         }
 
     side_a = side(config.model)
-    side_b = side(config.model_b)
+    side_b = side(model_b)
     blocks_a, blocks_b = side_a.pop("blocks"), side_b.pop("blocks")
     n = min(blocks_a.horizon, blocks_b.horizon) + 1
     block_delta = float(np.max(np.abs(blocks_a.med[:n, :n] - blocks_b.med[:n, :n])))
@@ -352,10 +327,8 @@ def _cmd_compare(args, config: RunConfig) -> _Failure:
 
 
 def _cmd_premium_path(args, config: RunConfig) -> _Failure:
-    if config.premium_path is None:
-        raise ValueError("premium-path needs a premium_path section in the config")
+    pp = _section(args, config.premium_path, "premium-path needs a premium_path section in the config")
     portfolio = load_portfolio(config.portfolio, config.tables_dir)  # the curve file plays no part
-    pp = config.premium_path
     matches = [p for p in portfolio if p.id == pp.policy_id]
     if not matches:
         raise ValueError(f"policy id {pp.policy_id!r} not found in the portfolio")
@@ -419,7 +392,7 @@ def _cmd_premium_path(args, config: RunConfig) -> _Failure:
 
 def _cmd_calibrate(args, config: RunConfig) -> _Failure:
     curve = load_curve(config.curves)
-    scenarios = config.model.build(curve, config.seed)
+    scenarios = config.model.build(curve)
     report = calibration_check(scenarios, curve, tolerance=config.tolerance)
     payload = {
         "max_error_nominal": report.max_error_nominal,

@@ -22,7 +22,7 @@ for every t.  Three models are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,9 +37,9 @@ class TwoScenarioParams:
     those requires p1 < min(1, 1/cn1, 1/cr1), enforced at construction.
     """
 
-    cn1: float
-    cr1: float
-    p1: float
+    cn1: float = 0.5
+    cr1: float = 1.0
+    p1: float = 0.5
 
     def __post_init__(self) -> None:
         if not (self.cn1 > 0.0 and np.isfinite(self.cn1)):
@@ -74,14 +74,14 @@ class McModelParams:
 
     vol_n / vol_r are per-year log volatilities of the account increments,
     corr the correlation of the nominal and real shocks.  Output is fully
-    determined by the seed.
+    determined by the seed, which has no default.
     """
 
-    n_paths: int
-    vol_n: float
-    vol_r: float
-    corr: float
-    seed: int
+    n_paths: int = 1000
+    vol_n: float = 0.01
+    vol_r: float = 0.005
+    corr: float = 0.0
+    seed: int = field(kw_only=True)
 
     def __post_init__(self) -> None:
         if not (isinstance(self.n_paths, (int, np.integer)) and self.n_paths >= 2):

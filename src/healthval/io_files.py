@@ -24,7 +24,10 @@ whole-file text is built.
 Every parse failure raises :class:`ParseError` carrying file, line and
 column (1-based), so callers can report exact positions.  The run
 configuration is one JSON document; command-line flags override single
-fields.
+fields.  Its schema lives here only: each section is declared once, with
+a reader per field for the field's JSON type and the class the section
+builds, which holds the defaults; the report's ``config`` echo is built
+from the same declarations.
 """
 
 from __future__ import annotations
@@ -33,9 +36,10 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -44,23 +48,6 @@ from .policy_engine import CapRule, FirstOrderBasis, PolicyData, SecondOrderBasi
 from .pricing import BuildingBlockMatrix
 from .decomposition import CoefficientTriangle
 from .term_structures import CurvePair, InflationSpread, ScenarioSet
-
-#: Fields of each config section.  A field a section does not define is an
-#: input error; an absent field keeps the default of the class it builds.
-_MODEL_FIELDS = {
-    "deterministic": ("kind",),
-    "two_scenario": ("kind", "cn1", "cr1", "p1"),
-    "mc": ("kind", "n_paths", "vol_n", "vol_r", "corr"),
-}
-_CONFIG_FIELDS = (
-    "curves", "portfolio", "tables_dir", "model", "model_b", "spread",
-    "cap", "seed", "out_dir", "tolerance", "premium_path",
-)
-_SPREAD_FIELDS = {"med": "med_spread", "cost": "cost_spread"}  # JSON name: InflationSpread field
-_CAP_FIELDS = ("abs_increase", "inflation_multiple")
-_PREMIUM_PATH_FIELDS = ("policy_id", "r_nominal", "r_real", "inflation_factor")
-
-MODEL_KINDS = tuple(_MODEL_FIELDS)
 
 #: Most scenario entries (paths x dates) a configured MC model may ask for.
 #: A run holds about seven float arrays of that size at its peak (some
@@ -262,63 +249,74 @@ def load_portfolio(path, tables_dir) -> list[PolicyData]:
     return policies
 
 
-@dataclass(frozen=True)
-class ModelConfig:
-    """Scenario-model selection: kind plus its module parameters.
+def _number(value, name: str) -> float:
+    """A finite JSON number, as a float; booleans, strings, NaN and infinities are errors."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
-    ``section`` is the config key the model came from, for error messages.
+
+def _integer(value, name: str) -> int:
+    """A JSON integer; an integral float such as 2e3 passes as its int."""
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _string(value, name: str) -> str:
+    if type(value) is not str:
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _path(value, name: str) -> Path:
+    return Path(_string(value, name))
+
+
+@dataclass(frozen=True)
+class _Section:
+    """One JSON object of the config: a reader per field and the class the fields build.
+
+    A reader takes the field's value and its dotted name and returns the
+    parsed value, or raises a ValueError that names the field; a section's
+    :meth:`read` is a reader too.  A field whose reader is None is defined
+    here but read by the caller.  Each field fills the keyword of ``build``
+    of its own name unless ``keywords`` renames it; an absent field keeps
+    the default of ``build``, and a field the section does not define is an
+    error.
     """
 
-    kind: str
-    params: dict = field(default_factory=dict)
-    section: str = "model"
+    readers: dict
+    build: Callable = dict
+    keywords: dict = field(default_factory=dict)
+    required: tuple = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}")
-        # Validate parameter invariants up front, before any computation.
-        if self.kind == "two_scenario":
-            self.two_scenario_params()
-        elif self.kind == "mc":
-            self.mc_params(seed=0)
-
-    def two_scenario_params(self) -> TwoScenarioParams:
-        return TwoScenarioParams(
-            cn1=float(self.params.get("cn1", 0.5)),
-            cr1=float(self.params.get("cr1", 1.0)),
-            p1=float(self.params.get("p1", 0.5)),
+    def read(self, value, name: str, **extra):
+        """``value`` as section ``name`` ("" for the top level); ``extra`` goes to ``build`` as is."""
+        label = name or "top-level"
+        if not isinstance(value, dict):
+            raise ValueError(f"{label} section must be a JSON object, got {value!r}")
+        prefix = f"{name}." if name else ""
+        for key in value:
+            if key not in self.readers:
+                raise ValueError(f"{label} section has no field {key!r}; it defines {', '.join(self.readers)}")
+        for key in self.required:
+            if key not in value:
+                raise ValueError(f"{prefix}{key} is required")
+        return self.build(
+            **{
+                self.keywords.get(key, key): read(value[key], prefix + key)
+                for key, read in self.readers.items()
+                if key in value and read is not None
+            },
+            **extra,
         )
 
-    def mc_params(self, seed: int) -> McModelParams:
-        return McModelParams(
-            n_paths=_integer(self.params.get("n_paths", 1000), "n_paths"),
-            vol_n=float(self.params.get("vol_n", 0.01)),
-            vol_r=float(self.params.get("vol_r", 0.005)),
-            corr=float(self.params.get("corr", 0.0)),
-            seed=seed,
-        )
-
-    def build(self, curve: CurvePair, seed: int) -> ScenarioSet:
-        if self.kind == "deterministic":
-            return deterministic_model(curve)
-        if self.kind == "two_scenario":
-            return two_scenario_model(curve, self.two_scenario_params())
-        params = self.mc_params(seed)
-        check_path_dates(params.n_paths, curve.horizon, f"{self.section}.n_paths")
-        return mc_model(curve, params)
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, **{k: self.params[k] for k in sorted(self.params)}}
-
-
-def check_path_dates(n_paths: int, horizon: int, name: str) -> None:
-    """Reject a scenario set of more than MAX_PATH_DATES entries before it is allocated."""
-    entries = n_paths * (horizon + 1)
-    if entries > MAX_PATH_DATES:
-        raise ValueError(
-            f"{name} = {n_paths}: {n_paths} paths x {horizon + 1} dates = {entries} scenario "
-            f"entries, above the limit of {MAX_PATH_DATES}"
-        )
+    def echo(self, built) -> dict:
+        """Every field of ``built`` under its JSON name, defaults included."""
+        return {key: getattr(built, self.keywords.get(key, key)) for key in self.readers}
 
 
 @dataclass(frozen=True)
@@ -337,6 +335,88 @@ class PremiumPathConfig:
             raise ValueError("rates must exceed -1")
 
 
+_SPREAD = _Section({"med": _number, "cost": _number}, InflationSpread, {"med": "med_spread", "cost": "cost_spread"})
+_CAP = _Section({"abs_increase": _number, "inflation_multiple": _number}, CapRule)
+_PREMIUM_PATH = _Section(
+    {"policy_id": _string, "r_nominal": _number, "r_real": _number, "inflation_factor": _number},
+    PremiumPathConfig,
+    required=("policy_id",),
+)
+#: Model sections by kind; each builds its model's parameter object (None
+#: for the deterministic model), an MC model's with the run's seed.
+_MODELS = {
+    "deterministic": _Section({"kind": None}, lambda: None),
+    "two_scenario": _Section({"kind": None, "cn1": _number, "cr1": _number, "p1": _number}, TwoScenarioParams),
+    "mc": _Section(
+        {"kind": None, "n_paths": _integer, "vol_n": _number, "vol_r": _number, "corr": _number}, McModelParams
+    ),
+}
+MODEL_KINDS = tuple(_MODELS)
+#: The top level; the model sections are read once the seed is known.
+_RUN = _Section(
+    {
+        "curves": _path,
+        "portfolio": _path,
+        "tables_dir": _path,
+        "model": None,
+        "model_b": None,
+        "spread": _SPREAD.read,
+        "cap": _CAP.read,
+        "seed": _integer,
+        "out_dir": _path,
+        "tolerance": _number,
+        "premium_path": _PREMIUM_PATH.read,
+    },
+    required=("curves", "portfolio"),
+)
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    """A scenario model: its kind, its parameters as written and their parameter object.
+
+    ``written`` is the section without its kind, echoed in reports as the
+    config wrote it; ``params`` is the TwoScenarioParams or McModelParams
+    read from it, None for the deterministic model.  ``section`` is the
+    config key the model came from, for error messages.
+    """
+
+    kind: str = "deterministic"
+    written: dict = field(default_factory=dict)
+    params: object = None
+    section: str = "model"
+
+    @classmethod
+    def read(cls, value, section: str, seed: int) -> ModelConfig:
+        """The model of config section ``section``; ``seed`` seeds an MC model."""
+        kind = value.get("kind") if isinstance(value, dict) else None
+        if kind not in MODEL_KINDS:
+            raise ValueError(f"{section}.kind must be one of {', '.join(MODEL_KINDS)}; {section} reads {value!r}")
+        params = _MODELS[kind].read(value, section, **({"seed": seed} if kind == "mc" else {}))
+        return cls(kind, {k: v for k, v in value.items() if k != "kind"}, params, section)
+
+    def build(self, curve: CurvePair) -> ScenarioSet:
+        if self.kind == "deterministic":
+            return deterministic_model(curve)
+        if self.kind == "two_scenario":
+            return two_scenario_model(curve, self.params)
+        check_path_dates(self.params.n_paths, curve.horizon, f"{self.section}.n_paths")
+        return mc_model(curve, self.params)
+
+    def echo(self) -> dict:
+        return {"kind": self.kind, **self.written}
+
+
+def check_path_dates(n_paths: int, horizon: int, name: str) -> None:
+    """Reject a scenario set of more than MAX_PATH_DATES entries before it is allocated."""
+    entries = n_paths * (horizon + 1)
+    if entries > MAX_PATH_DATES:
+        raise ValueError(
+            f"{name} = {n_paths}: {n_paths} paths x {horizon + 1} dates = {entries} scenario "
+            f"entries, above the limit of {MAX_PATH_DATES}"
+        )
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One valuation run: input files, model, spread, cap, seed, outputs."""
@@ -344,7 +424,7 @@ class RunConfig:
     curves: Path
     portfolio: Path
     tables_dir: Path
-    model: ModelConfig
+    model: ModelConfig = ModelConfig()
     model_b: Optional[ModelConfig] = None
     spread: InflationSpread = InflationSpread()
     cap: Optional[CapRule] = None
@@ -364,13 +444,35 @@ class RunConfig:
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit an unsigned 64-bit integer")
 
+    def echo(self) -> dict:
+        """The ``config`` record of every report: what makes two runs' Best Estimates comparable.
 
-def load_config(path, **overrides) -> RunConfig:
-    """Read a JSON run configuration; keyword overrides replace fields.
+        Model parameters appear as written, spread and cap as parsed with
+        their defaults filled in; ``out_dir`` and ``premium_path`` are not
+        echoed.
+        """
+        return {
+            "curves": str(self.curves),
+            "portfolio": str(self.portfolio),
+            "tables_dir": str(self.tables_dir),
+            "model": self.model.echo(),
+            "model_b": self.model_b and self.model_b.echo(),
+            "spread": _SPREAD.echo(self.spread),
+            "cap": self.cap and _CAP.echo(self.cap),
+            "seed": self.seed,
+            "tolerance": self.tolerance,
+        }
 
-    Relative input paths are resolved against the config file's
-    directory. Supported overrides: ``seed``, ``model`` (kind name),
-    ``out_dir``, ``tolerance``.
+
+def load_config(path, *, model=None, seed=None, out_dir=None, tolerance=None) -> RunConfig:
+    """Read a JSON run configuration.
+
+    Relative input paths resolve against the config file's directory,
+    which is also the default ``tables_dir``.  ``seed``, ``out_dir`` and
+    ``tolerance`` replace the top-level fields and are read like them;
+    ``model`` names a model kind to run instead of the ``model``
+    section's, with that section's parameters only if the kinds match.  A
+    None leaves the config as written.
     """
     path = Path(path)
     try:
@@ -381,97 +483,21 @@ def load_config(path, **overrides) -> RunConfig:
         raise ParseError(path, 1, 1, "invalid JSON: nested too deeply") from exc
     if not isinstance(raw, dict):
         raise ParseError(path, 1, 1, "config must be a JSON object")
-
-    base = path.parent
-
-    def resolve(p) -> Path:
-        p = Path(p)
-        return p if p.is_absolute() else base / p
-
     try:
-        _fields(raw, "top-level", _CONFIG_FIELDS)
-        model = _model_from(raw.get("model", {"kind": "deterministic"}), "model")
-        if overrides.get("model"):
-            model = _model_from({"kind": overrides["model"], **_params_for(raw, overrides["model"])}, "model")
-        model_b = _model_from(raw["model_b"], "model_b") if "model_b" in raw else None
-        spread_raw = _fields(raw.get("spread", {}), "spread", _SPREAD_FIELDS)
-        spread = InflationSpread(
-            **{attr: float(spread_raw[name]) for name, attr in _SPREAD_FIELDS.items() if name in spread_raw}
-        )
-        cap = None
-        if raw.get("cap") is not None:
-            cap = CapRule(**_floats(_fields(raw["cap"], "cap", _CAP_FIELDS), _CAP_FIELDS))
-        premium_path = None
-        if raw.get("premium_path") is not None:
-            pp = _fields(raw["premium_path"], "premium_path", _PREMIUM_PATH_FIELDS)
-            premium_path = PremiumPathConfig(
-                policy_id=str(pp["policy_id"]), **_floats(pp, _PREMIUM_PATH_FIELDS[1:])
-            )
-        settings = {**raw, **overrides}
-        run_settings = {"seed": lambda v: _integer(v, "seed"), "out_dir": Path, "tolerance": float}
-        config = RunConfig(
-            curves=resolve(raw["curves"]),
-            portfolio=resolve(raw["portfolio"]),
-            tables_dir=resolve(raw.get("tables_dir", ".")),
-            model=model,
-            model_b=model_b,
-            spread=spread,
-            cap=cap,
-            premium_path=premium_path,
-            **{name: convert(settings[name]) for name, convert in run_settings.items() if name in settings},
-        )
-    except KeyError as exc:
-        raise ParseError(path, 1, 1, f"missing config field: {exc.args[0]}") from exc
+        flags = {"seed": seed, "out_dir": out_dir, "tolerance": tolerance}
+        fields = _RUN.read({**raw, **{k: v for k, v in flags.items() if v is not None}}, "")
+        seed = fields.get("seed", RunConfig.seed)
+        for name in ("model", "model_b"):
+            if name in raw:
+                fields[name] = ModelConfig.read(raw[name], name, seed)
+        if model is not None and model != fields.get("model", RunConfig.model).kind:
+            fields["model"] = ModelConfig.read({"kind": model}, "model", seed)
+        fields.setdefault("tables_dir", Path())
+        for name in ("curves", "portfolio", "tables_dir"):
+            fields[name] = path.parent / fields[name]
+        return RunConfig(**fields)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(path, 1, 1, str(exc)) from exc
-    return config
-
-
-def _object(value, name: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{name} section must be a JSON object, got {value!r}")
-    return value
-
-
-def _fields(value, section: str, defined) -> dict:
-    """``value`` as a JSON object holding only fields that ``section`` defines."""
-    value = _object(value, section)
-    for name in value:
-        if name not in defined:
-            raise ValueError(f"{section} section has no field {name!r}; it defines {', '.join(defined)}")
-    return value
-
-
-def _floats(raw: dict, names) -> dict:
-    """The fields of ``names`` that ``raw`` holds, as floats, in the order of ``names``."""
-    return {name: float(raw[name]) for name in names if name in raw}
-
-
-def _integer(value, name: str) -> int:
-    """A JSON integer; integral floats such as 1e3 pass, fractions, booleans and strings do not."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _model_from(raw: dict, section: str) -> ModelConfig:
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise ValueError("model section must be an object with a 'kind' field")
-    kind = str(raw["kind"])
-    if kind in _MODEL_FIELDS:  # an unknown kind is ModelConfig's error
-        _fields(raw, section, _MODEL_FIELDS[kind])
-    params = {k: v for k, v in raw.items() if k != "kind"}
-    return ModelConfig(kind=kind, params=params, section=section)
-
-
-def _params_for(raw: dict, kind: str) -> dict:
-    """Parameters for a --model override: reuse the config's section if it matches."""
-    section = raw.get("model", {})
-    if isinstance(section, dict) and section.get("kind") == kind:
-        return {k: v for k, v in section.items() if k != "kind"}
-    return {}
 
 
 def _fmt_short(x: float) -> str:

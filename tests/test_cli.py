@@ -175,13 +175,18 @@ class TestSimulate:
 
         monkeypatch.setattr(cli, "load_portfolio", counting)
         stderr = io.StringIO()
+        config = str(FIXTURES / "config_toy.json")
         with contextlib.redirect_stderr(stderr):
-            code = cli.main(
-                ["simulate", "--cap", "--config", str(FIXTURES / "config_toy.json"), "--out", str(tmp_path)]
-            )
+            code = cli.main(["simulate", "--cap", "--config", config, "--out", str(tmp_path)])
         assert code == 2
         record = json.loads(stderr.getvalue())["error"]
-        assert record == {"kind": "input", "message": "--cap requested but the config has no cap section"}
+        assert record == {
+            "kind": "parse",
+            "message": f"{config}:1:1: --cap requested but the config has no cap section",
+            "file": config,
+            "line": 1,
+            "column": 1,
+        }
         assert calls == []
         assert not any(tmp_path.iterdir())
 
@@ -485,6 +490,99 @@ class TestDriverContract:
         assert code == 3
         assert json.loads(stderr)["error"]["kind"] == kind
         assert_command_files(tmp_path, argv[0])
+
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("compare", "config_inpatient.json", "compare needs a model_b section in the config"),
+            ("premium-path", "config_toy.json", "premium-path needs a premium_path section in the config"),
+        ],
+    )
+    def test_a_missing_section_is_a_parse_error_at_the_config_start(self, tmp_path, command, config, message):
+        # simulate --cap without a cap section: TestSimulate checks the same record.
+        config = str(FIXTURES / config)
+        code, stderr = run_in_process([command, "--config", config, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert json.loads(stderr)["error"] == {
+            "kind": "parse",
+            "message": f"{config}:1:1: {message}",
+            "file": config,
+            "line": 1,
+            "column": 1,
+        }
+        assert not (tmp_path / "out").exists()
+
+
+TOY_ECHO = {
+    "curves": str(FIXTURES / "curves_toy.csv"),
+    "portfolio": str(FIXTURES / "portfolio_toy.csv"),
+    "tables_dir": str(FIXTURES / "tables"),
+    "model": {"kind": "deterministic"},
+    "model_b": {"kind": "two_scenario", "cn1": 0.5, "cr1": 1.0, "p1": 0.5},
+    "spread": {"med": 0.0, "cost": 0.0},
+    "cap": None,
+    "seed": 1,
+    "tolerance": 1e-9,
+}
+INPATIENT_MC = {"kind": "mc", "n_paths": 2000, "vol_n": 0.015, "vol_r": 0.008, "corr": 0.25}
+INPATIENT_ECHO = {
+    "curves": str(FIXTURES / "curves_long.csv"),
+    "portfolio": str(FIXTURES / "portfolio_inpatient.csv"),
+    "tables_dir": str(FIXTURES / "tables"),
+    "model": INPATIENT_MC,
+    "model_b": None,
+    "spread": {"med": 0.01, "cost": 0.0},
+    "cap": {"abs_increase": 0.05, "inflation_multiple": 1.0},
+    "seed": 42,
+    "tolerance": 1e-9,
+}
+#: A toy config whose sections are partly written: model parameters echo
+#: as written (2e3 as 2000.0, 1 as 1), spread and cap as parsed floats with
+#: their defaults filled in.
+PARTIAL_CONFIG = {
+    "model": {"kind": "mc", "n_paths": 2e3},
+    "model_b": {"kind": "two_scenario", "cn1": 1},
+    "cap": {"abs_increase": 1},
+}
+PARTIAL_ECHO = {
+    **TOY_ECHO,
+    "model": {"kind": "mc", "n_paths": 2000.0},
+    "model_b": {"kind": "two_scenario", "cn1": 1},
+    "cap": {"abs_increase": 1.0, "inflation_multiple": 2.0},
+}
+
+
+class TestConfigEcho:
+    """``report.json["config"]``: what makes two reports' Best Estimates comparable."""
+
+    @pytest.mark.parametrize(
+        "config, flags, echo",
+        [
+            ("config_toy.json", [], TOY_ECHO),
+            ("config_inpatient.json", [], INPATIENT_ECHO),
+            # A --model kind other than the model section's takes the defaults, which are not echoed.
+            ("config_toy.json", ["--model", "mc"], {**TOY_ECHO, "model": {"kind": "mc"}}),
+            # The same kind as the model section's reuses the section's parameters.
+            ("config_inpatient.json", ["--model", "mc"], INPATIENT_ECHO),
+            ("partial", [], PARTIAL_ECHO),
+        ],
+    )
+    def test_config_echo(self, tmp_path, config, flags, echo):
+        if config == "partial":
+            payload = json.loads((FIXTURES / "config_toy.json").read_text())
+            for key in ("curves", "portfolio", "tables_dir"):
+                payload[key] = str(FIXTURES / payload[key])
+            del payload["spread"]
+            payload.update(PARTIAL_CONFIG)
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(payload))
+        else:
+            path = FIXTURES / config
+        code, stderr = run_in_process(["value", "--config", str(path), *flags, "--out", str(tmp_path / "out")])
+        assert (code, stderr) == (0, "")
+        written = json.loads((tmp_path / "out/report.json").read_text())["config"]
+        # Compared as JSON text, so 2000.0 and 2000 differ.
+        assert json.dumps(written, sort_keys=True) == json.dumps(echo, sort_keys=True)
 
 
 #: Per section: a valid section to misspell a field in (None: the top level)

@@ -236,14 +236,28 @@ class TestConfig:
             "tables_dir": str(fixtures_dir / "tables"),
         }
         cases = (
-            ({"spread": {"med": float("nan")}}, "spreads"),
+            ({"spread": {"med": float("nan")}}, r"spread\.med"),
             ({"cap": {"abs_increase": float("nan")}}, "abs_increase"),
             ({"premium_path": {"policy_id": "x", "inflation_factor": float("nan")}}, "inflation_factor"),
-            ({"model": {"kind": "mc", "vol_n": float("nan")}}, "volatilities"),
+            ({"model": {"kind": "mc", "vol_n": float("nan")}}, r"model\.vol_n"),
             ({"model": {"kind": "mc", "n_paths": 10.5}}, "n_paths"),
             ({"seed": 1.5}, "seed"),
             ({"seed": float("nan")}, "seed"),
             ({"tolerance": float("inf")}, "tolerance"),
+            # Numeric fields take finite JSON numbers only, integer fields
+            # JSON integers, text fields strings; each error names its field.
+            ({"cap": {"abs_increase": True}}, r":1:1: cap\.abs_increase must be a finite number, got True$"),
+            ({"cap": {"abs_increase": "0.5"}}, r"cap\.abs_increase must be a finite number"),
+            ({"cap": {"abs_increase": float("inf")}}, r"cap\.abs_increase must be a finite number, got inf"),
+            ({"tolerance": "1e-9"}, r":1:1: tolerance must be a finite number, got '1e-9'$"),
+            ({"spread": {"cost": 10**400}}, r"spread\.cost must be a finite number"),
+            ({"model": {"kind": "mc", "n_paths": "20"}}, r"model\.n_paths must be an integer"),
+            ({"model_b": {"kind": "two_scenario", "p1": False}}, r"model_b\.p1 must be a finite number"),
+            ({"seed": True}, "seed must be an integer"),
+            ({"premium_path": {"policy_id": 5}}, r"premium_path\.policy_id must be a string, got 5"),
+            ({"premium_path": {"r_real": 0.0}}, r"premium_path\.policy_id is required"),
+            ({"model_b": {"cn1": 0.5}}, r":1:1: model_b\.kind must be one of deterministic, two_scenario, mc"),
+            ({"model": {"kind": "gbm"}}, r"model\.kind must be one of"),
         )
         path = tmp_path / "config.json"
         for extra, message in cases:
@@ -274,10 +288,10 @@ class TestPathDateBound:
             check_path_dates(10**11, 3, "model_b.n_paths")
 
     def test_build_checks_before_sampling(self, monkeypatch):
-        model = ModelConfig(kind="mc", params={"n_paths": 10**11}, section="model_b")
+        model = ModelConfig.read({"kind": "mc", "n_paths": 10**11}, "model_b", seed=1)
         monkeypatch.setattr("healthval.io_files.mc_model", lambda *args: pytest.fail("sampled"))
         with pytest.raises(ValueError, match=r"^model_b\.n_paths = 100000000000: "):
-            model.build(toy_curve(), seed=1)
+            model.build(toy_curve())
 
 
 def _csv_bytes(header, rows) -> bytes:
