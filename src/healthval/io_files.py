@@ -15,11 +15,13 @@ separators):
 
 Every export writes its header, then CRLF-ended rows whose integer cells
 are plain decimals and whose float cells are ``%.17g`` (17 significant
-digits, so every float reads back exactly); ``se_med`` is an empty cell
-for exact (unsampled) scenario sets.  These are the bytes ``csv.writer``
-makes of the same cells.  The writers stream, one scenario path or one
-triangle row t per write (the short ``t,c_fixed`` file in one), so no
-whole-file text is built.
+digits, so every float reads back exactly).  The scenario export's ``i``
+is the row's ``bn / br``.  ``se_med`` is the i.i.d. per-entry standard
+error of ``b_med`` (see :class:`~healthval.pricing.BuildingBlockMatrix`),
+an empty cell for exact (unsampled) scenario sets.  These are the bytes
+``csv.writer`` makes of the same cells.  The writers stream, one
+scenario path or one triangle row t per write (the short ``t,c_fixed``
+file in one), so no whole-file text is built.
 
 Every parse failure raises :class:`ParseError` carrying file, line and
 column (1-based), so callers can report exact positions.  The run
@@ -50,10 +52,10 @@ from .decomposition import CoefficientTriangle
 from .term_structures import CurvePair, InflationSpread, ScenarioSet
 
 #: Most scenario entries (paths x dates) a configured MC model may ask for.
-#: A run holds about seven float arrays of that size at its peak (some
-#: 57 bytes per entry: the peak RSS of ``value`` on ``config_inpatient.json``
-#: at 2000 and at 20 000 paths), so the limit is about 1.7 GB; the
-#: production size of 10 000 paths over 101 dates is 1 010 000.
+#: A run holds about six float arrays of that size at its peak (some
+#: 49 bytes per entry: the peak RSS of ``value`` on ``config_inpatient.json``
+#: at 2000 and at 20 000 paths, 46 and 132 MB), so the limit is about
+#: 1.5 GB; the production size of 10 000 paths over 101 dates is 1 010 000.
 MAX_PATH_DATES = 30_000_000
 
 
@@ -265,6 +267,14 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _seed(value, name: str) -> int:
+    """A JSON integer that fits an unsigned 64-bit seed; read at the top level, before any model uses it."""
+    value = _integer(value, name)
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name} must fit an unsigned 64-bit integer, got {value}")
+    return value
+
+
 def _string(value, name: str) -> str:
     if type(value) is not str:
         raise ValueError(f"{name} must be a string, got {value!r}")
@@ -285,7 +295,9 @@ class _Section:
     here but read by the caller.  Each field fills the keyword of ``build``
     of its own name unless ``keywords`` renames it; an absent field keeps
     the default of ``build``, and a field the section does not define is an
-    error.
+    error.  A ValueError of ``build`` (a value out of range) is raised
+    again with the section's name in front, so ``model`` and ``model_b``
+    errors differ.
     """
 
     readers: dict
@@ -305,14 +317,15 @@ class _Section:
         for key in self.required:
             if key not in value:
                 raise ValueError(f"{prefix}{key} is required")
-        return self.build(
-            **{
-                self.keywords.get(key, key): read(value[key], prefix + key)
-                for key, read in self.readers.items()
-                if key in value and read is not None
-            },
-            **extra,
-        )
+        fields = {
+            self.keywords.get(key, key): read(value[key], prefix + key)
+            for key, read in self.readers.items()
+            if key in value and read is not None
+        }
+        try:
+            return self.build(**fields, **extra)
+        except ValueError as exc:
+            raise ValueError(f"{label}: {exc}") from exc
 
     def echo(self, built) -> dict:
         """Every field of ``built`` under its JSON name, defaults included."""
@@ -362,7 +375,7 @@ _RUN = _Section(
         "model_b": None,
         "spread": _SPREAD.read,
         "cap": _CAP.read,
-        "seed": _integer,
+        "seed": _seed,
         "out_dir": _path,
         "tolerance": _number,
         "premium_path": _PREMIUM_PATH.read,
@@ -441,8 +454,6 @@ class RunConfig:
             raise ValueError(f"tables_dir is not a directory: {self.tables_dir}")
         if not 0.0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit an unsigned 64-bit integer")
 
     def echo(self) -> dict:
         """The ``config`` record of every report: what makes two runs' Best Estimates comparable.
@@ -534,12 +545,12 @@ def _write_rows(handle, prefix: str, tails: list[str], *columns) -> None:
 
 
 def write_scenarios(path, s: ScenarioSet) -> None:
-    """Scenario export: one row per (path, t), one path at a time."""
+    """Scenario export: one row per (path, t), one path at a time; the ``i`` cell is ``bn / br``."""
     tails = [f"{t},%.17g,%.17g,%.17g\r\n" for t in range(s.horizon + 1)]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write("path,weight,t,bn,br,i\r\n")
         for k, w in enumerate(s.weights.tolist()):
-            _write_rows(handle, f"{k},{w:.17g},", tails, s.bn[k], s.br[k], s.i[k])
+            _write_rows(handle, f"{k},{w:.17g},", tails, s.bn[k], s.br[k], s.bn[k] / s.br[k])
 
 
 def _write_lower(path, header: str, cells: str, *matrices: np.ndarray) -> None:
@@ -561,7 +572,12 @@ def write_triangle(gross_path, fixed_path, tri: CoefficientTriangle) -> None:
 
 
 def write_blocks(path, blocks: BuildingBlockMatrix) -> None:
-    """Block export: ``t,s,b_med,se_med`` rows, one t at a time; the SE cell is empty for exact sets."""
+    """Block export: ``t,s,b_med,se_med`` rows, one t at a time.
+
+    ``se_med`` is the i.i.d. per-entry standard error of ``b_med`` (see
+    :class:`~healthval.pricing.BuildingBlockMatrix`); the cell is empty
+    for exact sets.
+    """
     if blocks.se_med is None:
         _write_lower(path, "t,s,b_med,se_med\r\n", "%.17g,", blocks.med)
     else:

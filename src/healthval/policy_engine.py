@@ -500,7 +500,8 @@ def simulate_portfolio(
         spread = InflationSpread()
     per_t, per_t_uncapped = np.zeros(horizon + 1), np.zeros(horizon + 1)
     bound = False
-    i_med, i_cost = spread._time_major_indices(s)
+    i_med = spread.index(s, "med", time_major=True)
+    i_cost = spread.index(s, "cost", time_major=True)
     disc = np.divide(s.weights, s.bn.T, out=np.empty((s.horizon + 1, s.n_paths)))
     factors = None if cap is None else cap.allowed_factors(i_cost)
     weighted = np.empty(s.n_paths)

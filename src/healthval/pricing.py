@@ -8,8 +8,9 @@ probability-weighted sum
 
 The boundary cases are ordinary bonds: med[t, 0] is the nominal ZCB
 price and, with zero spread, med[t, t] the real ZCB price.  The medical
-and cost indices come from :meth:`InflationSpread.indices
-<healthval.term_structures.InflationSpread.indices>`.
+and cost indices come from :meth:`InflationSpread.index
+<healthval.term_structures.InflationSpread.index>`, one at a time, into
+a buffer the pricer owns.
 
 Prices are always exact weighted sums over the finite set, never
 subsampled; Monte-Carlo standard errors attach only to equal-weight
@@ -40,9 +41,13 @@ class BuildingBlockMatrix:
     with zeros above the diagonal, the layout of the coefficient
     triangles it prices; ``cost_diag[t]`` = E[i_cost[t]/bn[t]],
     ``nominal_diag[t]`` = E[1/bn[t]].  The horizon is ``len(med) - 1``.
-    ``se_med`` holds the per-entry Monte-Carlo standard errors of
-    ``med``, present only for sampled sets; no other block SE is carried,
-    because nothing reads one.
+    ``se_med`` holds the i.i.d. per-entry standard errors of ``med``,
+    present only for sampled sets: for each (t, s), the sample standard
+    error of the per-path values i_med[s]/bn[t], as if the paths were
+    independent.  ``mc_model`` matches every time slice's moments
+    exactly, which this ignores, so it overstates an entry's spread
+    across seeds (as ``ValuationReport.standard_error`` does the BE's).
+    No other block SE is carried, because nothing reads one.
     """
 
     med: np.ndarray
@@ -71,28 +76,29 @@ def building_blocks(s: ScenarioSet, spread: Optional[InflationSpread] = None) ->
     """Exact block prices under a finite scenario set.
 
     One weighted reduction per (t, s) pair, evaluated as a single matrix
-    product; the standard errors of ``med`` are attached for sampled
-    (equal-weight) sets.
+    product; the i.i.d. standard errors of ``med`` are attached for
+    sampled (equal-weight) sets.  Beside the set it holds two full-size
+    arrays: the weighted discount and one index buffer.
     """
     if spread is None:
         spread = InflationSpread()
-    i_med, i_cost = spread.indices(s)
-    inv_bn = 1.0 / s.bn
-    disc = s.weights[:, None] * inv_bn
-
-    med = np.tril(disc.T @ i_med)
+    # The index buffer holds the cost index, then the medical index, then its square.
+    disc = np.divide(1.0, s.bn)
+    disc *= s.weights[:, None]
     nominal_diag = disc.sum(axis=0)
-    cost_diag = np.einsum("kt,kt->t", disc, i_cost)
-    del disc, i_cost
+    index = spread.index(s, "cost")
+    cost_diag = np.einsum("kt,kt->t", disc, index)
+    med = np.tril(disc.T @ spread.index(s, "med", out=index))
 
     se_med = None
     if s.sampled:
-        # second_med = tril((inv_bn**2 / n).T @ i_med**2), squared in place.
+        # second_med = tril(((1 / bn)**2 / n).T @ i_med**2), squared in place.
         n = s.n_paths
+        inv_bn = np.divide(1.0, s.bn, out=disc)
         np.square(inv_bn, out=inv_bn)
         inv_bn /= n
-        np.square(i_med, out=i_med)
-        second_med = np.tril(inv_bn.T @ i_med)
+        np.square(index, out=index)
+        second_med = np.tril(inv_bn.T @ index)
         se_med = np.sqrt(np.maximum(second_med - med**2, 0.0) / (n - 1))
 
     return BuildingBlockMatrix(
@@ -143,15 +149,15 @@ def _be_standard_error(
     if not s.sampled or s.n_paths < 2:
         return None
     n = tri.horizon + 1
-    i_med, i_cost = spread.indices(s)
     # z = -sum(dated / bn, axis=1) for dated = i_med @ coeffs.T + i_cost * fixed,
-    # each step in place once the product has its buffer.
-    dated = i_med[:, :n] @ tri.coeffs.T
-    del i_med
-    cost = i_cost[:, :n]
+    # each step in place once the product has its buffer; one index buffer
+    # holds the medical index, then the cost index.
+    index = spread.index(s, "med")
+    dated = index[:, :n] @ tri.coeffs.T
+    cost = spread.index(s, "cost", out=index)[:, :n]
     cost *= tri.fixed
     dated += cost
-    del i_cost, cost
+    del index, cost
     dated /= s.bn[:, :n]
     z = -np.sum(dated, axis=1)
     return float(np.std(z, ddof=1) / np.sqrt(s.n_paths))

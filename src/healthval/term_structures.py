@@ -13,8 +13,9 @@ Conventions used throughout the engine:
   inflation index is their ratio, ``i[t] = bn[t] / br[t]``, i.e. the
   exchange rate between the nominal and the real "currency".
 - The medical and cost payment indices are that index times a
-  deterministic spread factor (:class:`InflationSpread`); this module is
-  their one place of derivation.
+  deterministic spread factor.  A scenario set stores only the accounts;
+  :meth:`InflationSpread.index` derives one payment index from them,
+  into a buffer its caller owns, and is the one place of derivation.
 
 All types are immutable after construction and all operations are pure,
 so everything here can be shared freely across threads.
@@ -22,7 +23,9 @@ so everything here can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -99,14 +102,15 @@ class ScenarioSet:
     ``bn``, ``br`` and ``weights`` follow the adoption rule of
     :func:`_readonly`: a read-only float64 array that owns its data is
     kept without a copy, any other input is copied, and every check runs
-    on both.  The index ``i`` is a fresh quotient, adopted the same way.
+    on both.  The index ``i = bn / br`` is not stored: construction checks
+    that the quotient is finite on a temporary, and pricing builds each
+    payment index from the accounts (:meth:`InflationSpread.index`).
     """
 
     bn: np.ndarray
     br: np.ndarray
     weights: np.ndarray
     sampled: bool = False
-    i: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bn", _readonly(self.bn, "bn", ndim=2))
@@ -126,9 +130,20 @@ class ScenarioSet:
             raise ValueError("money-market accounts must be strictly positive")
         if np.any(self.bn[:, 0] != 1.0) or np.any(self.br[:, 0] != 1.0):
             raise ValueError("every path must start with bn[0] = br[0] = 1")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(self.bn / self.br)):
+                raise ValueError("i contains non-finite entries")
+
+    @cached_property
+    def i(self) -> np.ndarray:
+        """The index ``bn / br`` of every path, read-only; made on first use and then kept.
+
+        A convenience for inspection: no package code reads it, so a
+        pipeline never holds this third full-size array.
+        """
         i = self.bn / self.br
         i.setflags(write=False)
-        object.__setattr__(self, "i", _readonly(i, "i", ndim=2))
+        return i
 
     @property
     def n_paths(self) -> int:
@@ -157,28 +172,29 @@ class InflationSpread:
         if not (self.med_spread > -1.0 and self.cost_spread > -1.0):
             raise ValueError("spreads must exceed -1")
 
-    def _factors(self, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-        """Spread factors (1 + spread)^t of the medical and cost index, t = 0..horizon."""
-        t = np.arange(horizon + 1)
-        return (1.0 + self.med_spread) ** t, (1.0 + self.cost_spread) ** t
+    def index(
+        self, s: ScenarioSet, which: str, out: Optional[np.ndarray] = None, time_major: bool = False
+    ) -> np.ndarray:
+        """The ``"med"`` or ``"cost"`` index of every path of ``s``, written into ``out``.
+
+        Path-major ``out`` is shaped like ``s.bn``; time-major ``out`` is
+        (T+1, n_paths), row t holding every path's level at t.  Without
+        ``out`` a C-contiguous array is made.  Each level is the quotient
+        ``bn / br`` rounded, then times ``(1 + spread)^t`` rounded, so both
+        layouts hold the same bits.
+        """
+        rate = {"med": self.med_spread, "cost": self.cost_spread}[which]
+        factor = (1.0 + rate) ** np.arange(s.horizon + 1)
+        bn, br = (s.bn.T, s.br.T) if time_major else (s.bn, s.br)
+        if out is None:
+            out = np.empty(bn.shape)
+        np.divide(bn, br, out=out)
+        out *= factor[:, None] if time_major else factor
+        return out
 
     def indices(self, s: ScenarioSet) -> tuple[np.ndarray, np.ndarray]:
-        """Medical and cost index levels ``(i_med, i_cost)`` of every path of ``s``."""
-        f_med, f_cost = self._factors(s.horizon)
-        return s.i * f_med, s.i * f_cost
-
-    def _time_major_indices(self, s: ScenarioSet) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`indices` time-major: row t holds every path's level at t, C-contiguous.
-
-        Each level is the same product as in :meth:`indices`, written
-        straight into its buffer, so no path-major array is made.
-        """
-        f_med, f_cost = self._factors(s.horizon)
-        shape = (s.horizon + 1, s.n_paths)
-        return (
-            np.multiply(s.i.T, f_med[:, None], out=np.empty(shape)),
-            np.multiply(s.i.T, f_cost[:, None], out=np.empty(shape)),
-        )
+        """Medical and cost index levels ``(i_med, i_cost)`` of every path of ``s``, path-major."""
+        return self.index(s, "med"), self.index(s, "cost")
 
 
 def implied_forwards(curve: CurvePair) -> tuple[np.ndarray, np.ndarray]:

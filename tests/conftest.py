@@ -1,5 +1,6 @@
 """Shared generators and paths for the test suite."""
 
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -91,3 +92,18 @@ def random_policy(
 def random_inflation_path(rng: np.random.Generator, horizon: int) -> np.ndarray:
     path = np.concatenate([[1.0], np.cumprod(rng.uniform(0.9, 1.12, horizon))])
     return path
+
+
+def traced_peak(call) -> int:
+    """Bytes ``call()`` holds at its peak above what was allocated before it, by tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()

@@ -14,7 +14,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from healthval import cli, reporting
+from healthval import (
+    CapRule,
+    InflationSpread,
+    McModelParams,
+    be_report,
+    cli,
+    io_files,
+    mc_model,
+    reporting,
+    simulate_portfolio,
+)
+from healthval.fixtures import inpatient_policy, long_curve
 
 from conftest import FIXTURES
 
@@ -621,6 +632,40 @@ class TestUnknownConfigFields:
         assert not (tmp_path / "out").exists()
 
 
+#: Config changes that put a well-typed value out of range, and the message
+#: that names its section.  The top-level seed is named alone even where an
+#: MC model would use it.
+OUT_OF_RANGE_VALUES = [
+    ({"model": {"kind": "mc", "n_paths": 1}}, "model: n_paths must be an integer >= 2, got 1"),
+    ({"model": {"kind": "two_scenario", "p1": 2}}, "model: p1 must lie in (0, 1), got 2.0"),
+    ({"model_b": {"kind": "two_scenario", "p1": 2}}, "model_b: p1 must lie in (0, 1), got 2.0"),
+    ({"spread": {"med": -2}}, "spread: spreads must exceed -1"),
+    ({"cap": {"abs_increase": -1}}, "cap: abs_increase must be nonnegative"),
+    ({"seed": -1, "model": {"kind": "mc"}}, "seed must fit an unsigned 64-bit integer, got -1"),
+]
+
+
+class TestOutOfRangeConfigValues:
+    @pytest.mark.parametrize("changes, message", OUT_OF_RANGE_VALUES)
+    def test_the_error_names_its_section(self, tmp_path, changes, message):
+        payload = json.loads((FIXTURES / "config_toy.json").read_text())
+        for key in ("curves", "portfolio", "tables_dir"):
+            payload[key] = str(FIXTURES / payload[key])
+        payload.update(changes)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        code, stderr = run_in_process(["value", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert json.loads(stderr)["error"] == {
+            "kind": "parse",
+            "message": f"{config}:1:1: {message}",
+            "file": str(config),
+            "line": 1,
+            "column": 1,
+        }
+        assert not (tmp_path / "out").exists()
+
+
 #: Finite inputs whose prices overflow inside numpy: a curve price whose
 #: reciprocal is finite but whose products are not, and a huge cost spread.
 EXTREME_INPUTS = {
@@ -655,6 +700,20 @@ class TestExtremeFiniteInput:
         assert result.returncode == 2, result.stderr
         record = stderr_record(result)  # the whole of stderr: no warning ahead of it
         assert record["kind"] == "input"
+
+
+class TestScenarioIndexNotStored:
+    def test_what_value_and_simulate_run_never_builds_the_full_index(self, tmp_path):
+        # The pricers, the brute force and the export each build the index
+        # they need from bn and br; none reads the set's cached i.
+        s = mc_model(long_curve(100), McModelParams(n_paths=50, vol_n=0.015, vol_r=0.008, corr=0.25, seed=3))
+        portfolio = [inpatient_policy(40, rs0=800.0), inpatient_policy(75)]
+        spread = InflationSpread(0.01, 0.005)
+        cap = CapRule(abs_increase=0.03, inflation_multiple=1.0)
+        assert be_report(portfolio, s, spread, cap=cap).routes_agree
+        assert simulate_portfolio(portfolio, s, spread, cap=cap).cap_bound
+        io_files.write_scenarios(tmp_path / "scenarios.csv", s)
+        assert "i" not in vars(s)
 
 
 class TestCalibrateCheck:

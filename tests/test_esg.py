@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,7 @@ from healthval import (
     two_scenario_model,
 )
 
-from conftest import random_curve
+from conftest import random_curve, traced_peak
 
 CURVE = CurvePair(pn=[1.0, 0.98, 0.95], pr=[1.0, 1.0, 1.0])
 DETERMINISTIC_BLOCK = (1.0 / 0.98) * 0.95  # price of the delayed index payout
@@ -244,31 +242,23 @@ class TestMcModelMatchesReference:
 
 
 class TestScenarioPipelineMemory:
-    def test_peak_allocation_stays_below_eight_scenario_arrays(self):
+    def test_peak_allocation_stays_below_five_scenario_arrays(self):
         # mc_model -> calibration_check -> building_blocks at 4000 paths x
         # 101 dates, in units of one (paths x dates) float64 array.  The set
-        # holds three (bn, br, i) and the block pricer four more at once
-        # (1/bn, the weighted discount and both indices), about 7.3 in all:
-        # one more full-size temporary beside those crosses the bound.
+        # holds two (bn, br) and the block pricer two more at once (the
+        # weighted discount and one index), about 4.4 in all: one more
+        # full-size array beside those crosses the bound.
         n_paths, horizon = 4000, 100
         t = np.arange(horizon + 1)
         curve = CurvePair(pn=1.02**-t, pr=1.005**-t)
         params = McModelParams(n_paths=n_paths, vol_n=0.015, vol_r=0.008, corr=0.25, seed=1)
-        unit = 8 * n_paths * (horizon + 1)
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
+
+        def pipeline():
             s = mc_model(curve, params)
             assert calibration_check(s, curve, tolerance=1e-12).passed
             building_blocks(s, InflationSpread(0.01, 0.005))
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert peak / unit < 8.0
+
+        assert traced_peak(pipeline) / (8 * n_paths * (horizon + 1)) < 5.0
 
 
 class TestCalibrationCheck:

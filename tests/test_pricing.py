@@ -18,7 +18,10 @@ from healthval import (
 from healthval.fixtures import flat_curve, inpatient_policy, long_curve, toy_curve, toy_policy
 from healthval.pricing import _be_standard_error
 
-from conftest import random_curve, random_scenario_set
+from conftest import random_curve, random_scenario_set, traced_peak
+
+
+SPREADS = [InflationSpread(), InflationSpread(0.01, 0.005), InflationSpread(-0.02, 0.03)]
 
 
 class TestInflationSpread:
@@ -33,6 +36,18 @@ class TestInflationSpread:
         i_med, i_cost = InflationSpread(med_spread=0.02).indices(s)
         assert i_med[0] == pytest.approx([1.0, 1.02, 1.02**2, 1.02**3], rel=1e-15)
         assert i_cost[0].tolist() == [1.0] * 4
+
+    @pytest.mark.parametrize("spread", SPREADS)
+    def test_one_index_in_either_layout_is_the_formula_bitwise(self, spread):
+        s = random_scenario_set(np.random.default_rng(6), 30, 7)
+        t = np.arange(s.horizon + 1)
+        for which, rate in (("med", spread.med_spread), ("cost", spread.cost_spread)):
+            want = s.i * (1.0 + rate) ** t
+            assert np.array_equal(spread.index(s, which), want)
+            out = np.empty((s.horizon + 1, s.n_paths))
+            assert spread.index(s, which, out=out, time_major=True) is out
+            assert np.array_equal(out, want.T)
+            assert spread.index(s, which, time_major=True).flags.c_contiguous
 
     def test_rejects_spread_at_minus_one(self):
         for med, cost in ((-1.0, 0.0), (0.0, -1.5), (float("nan"), 0.0), (0.0, float("nan"))):
@@ -178,9 +193,6 @@ def reference_sets():
     ]
 
 
-SPREADS = [InflationSpread(), InflationSpread(0.01, 0.005), InflationSpread(-0.02, 0.03)]
-
-
 class TestPricingMatchesReference:
     """The in-place pricers give the reference formulas' bits, not just their values."""
 
@@ -204,6 +216,33 @@ class TestPricingMatchesReference:
         for portfolio in ([inpatient_policy(40, rs0=800.0), inpatient_policy(75)], [inpatient_policy(21)]):
             tri = aggregate(portfolio)
             assert _be_standard_error(tri, s, spread) == reference_be_standard_error(tri, s, spread)
+
+
+class TestPricingMemory:
+    """Peak allocation of the pricers in (paths x dates) float64 arrays beyond the set's own."""
+
+    N_PATHS = 4000
+    CURVE = long_curve(100)
+    UNIT = 8 * N_PATHS * 101
+    SPREAD = InflationSpread(0.01, 0.005)
+
+    def scenario_set(self):
+        params = McModelParams(n_paths=self.N_PATHS, vol_n=0.015, vol_r=0.008, corr=0.25, seed=1)
+        return mc_model(self.CURVE, params)
+
+    def test_building_blocks_holds_two_scenario_arrays(self):
+        # The weighted discount and one index buffer, about 2.1 with the
+        # products' outputs: a third full-size array crosses the bound.
+        s = self.scenario_set()
+        assert traced_peak(lambda: building_blocks(s, self.SPREAD)) / self.UNIT < 2.5
+
+    def test_be_standard_error_holds_two_scenario_arrays(self):
+        # One index buffer and the dated values, here over the whole
+        # horizon, about 2.0: a third full-size array crosses the bound.
+        s = self.scenario_set()
+        tri = aggregate([inpatient_policy(21)])
+        assert tri.horizon == s.horizon
+        assert traced_peak(lambda: _be_standard_error(tri, s, self.SPREAD)) / self.UNIT < 2.5
 
 
 class TestBeReport:

@@ -95,9 +95,11 @@ class TestScenarioPath:
             br=[[1.0, 1.0, 1.0], [1.0, 1.05, 1.1]],
             weights=[0.5, 0.5],
         )
+        assert "i" not in vars(s)  # not stored: made on first use
         assert s.i[0].tolist() == [1.0, 1.02, 1.05]
         assert np.array_equal(s.i, s.bn / s.br)
         assert not s.i.flags.writeable
+        assert s.i is s.i
 
     def test_equal_accounts_give_unit_index(self):
         s = one_path([1.0, 1.3, 1.7], [1.0, 1.3, 1.7])
@@ -115,6 +117,12 @@ class TestScenarioPath:
     def test_rejects_nonpositive_account(self):
         with pytest.raises(ValueError, match="positive"):
             one_path([1.0, -1.2], [1.0, 1.0])
+
+    def test_rejects_overflowing_index_of_finite_accounts(self):
+        # bn / br = 1e600 is not a float: the set is rejected when it is
+        # made, with no overflow warning, although i itself is never stored.
+        with pytest.raises(ValueError, match="^i contains non-finite entries$"):
+            one_path([1.0, 1e300, 1.0], [1.0, 1e-300, 1.0])
 
     def test_inflation_cocycle_on_deterministic_path(self):
         rng = np.random.default_rng(3)
