@@ -28,20 +28,24 @@ so a first-order basis computes them once for ages 0..omega and every
 contract slices its own ages from them.
 
 Projection steps through the dates one at a time, vectorized over many
-inflation paths held time-major (row t is every path's level at t).
-Each step writes into path-length buffers made once per projection, so
+inflation paths: `_step` advances one policy by one date from path-length
+rows of the indices, writing into shared path-length scratch buffers, so
 it allocates nothing.  The brute-force portfolio valuation
-(`simulate_portfolio`) reduces each date as it arrives, so it keeps no
-per-policy cash-flow array; the cap's allowed increase factors depend
-on the cost index alone, so it tabulates them once per call for every
-policy.  `project` stacks the dates of its single path.
+(`simulate_portfolio`) takes the policies in groups and walks the dates
+outermost: each date's index, discount and cap-factor rows are built
+once for the group, every running policy steps through the date, and
+its discounted flow is reduced into ``per_t`` at once.  A policy carries
+only its reserve and, under a cap, its applied premium from one date to
+the next, so no (paths x dates) table is built.  `project` steps its
+single path and stacks the dates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -190,16 +194,19 @@ class CapRule:
         if not self.inflation_multiple >= 0.0:
             raise ValueError("inflation_multiple must be nonnegative")
 
-    def allowed_factors(self, i_cost: np.ndarray) -> np.ndarray:
-        """Allowed increase factor of every date t >= 1 of a time-major cost index.
+    def allowed_factor(
+        self, i_cost_prev: np.ndarray, i_cost: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Allowed increase factor from date t-1 to t, one value per path, into ``out``.
 
-        Row t-1 holds max(1 + abs_increase, inflation_multiple * i_cost[t] / i_cost[t-1]),
-        one value per path; the factors depend on the index alone, so one
-        table serves every policy projected along the same paths.
+        max(1 + abs_increase, inflation_multiple * i_cost[t] / i_cost[t-1])
+        from the cost index at t-1 and at t; it depends on the index
+        alone, so one row serves every policy projected along the same
+        paths.
         """
-        factors = np.divide(i_cost[1:], i_cost[:-1])
-        np.multiply(factors, self.inflation_multiple, out=factors)
-        return np.maximum(factors, 1.0 + self.abs_increase, out=factors)
+        out = np.divide(i_cost, i_cost_prev, out=out)
+        np.multiply(out, self.inflation_multiple, out=out)
+        return np.maximum(out, 1.0 + self.abs_increase, out=out)
 
     @staticmethod
     def apply(applied: np.ndarray, proposed: np.ndarray, factor: np.ndarray, passthrough: np.ndarray) -> None:
@@ -314,69 +321,76 @@ def _check_inflation(arr, horizon: int, name: str) -> np.ndarray:
     return arr[:, : horizon + 1]
 
 
-def _project_paths(
-    schedule: PolicySchedule,
-    i_med: np.ndarray,
-    i_cost: np.ndarray,
-    cap_factors: Optional[np.ndarray] = None,
-    real_rate: bool = False,
-) -> Iterator[tuple[np.ndarray, ...]]:
-    """Premium recursion over dates, vectorized over paths.
+def _scratch(n_paths: int, capped: bool) -> tuple:
+    """Path-length buffers of one date's step: net, gross, benefits, costs, both cash flows, passthrough.
 
-    ``i_med`` and ``i_cost`` are time-major: row t holds every path's
-    level at t.  Under a cap, ``cap_factors`` is ``cap.allowed_factors(i_cost)``,
-    made once by the caller for every policy on the same paths.  Yields
-    ``(net, gross, applied, reserve, cashflow, cashflow_uncapped)`` for
-    t = 0..run_off, each one value per path: ``applied`` is the capped
-    gross premium and ``cashflow`` the flow it pays, ``cashflow_uncapped``
-    the flow of ``gross``; without a cap both pairs are the same array.
-    The reserve follows the uncapped recursion whatever the cap.  The
-    yielded arrays are buffers made once per call and overwritten at the
-    next date, so a caller reads them before it resumes the generator.
+    A step overwrites every one of them, so all the policies stepped on
+    the same paths share one set.  Without a cap the uncapped flow is the
+    cash flow itself and there is no passthrough buffer.
+    """
+    net, gross, benefits, costs, cashflow = (np.empty(n_paths) for _ in range(5))
+    if not capped:
+        return net, gross, benefits, costs, cashflow, cashflow, None
+    return net, gross, benefits, costs, cashflow, np.empty(n_paths), np.empty(n_paths, dtype=bool)
+
+
+def _step(
+    schedule: PolicySchedule,
+    t: int,
+    im: np.ndarray,
+    ic: np.ndarray,
+    factor: Optional[np.ndarray],
+    rs: np.ndarray,
+    applied: Optional[np.ndarray],
+    scratch: tuple,
+    im_next: Optional[np.ndarray] = None,
+) -> None:
+    """Date t of one policy's premium recursion, vectorized over paths, in place.
+
+    ``im`` and ``ic`` hold every path's medical and cost index at t.  On
+    entry ``rs`` holds the policy's reserve at t and, under a cap,
+    ``applied`` its applied gross premium at t-1 (anything at t = 0) and
+    ``factor`` the cap's allowed factor from t-1 to t; without a cap
+    ``applied`` is None.  On exit ``applied`` holds the applied premium
+    at t, the scratch buffers (see `_scratch`) hold the net and gross
+    premium and both cash flows of t, and ``rs`` the reserve at t+1,
+    which follows the uncapped recursion whatever the cap.  ``im_next``,
+    the medical index at t+1, makes the technical rate a real rate.
     """
     policy = schedule.policy
-    one_minus_margin = 1.0 - policy.fo.margin
-    c1, c2 = policy.fo.c1, policy.so.c2
-    n = i_med.shape[1]
-    rs = np.full(n, policy.rs0)
-    net, gross, benefits, costs, cashflow = (np.empty(n) for _ in range(5))
-    if cap_factors is None:
-        applied, uncapped = gross, cashflow
-    else:
-        applied, uncapped, passthrough = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+    net, gross, benefits, costs, cashflow, uncapped, passthrough = scratch
     # The in-place steps keep the order of operations of the formulas in
     # the comments, so every figure is bit for bit the formula's.
-    for t in range(schedule.horizon + 1):
-        im, ic = i_med[t], i_cost[t]
-        # net = (im * A[t] - rs) / a[t]; gross = (net + ic * c1) / (1 - margin)
-        np.multiply(im, schedule.benefit_value[t], out=net)
-        net -= rs
-        net /= schedule.annuity[t]
-        np.multiply(ic, c1, out=gross)
-        np.add(net, gross, out=gross)
-        gross /= one_minus_margin
-        # Second-order outgo, shared by the capped and the uncapped flow.
-        np.multiply(im, schedule.k2[t], out=benefits)
-        np.multiply(ic, c2, out=costs)
-        if cap_factors is not None:
-            if t == 0:
-                np.copyto(applied, gross)
-            else:
-                CapRule.apply(applied, gross, cap_factors[t - 1], passthrough)
-            _cashflow(gross, benefits, costs, schedule.surv2[t], out=uncapped)
+    # net = (im * A[t] - rs) / a[t]; gross = (net + ic * c1) / (1 - margin)
+    np.multiply(im, schedule.benefit_value[t], out=net)
+    net -= rs
+    net /= schedule.annuity[t]
+    np.multiply(ic, policy.fo.c1, out=gross)
+    np.add(net, gross, out=gross)
+    gross /= 1.0 - policy.fo.margin
+    # Second-order outgo, shared by the capped and the uncapped flow.
+    np.multiply(im, schedule.k2[t], out=benefits)
+    np.multiply(ic, policy.so.c2, out=costs)
+    if applied is None:
+        _cashflow(gross, benefits, costs, schedule.surv2[t], out=cashflow)
+    else:
+        if t == 0:
+            np.copyto(applied, gross)
+        else:
+            CapRule.apply(applied, gross, factor, passthrough)
+        _cashflow(gross, benefits, costs, schedule.surv2[t], out=uncapped)
         _cashflow(applied, benefits, costs, schedule.surv2[t], out=cashflow)
-        yield net, gross, applied, rs, cashflow, uncapped
-        if t < schedule.horizon:
-            # Proposed (uncapped) net premium feeds the reserve: the cap's
-            # foregone amount is topped up from the insurer's funds.
-            # rs = (rs + net - im * k1[t]) * growth[t]
-            rs += net
-            np.multiply(im, schedule.k1[t], out=benefits)
-            rs -= benefits
-            rs *= schedule.growth[t]
-            if real_rate:
-                np.divide(i_med[t + 1], im, out=benefits)
-                rs *= benefits
+    if t < schedule.horizon:
+        # Proposed (uncapped) net premium feeds the reserve: the cap's
+        # foregone amount is topped up from the insurer's funds.
+        # rs = (rs + net - im * k1[t]) * growth[t]
+        rs += net
+        np.multiply(im, schedule.k1[t], out=benefits)
+        rs -= benefits
+        rs *= schedule.growth[t]
+        if im_next is not None:
+            np.divide(im_next, im, out=benefits)
+            rs *= benefits
 
 
 def _cashflow(premium, benefits, costs, surv2: float, out: np.ndarray) -> np.ndarray:
@@ -390,18 +404,28 @@ def _cashflow(premium, benefits, costs, surv2: float, out: np.ndarray) -> np.nda
 def _project_one(
     policy: PolicyData, i_med, i_cost, cap: Optional[CapRule], real_rate: bool = False
 ) -> ProjectionResult:
-    """Validate one inflation path, run the kernel on it and stack its dates."""
+    """Validate one inflation path, step the kernel along it and stack its dates."""
     schedule = build_schedule(policy)
-    im = _check_inflation(i_med, schedule.horizon, "i_med")[0][:, None]
-    ic = _check_inflation(i_cost, schedule.horizon, "i_cost")[0][:, None]
-    factors = None if cap is None else cap.allowed_factors(ic)
+    im = _check_inflation(i_med, schedule.horizon, "i_med")[0]
+    ic = _check_inflation(i_cost, schedule.horizon, "i_cost")[0]
+    scratch = _scratch(1, cap is not None)
+    net, gross, _, _, cashflow, uncapped, _ = scratch
+    rs = np.full(1, policy.rs0)
+    applied = None if cap is None else np.empty(1)
+    factor = np.empty(1)
     rows = np.empty((6, schedule.horizon + 1))
-    for t, values in enumerate(_project_paths(schedule, im, ic, factors, real_rate)):
-        rows[:, t] = np.concatenate(values)
+    for t in range(schedule.horizon + 1):
+        reserve = rs[0]
+        if cap is not None and t > 0:
+            cap.allowed_factor(ic[t - 1 : t], ic[t : t + 1], out=factor)
+        im_next = im[t + 1 : t + 2] if real_rate else None
+        _step(schedule, t, im[t : t + 1], ic[t : t + 1], factor, rs, applied, scratch, im_next)
+        shown = gross if applied is None else applied
+        rows[:, t] = net[0], gross[0], shown[0], reserve, cashflow[0], uncapped[0]
     net, gross, applied, reserves, cashflow, uncapped = rows
     if not (np.all(np.isfinite(cashflow)) and np.all(np.isfinite(uncapped))):
         raise ValueError(f"policy {policy.id!r}: projection produced non-finite values")
-    paid_net = net if cap is None else applied * (1.0 - policy.fo.margin) - ic[:, 0] * policy.fo.c1
+    paid_net = net if cap is None else applied * (1.0 - policy.fo.margin) - ic * policy.fo.c1
     return ProjectionResult(
         paid_net,
         applied,
@@ -483,11 +507,15 @@ def simulate_portfolio(
 
     BE = -sum_k w_k sum_policies sum_t CF[t](path k) / bn_k[t].  This is
     the reference route the coefficient decomposition is tested against,
-    and the only route that supports premium caps.  Indices and discount
-    factors are built once time-major, straight into their buffers, and
-    the cap's allowed factors tabulated once for all policies; each
-    policy's projection is reduced date by date into ``per_t``, with no
-    per-policy (paths x dates) array.  Under a cap each policy is still
+    and the only route that supports premium caps.  Policies are taken
+    in groups, in portfolio order, and each group walks the dates: date
+    t's indices, weighted discount factors and cap factors are built once
+    into path-length rows, then every live policy of the group steps
+    through t and its discounted flow is summed into ``per_t[t]``, in
+    portfolio order.  A policy keeps only its reserve (and under a cap
+    its applied premium) from one date to the next, so a group's state
+    is at most one (paths x dates) array, and no table of the indices or
+    of the cap factors is made.  Under a cap each policy is still
     projected once; the same pass gives ``.uncapped``.
     """
     horizon = max((p.run_off for p in portfolio), default=0)
@@ -498,22 +526,48 @@ def simulate_portfolio(
             )
     if spread is None:
         spread = InflationSpread()
+    capped = cap is not None
     per_t, per_t_uncapped = np.zeros(horizon + 1), np.zeros(horizon + 1)
     bound = False
-    i_med = spread.index(s, "med", time_major=True)
-    i_cost = spread.index(s, "cost", time_major=True)
-    disc = np.divide(s.weights, s.bn.T, out=np.empty((s.horizon + 1, s.n_paths)))
-    factors = None if cap is None else cap.allowed_factors(i_cost)
-    weighted = np.empty(s.n_paths)
-    for p in portfolio:
-        schedule = build_schedule(p)
-        dates = _project_paths(schedule, i_med, i_cost, factors)
-        for t, (_, gross, applied, _, cashflow, uncapped) in enumerate(dates):
-            per_t[t] -= np.multiply(disc[t], cashflow, out=weighted).sum()
-            if cap is not None:
-                per_t_uncapped[t] -= np.multiply(disc[t], uncapped, out=weighted).sum()
-                bound = bound or (schedule.surv2[t] > 0.0 and bool(np.any(applied < gross)))
-        if not (np.all(np.isfinite(per_t)) and np.all(np.isfinite(per_t_uncapped))):
-            raise ValueError(f"policy {p.id!r}: projection produced non-finite values")
-    uncapped = None if cap is None else SimulationResult(float(per_t_uncapped.sum()), per_t_uncapped, False)
-    return SimulationResult(be=float(per_t.sum()), per_t=per_t, cap_bound=bound, uncapped=uncapped)
+    n = s.n_paths
+    im, ic, ic_prev, disc, factor, weighted = (np.empty(n) for _ in range(6))
+    scratch = _scratch(n, capped)
+    _, gross, _, _, cashflow, uncapped, _ = scratch
+    # Each policy's state is one row, two under a cap: a group holds as
+    # many policies as one (paths x dates) array has room for.
+    rows_per_policy = 2 if capped else 1
+    size = max(1, (s.horizon + 1) // rows_per_policy)
+    for start in range(0, len(portfolio), size):
+        group = [build_schedule(p) for p in portfolio[start : start + size]]
+        state = np.empty((rows_per_policy, len(group), n))
+        for rs, schedule in zip(state[0], group):
+            rs.fill(schedule.policy.rs0)
+        applied = state[1] if capped else [None] * len(group)
+        # (position in the group, schedule, reserve, applied premium) of each running policy
+        live = list(zip(range(len(group)), group, state[0], applied))
+        first_bad = len(group)
+        for t in range(max(schedule.horizon for schedule in group) + 1):
+            live = [member for member in live if member[1].horizon >= t]
+            spread.index(s, "med", out=im, t=t)
+            ic, ic_prev = ic_prev, ic
+            spread.index(s, "cost", out=ic, t=t)
+            np.divide(s.weights, s.bn[:, t], out=disc)
+            if capped and t > 0:
+                cap.allowed_factor(ic_prev, ic, out=factor)
+            total, total_uncapped = per_t[t], per_t_uncapped[t]
+            for j, schedule, rs, premium in live:
+                _step(schedule, t, im, ic, factor, rs, premium, scratch)
+                total -= np.multiply(disc, cashflow, out=weighted).sum()
+                if capped:
+                    total_uncapped -= np.multiply(disc, uncapped, out=weighted).sum()
+                    bound = bound or (schedule.surv2[t] > 0.0 and bool(np.any(premium < gross)))
+                if not (math.isfinite(total) and math.isfinite(total_uncapped)):
+                    # Every sum was finite before this group and a
+                    # non-finite sum stays so, so the first policy in
+                    # portfolio order to spoil one is the culprit.
+                    first_bad = min(first_bad, j)
+            per_t[t], per_t_uncapped[t] = total, total_uncapped
+        if first_bad < len(group):
+            raise ValueError(f"policy {group[first_bad].policy.id!r}: projection produced non-finite values")
+    uncapped_result = None if cap is None else SimulationResult(float(per_t_uncapped.sum()), per_t_uncapped, False)
+    return SimulationResult(be=float(per_t.sum()), per_t=per_t, cap_bound=bound, uncapped=uncapped_result)

@@ -173,23 +173,23 @@ class InflationSpread:
             raise ValueError("spreads must exceed -1")
 
     def index(
-        self, s: ScenarioSet, which: str, out: Optional[np.ndarray] = None, time_major: bool = False
+        self, s: ScenarioSet, which: str, out: Optional[np.ndarray] = None, t: Optional[int] = None
     ) -> np.ndarray:
         """The ``"med"`` or ``"cost"`` index of every path of ``s``, written into ``out``.
 
-        Path-major ``out`` is shaped like ``s.bn``; time-major ``out`` is
-        (T+1, n_paths), row t holding every path's level at t.  Without
-        ``out`` a C-contiguous array is made.  Each level is the quotient
-        ``bn / br`` rounded, then times ``(1 + spread)^t`` rounded, so both
-        layouts hold the same bits.
+        Without a date ``t``, ``out`` is shaped like ``s.bn``; with one it
+        holds every path's level at t.  Without ``out`` a new array is
+        made.  Each level is the quotient ``bn / br`` rounded, then times
+        ``(1 + spread)^t`` rounded, so a date's row holds the bits of that
+        date's column of the whole index.
         """
         rate = {"med": self.med_spread, "cost": self.cost_spread}[which]
         factor = (1.0 + rate) ** np.arange(s.horizon + 1)
-        bn, br = (s.bn.T, s.br.T) if time_major else (s.bn, s.br)
+        bn, br = (s.bn, s.br) if t is None else (s.bn[:, t], s.br[:, t])
         if out is None:
             out = np.empty(bn.shape)
         np.divide(bn, br, out=out)
-        out *= factor[:, None] if time_major else factor
+        out *= factor if t is None else factor[t]
         return out
 
     def indices(self, s: ScenarioSet) -> tuple[np.ndarray, np.ndarray]:

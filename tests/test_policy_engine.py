@@ -29,9 +29,8 @@ from healthval.fixtures import (
     toy_policy,
 )
 from healthval.io_files import load_portfolio
-from healthval.policy_engine import _project_paths
 
-from conftest import random_basis_pair, random_inflation_path, random_policy, random_scenario_set
+from conftest import random_basis_pair, random_inflation_path, random_policy, random_scenario_set, traced_peak
 
 
 def brute_force_annuity(fo: FirstOrderBasis, x: int) -> float:
@@ -363,7 +362,7 @@ class TestOracleBe:
 def cap_one_step(cap: CapRule, prev: float, proposed: float, step: float) -> float:
     """The applied premium after one date on one path, through the kernel's CapRule calls."""
     applied = np.array([prev])
-    factor = cap.allowed_factors(np.array([[1.0], [step]]))[0]
+    factor = cap.allowed_factor(np.array([1.0]), np.array([step]))
     cap.apply(applied, np.array([proposed]), factor, np.empty(1, dtype=bool))
     return float(applied[0])
 
@@ -487,49 +486,148 @@ class TestCapRule:
 
 
 def reference_simulate_portfolio(portfolio, s, spread, cap=None):
-    """``simulate_portfolio``'s loop on time-major inputs made as transposed copies.
+    """The brute-force sums from the formulas alone, policy by policy on path-major arrays.
 
+    Each element gets the formulas' operations in the order the module
+    documents them, and ``per_t[t]`` subtracts the policies' sums in
+    portfolio order, so ``simulate_portfolio`` must match it bit for bit.
     Returns ``(per_t, per_t_uncapped, cap_bound)``.
     """
-    horizon = max(p.run_off for p in portfolio)
+    horizon = max((p.run_off for p in portfolio), default=0)
     per_t, per_t_uncapped = np.zeros(horizon + 1), np.zeros(horizon + 1)
     bound = False
-    t = np.arange(s.horizon + 1)
-    i_med = np.ascontiguousarray((s.i * (1.0 + spread.med_spread) ** t).T)
-    i_cost = np.ascontiguousarray((s.i * (1.0 + spread.cost_spread) ** t).T)
-    disc = np.ascontiguousarray((s.weights[:, None] / s.bn).T)
-    factors = None if cap is None else cap.allowed_factors(i_cost)
-    weighted = np.empty(s.n_paths)
+    dates = np.arange(s.horizon + 1)
+    i_med = (s.bn / s.br) * (1.0 + spread.med_spread) ** dates
+    i_cost = (s.bn / s.br) * (1.0 + spread.cost_spread) ** dates
+    disc = s.weights[:, None] / s.bn
     for p in portfolio:
-        schedule = build_schedule(p)
-        dates = _project_paths(schedule, i_med, i_cost, factors)
-        for t, (_, gross, applied, _, cashflow, uncapped) in enumerate(dates):
-            per_t[t] -= np.multiply(disc[t], cashflow, out=weighted).sum()
+        fo, so, x0 = p.fo, p.so, p.x0
+        rs = np.full(s.n_paths, p.rs0)
+        surv2 = 1.0
+        applied = None
+        for t in range(p.run_off + 1):
+            im, ic = i_med[:, t], i_cost[:, t]
+            net = (im * fo.benefit_value[x0 + t] - rs) / fo.annuity[x0 + t]
+            gross = (net + ic * fo.c1) / (1.0 - fo.margin)
+            benefits, costs = im * so.k2[x0 + t], ic * so.c2
+            if cap is None or t == 0:
+                applied = gross
+            else:
+                factor = np.maximum(ic / i_cost[:, t - 1] * cap.inflation_multiple, 1.0 + cap.abs_increase)
+                applied = np.where(applied <= 0.0, gross, np.minimum(gross, applied * factor))
+            per_t[t] -= (disc[:, t] * ((applied - benefits - costs) * surv2)).sum()
             if cap is not None:
-                per_t_uncapped[t] -= np.multiply(disc[t], uncapped, out=weighted).sum()
-                bound = bound or (schedule.surv2[t] > 0.0 and bool(np.any(applied < gross)))
+                per_t_uncapped[t] -= (disc[:, t] * ((gross - benefits - costs) * surv2)).sum()
+                bound = bound or (surv2 > 0.0 and bool(np.any(applied < gross)))
+            if t < p.run_off:
+                rs = (rs + net - im * fo.k1[x0 + t]) * ((1.0 + fo.r_calc) / (1.0 - fo.q1[x0 + t]))
+                surv2 *= 1.0 - so.q2[x0 + t]
     return per_t, per_t_uncapped, bound
 
 
+def policy_running(rng: np.random.Generator, run_off: int, policy_id: str) -> PolicyData:
+    """A seasoned policy on random bases whose run-off is exactly ``run_off`` years."""
+    fo, so = random_basis_pair(rng, run_off + 2)
+    return PolicyData(x0=2, fo=fo, so=so, rs0=float(rng.uniform(0.0, 50.0)), id=policy_id)
+
+
 class TestSimulatePortfolioMatchesReference:
+    CAP = CapRule(abs_increase=0.03, inflation_multiple=1.0)
+
+    def assert_matches_reference(self, portfolio, s, spread, cap):
+        got = simulate_portfolio(portfolio, s, spread, cap)
+        per_t, per_t_uncapped, bound = reference_simulate_portfolio(portfolio, s, spread, cap)
+        assert np.array_equal(got.per_t, per_t)
+        assert got.be == float(per_t.sum())
+        assert got.cap_bound is bound
+        if cap is None:
+            assert got.uncapped is None
+        else:
+            assert np.array_equal(got.uncapped.per_t, per_t_uncapped)
+            assert got.uncapped.be == float(per_t_uncapped.sum())
+        return got
+
     @pytest.mark.parametrize("spread", [InflationSpread(), InflationSpread(0.01, 0.005)])
     def test_bitwise_equal_to_reference(self, spread):
         portfolio = [inpatient_policy(40, rs0=800.0), inpatient_policy(75), inpatient_policy(21)]
         curve = long_curve(100)
-        cap = CapRule(abs_increase=0.03, inflation_multiple=1.0)
         for s in (
             mc_model(curve, McModelParams(n_paths=60, vol_n=0.02, vol_r=0.01, corr=0.25, seed=5)),
             random_scenario_set(np.random.default_rng(6), 100, 40),
         ):
-            plain = simulate_portfolio(portfolio, s, spread)
-            per_t, _, _ = reference_simulate_portfolio(portfolio, s, spread)
-            assert np.array_equal(plain.per_t, per_t)
-            assert plain.be == float(per_t.sum())
-            capped = simulate_portfolio(portfolio, s, spread, cap)
-            per_t, per_t_uncapped, bound = reference_simulate_portfolio(portfolio, s, spread, cap)
-            assert np.array_equal(capped.per_t, per_t)
-            assert np.array_equal(capped.uncapped.per_t, per_t_uncapped)
-            assert capped.cap_bound is bound
+            self.assert_matches_reference(portfolio, s, spread, None)
+            self.assert_matches_reference(portfolio, s, spread, self.CAP)
+
+    @pytest.mark.parametrize("spread", [InflationSpread(), InflationSpread(0.01, 0.005)])
+    def test_bitwise_equal_to_reference_over_several_groups(self, spread):
+        # Horizon 10: a group holds 11 policies, 5 under a cap.  The run-offs
+        # end inside groups, and the longest runs sit on group boundaries.
+        rng = np.random.default_rng(18)
+        run_offs = [10, 3, 7, 1, 10, 5, 2, 9, 10, 4, 10, 8]
+        portfolio = [policy_running(rng, r, f"p{k}") for k, r in enumerate(run_offs)]
+        assert [p.run_off for p in portfolio] == run_offs
+        for s in (
+            mc_model(flat_curve(10, 0.02, 0.005), McModelParams(n_paths=30, vol_n=0.05, vol_r=0.03, corr=0.2, seed=3)),
+            random_scenario_set(np.random.default_rng(7), 10, 25),
+        ):
+            self.assert_matches_reference(portfolio, s, spread, None)
+            capped = self.assert_matches_reference(portfolio, s, spread, self.CAP)
+            assert capped.cap_bound
+
+    def test_empty_portfolio(self):
+        s = random_scenario_set(np.random.default_rng(8), 10, 5)
+        for cap in (None, self.CAP):
+            got = self.assert_matches_reference([], s, InflationSpread(), cap)
+            assert got.per_t.tolist() == [0.0]
+            assert got.be == 0.0 and not got.cap_bound
+
+    def test_non_finite_in_a_later_group_names_first_policy_in_portfolio_order(self):
+        # On i[t] = 2^t a benefit of 1e308 overflows at every date t >= 1.
+        # Policies p11 and p12 share a group either way (11 or 5 to a
+        # group); p12 overflows at t = 1, p11 only at t = 8, and p11 comes
+        # first in the portfolio.
+        s = deterministic_model(flat_curve(10, 0.0, -0.5))
+        rng = np.random.default_rng(19)
+        portfolio = [policy_running(rng, 10, f"p{k}") for k in range(14)]
+        for k, age in ((11, 8), (12, 1)):
+            policy = portfolio[k]
+            k2 = policy.so.k2.copy()
+            k2[policy.x0 + age] = 1e308
+            so = SecondOrderBasis(k2=k2, q2=policy.so.q2, c2=policy.so.c2)
+            portfolio[k] = PolicyData(x0=policy.x0, fo=policy.fo, so=so, rs0=policy.rs0, id=policy.id)
+        for cap in (None, self.CAP):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ValueError, match=r"^policy 'p11': projection produced non-finite values$"):
+                    simulate_portfolio(portfolio, s, cap=cap)
+            simulate_portfolio(portfolio[:11], s, cap=cap)
+
+
+class TestSimulatePortfolioMemory:
+    """Peak allocation of the brute force in (paths x dates) float64 arrays beyond the set's own."""
+
+    N_PATHS = 4000
+    UNIT = 8 * N_PATHS * 101
+    SPREAD = InflationSpread(0.01, 0.005)
+    CAP = CapRule(abs_increase=0.03, inflation_multiple=1.0)
+
+    def inputs(self):
+        params = McModelParams(n_paths=self.N_PATHS, vol_n=0.015, vol_r=0.008, corr=0.25, seed=1)
+        s = mc_model(long_curve(100), params)
+        return [inpatient_policy(21 + k, rs0=10.0 * k) for k in range(40)], s
+
+    def test_capped_simulate_portfolio_holds_under_one_and_a_half_scenario_arrays(self):
+        # The group's reserves and applied premiums, 0.8 for 40 policies,
+        # plus path-length rows: one full-size table of the indices, the
+        # discount or the cap factors crosses the bound.
+        portfolio, s = self.inputs()
+        peak = traced_peak(lambda: simulate_portfolio(portfolio, s, self.SPREAD, self.CAP))
+        assert peak / self.UNIT < 1.5
+
+    def test_capped_be_report_holds_under_two_and_a_half_scenario_arrays(self):
+        # building_blocks' two full-size arrays set the peak, about 2.1.
+        portfolio, s = self.inputs()
+        peak = traced_peak(lambda: be_report(portfolio, s, self.SPREAD, cap=self.CAP))
+        assert peak / self.UNIT < 2.5
 
 
 class TestFirstOrderPv:

@@ -38,16 +38,16 @@ class TestInflationSpread:
         assert i_cost[0].tolist() == [1.0] * 4
 
     @pytest.mark.parametrize("spread", SPREADS)
-    def test_one_index_in_either_layout_is_the_formula_bitwise(self, spread):
+    def test_one_index_whole_or_at_one_date_is_the_formula_bitwise(self, spread):
         s = random_scenario_set(np.random.default_rng(6), 30, 7)
         t = np.arange(s.horizon + 1)
         for which, rate in (("med", spread.med_spread), ("cost", spread.cost_spread)):
             want = s.i * (1.0 + rate) ** t
             assert np.array_equal(spread.index(s, which), want)
-            out = np.empty((s.horizon + 1, s.n_paths))
-            assert spread.index(s, which, out=out, time_major=True) is out
-            assert np.array_equal(out, want.T)
-            assert spread.index(s, which, time_major=True).flags.c_contiguous
+            for date in range(s.horizon + 1):
+                out = np.empty(s.n_paths)
+                assert spread.index(s, which, out=out, t=date) is out
+                assert np.array_equal(out, want[:, date])
 
     def test_rejects_spread_at_minus_one(self):
         for med, cost in ((-1.0, 0.0), (0.0, -1.5), (float("nan"), 0.0), (0.0, float("nan"))):
