@@ -49,7 +49,7 @@ from .io_files import (
     write_scenarios,
     write_triangle,
 )
-from .policy_engine import PolicyData, first_order_pv, project, project_real_rate, simulate_portfolio
+from .policy_engine import first_order_pv, project, project_real_rate, simulate_portfolio
 from .pricing import be_report, building_blocks
 
 #: What a handler returns: None, or the (kind, message) of a failed check.
@@ -156,7 +156,7 @@ def _scenarios_echo(scenarios) -> dict:
 
 
 def _contributions_chart(per_t) -> str:
-    return reporting.svg_bar_chart(per_t, "Best-Estimate contribution by date", "t", "BE")
+    return reporting.svg_bar_chart(per_t, "Best-Estimate contribution by date")
 
 
 def _cmd_value(args, config: RunConfig) -> _Failure:
@@ -286,31 +286,24 @@ def _cmd_compare(args, config: RunConfig) -> _Failure:
     sweep = _sweep(curve)  # rejects a short curve before either model is built
     tri = aggregate(portfolio)
 
-    def side(model) -> dict:
-        scen = model.build(curve)
-        blocks = building_blocks(scen, config.spread)
-        return {
+    def side(model):
+        # Every model prices the curve's whole horizon, which the sweep
+        # has checked is at least 2, so each has the (t=2, s=1) block.
+        blocks = building_blocks(model.build(curve), config.spread)
+        return blocks, {
             "model": model.echo(),
             "be_decomposition": be_from_blocks(tri, blocks),
-            "delayed_block_price_2_1": float(blocks.med[2, 1]) if blocks.horizon >= 2 else None,
+            "delayed_block_price_2_1": float(blocks.med[2, 1]),
             "nominal_diag": blocks.nominal_diag,
-            "blocks": blocks,
         }
 
-    side_a = side(config.model)
-    side_b = side(model_b)
-    blocks_a, blocks_b = side_a.pop("blocks"), side_b.pop("blocks")
-    n = min(blocks_a.horizon, blocks_b.horizon) + 1
-    block_delta = float(np.max(np.abs(blocks_a.med[:n, :n] - blocks_b.med[:n, :n])))
-    ratio = None
-    if side_a["delayed_block_price_2_1"] and side_b["delayed_block_price_2_1"]:
-        ratio = side_b["delayed_block_price_2_1"] / side_a["delayed_block_price_2_1"]
+    (blocks_a, side_a), (blocks_b, side_b) = side(config.model), side(model_b)
     payload = {
         "model_a": side_a,
         "model_b": side_b,
         "be_delta": side_b["be_decomposition"] - side_a["be_decomposition"],
-        "max_block_delta": block_delta,
-        "delayed_block_ratio_2_1": ratio,
+        "max_block_delta": float(np.max(np.abs(blocks_a.med - blocks_b.med))),
+        "delayed_block_ratio_2_1": side_b["delayed_block_price_2_1"] / side_a["delayed_block_price_2_1"],
         "sweep": sweep,
     }
     rows = [
@@ -334,15 +327,9 @@ def _cmd_premium_path(args, config: RunConfig) -> _Failure:
         raise ValueError(f"policy id {pp.policy_id!r} not found in the portfolio")
     policy = matches[0]
 
-    nominal = PolicyData(
-        x0=policy.x0, fo=replace(policy.fo, r_calc=pp.r_nominal), so=policy.so, rs0=policy.rs0, id=policy.id
-    )
-    real = PolicyData(
-        x0=policy.x0, fo=replace(policy.fo, r_calc=pp.r_real), so=policy.so, rs0=policy.rs0, id=policy.id
-    )
-    horizon = nominal.run_off
-    index = pp.inflation_factor ** np.arange(horizon + 1)
-    index[0] = 1.0
+    nominal = replace(policy, fo=replace(policy.fo, r_calc=pp.r_nominal))
+    real = replace(policy, fo=replace(policy.fo, r_calc=pp.r_real))
+    index = pp.inflation_factor ** np.arange(nominal.run_off + 1)
     res_nominal = project(nominal, index, index)
     if res_nominal.premiums_net[0] == 0.0:
         raise ValueError(

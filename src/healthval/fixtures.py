@@ -65,15 +65,15 @@ def long_curve(horizon: int = 100) -> CurvePair:
     return flat_curve(horizon, 0.02, 0.005)
 
 
-def inpatient_benefits(terminal_age: int = DEFAULT_TERMINAL_AGE) -> np.ndarray:
+def inpatient_benefits() -> np.ndarray:
     """Annual inpatient benefit by age: rises with age, flattens at 90."""
-    x = np.arange(terminal_age + 1)
+    x = np.arange(DEFAULT_TERMINAL_AGE + 1)
     return np.round(260.0 * 1.028 ** np.minimum(x, 90), 2)
 
 
-def inpatient_terminations(terminal_age: int = DEFAULT_TERMINAL_AGE) -> np.ndarray:
+def inpatient_terminations() -> np.ndarray:
     """Combined death/surrender by age: high early lapse, old-age mortality."""
-    x = np.arange(terminal_age + 1)
+    x = np.arange(DEFAULT_TERMINAL_AGE + 1)
     lapse = 0.065 * np.exp(-0.022 * np.maximum(x - 20, 0)) + 0.022
     mortality = 1.2e-4 * np.exp(0.094 * x)
     q = np.minimum(lapse + mortality, 0.95)
@@ -81,32 +81,25 @@ def inpatient_terminations(terminal_age: int = DEFAULT_TERMINAL_AGE) -> np.ndarr
     return np.round(q, 6)
 
 
-def inpatient_first_order(
-    r_calc: float = 0.01,
-    c1: float = 24.0,
-    margin: float = 0.05,
-    terminal_age: int = DEFAULT_TERMINAL_AGE,
-) -> FirstOrderBasis:
+def inpatient_first_order(r_calc: float = 0.01) -> FirstOrderBasis:
     return FirstOrderBasis(
-        k1=inpatient_benefits(terminal_age),
-        q1=inpatient_terminations(terminal_age),
+        k1=inpatient_benefits(),
+        q1=inpatient_terminations(),
         r_calc=r_calc,
-        c1=c1,
-        margin=margin,
+        c1=24.0,
+        margin=0.05,
     )
 
 
-def inpatient_second_order(
-    c2: float = 20.0, terminal_age: int = DEFAULT_TERMINAL_AGE
-) -> SecondOrderBasis:
+def inpatient_second_order() -> SecondOrderBasis:
     # Best estimates: slightly lower benefits, slightly higher terminations
     # than the prudent basis.
-    q2 = np.minimum(inpatient_terminations(terminal_age) * 1.1, 0.95)
+    q2 = np.minimum(inpatient_terminations() * 1.1, 0.95)
     q2[-1] = 1.0
     return SecondOrderBasis(
-        k2=np.round(inpatient_benefits(terminal_age) / 1.06, 2),
+        k2=np.round(inpatient_benefits() / 1.06, 2),
         q2=np.round(q2, 6),
-        c2=c2,
+        c2=20.0,
     )
 
 

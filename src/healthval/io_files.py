@@ -71,11 +71,14 @@ class ParseError(ValueError):
 
 
 def _read_text(path) -> str:
-    """The file decoded as UTF-8; an unreadable file or an undecodable byte is a ParseError."""
+    """The file decoded as UTF-8; an unreadable file or an undecodable byte is a ParseError.
+
+    An unreadable file is cited at 1:1, its start.
+    """
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
-        raise ParseError(path, 0, 0, f"cannot read file: {exc.strerror}") from exc
+        raise ParseError(path, 1, 1, f"cannot read file: {exc.strerror}") from exc
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -145,7 +148,7 @@ def load_curve(path) -> CurvePair:
         pn_t = _cell_float(path, row, line, 2)
         pr_t = _cell_float(path, row, line, 3)
         if idx == 0 and (pn_t != 1.0 or pr_t != 1.0):
-            raise ParseError(path, line, 2, "row t=0 must read 0,1,1")
+            raise ParseError(path, line, 2 if pn_t != 1.0 else 3, "row t=0 must read 0,1,1")
         for column, price in ((2, pn_t), (3, pr_t)):
             if price <= 0.0:
                 raise ParseError(path, line, column, f"ZCB price must be positive, got {price}")

@@ -343,7 +343,6 @@ def _step(
     rs: np.ndarray,
     applied: Optional[np.ndarray],
     scratch: tuple,
-    im_next: Optional[np.ndarray] = None,
 ) -> None:
     """Date t of one policy's premium recursion, vectorized over paths, in place.
 
@@ -354,8 +353,7 @@ def _step(
     ``applied`` is None.  On exit ``applied`` holds the applied premium
     at t, the scratch buffers (see `_scratch`) hold the net and gross
     premium and both cash flows of t, and ``rs`` the reserve at t+1,
-    which follows the uncapped recursion whatever the cap.  ``im_next``,
-    the medical index at t+1, makes the technical rate a real rate.
+    which follows the uncapped recursion whatever the cap.
     """
     policy = schedule.policy
     net, gross, benefits, costs, cashflow, uncapped, passthrough = scratch
@@ -388,9 +386,6 @@ def _step(
         np.multiply(im, schedule.k1[t], out=benefits)
         rs -= benefits
         rs *= schedule.growth[t]
-        if im_next is not None:
-            np.divide(im_next, im, out=benefits)
-            rs *= benefits
 
 
 def _cashflow(premium, benefits, costs, surv2: float, out: np.ndarray) -> np.ndarray:
@@ -402,12 +397,14 @@ def _cashflow(premium, benefits, costs, surv2: float, out: np.ndarray) -> np.nda
 
 
 def _project_one(
-    policy: PolicyData, i_med, i_cost, cap: Optional[CapRule], real_rate: bool = False
+    policy: PolicyData, im: np.ndarray, ic: np.ndarray, cap: Optional[CapRule], real_rate: bool = False
 ) -> ProjectionResult:
-    """Validate one inflation path, step the kernel along it and stack its dates."""
+    """Step the kernel along one validated inflation path and stack its dates.
+
+    With ``real_rate`` the reserve rolled up to t+1 gains the factor
+    im[t+1] / im[t], which makes the technical rate a real rate.
+    """
     schedule = build_schedule(policy)
-    im = _check_inflation(i_med, schedule.horizon, "i_med")[0]
-    ic = _check_inflation(i_cost, schedule.horizon, "i_cost")[0]
     scratch = _scratch(1, cap is not None)
     net, gross, _, _, cashflow, uncapped, _ = scratch
     rs = np.full(1, policy.rs0)
@@ -418,8 +415,9 @@ def _project_one(
         reserve = rs[0]
         if cap is not None and t > 0:
             cap.allowed_factor(ic[t - 1 : t], ic[t : t + 1], out=factor)
-        im_next = im[t + 1 : t + 2] if real_rate else None
-        _step(schedule, t, im[t : t + 1], ic[t : t + 1], factor, rs, applied, scratch, im_next)
+        _step(schedule, t, im[t : t + 1], ic[t : t + 1], factor, rs, applied, scratch)
+        if real_rate and t < schedule.horizon:
+            rs *= im[t + 1] / im[t]
         shown = gross if applied is None else applied
         rows[:, t] = net[0], gross[0], shown[0], reserve, cashflow[0], uncapped[0]
     net, gross, applied, reserves, cashflow, uncapped = rows
@@ -449,7 +447,9 @@ def project(
     the applied ones while reserves follow the uncapped recursion (the
     foregone net premium is added back each capped year).
     """
-    return _project_one(policy, i_med, i_cost, cap)
+    im = _check_inflation(i_med, policy.run_off, "i_med")[0]
+    ic = _check_inflation(i_cost, policy.run_off, "i_cost")[0]
+    return _project_one(policy, im, ic, cap)
 
 
 def project_real_rate(policy: PolicyData, i_med) -> ProjectionResult:
@@ -461,11 +461,11 @@ def project_real_rate(policy: PolicyData, i_med) -> ProjectionResult:
     numerically hostile basis).  The cost index is taken equal to the
     medical index for the gross figures.
     """
-    i_med = _check_inflation(i_med, policy.run_off, "i_med")
-    result = _project_one(policy, i_med, i_med, cap=None, real_rate=True)
+    im = _check_inflation(i_med, policy.run_off, "i_med")[0]
+    result = _project_one(policy, im, im, cap=None, real_rate=True)
     p = result.premiums_net
     scale = max(abs(p[0]), 1e-12)
-    drift = np.max(np.abs(p - i_med[0] * p[0])) / scale
+    drift = np.max(np.abs(p - im * p[0])) / scale
     if drift > 1e-11:
         raise ArithmeticError(
             f"policy {policy.id!r}: real-rate premium identity violated ({drift:.2e} relative)"
@@ -500,7 +500,7 @@ class SimulationResult:
 def simulate_portfolio(
     portfolio: Sequence[PolicyData],
     s: ScenarioSet,
-    spread: Optional[InflationSpread] = None,
+    spread: InflationSpread = InflationSpread(),
     cap: Optional[CapRule] = None,
 ) -> SimulationResult:
     """Value a portfolio by tracking every policy along every path.
@@ -524,8 +524,6 @@ def simulate_portfolio(
             raise ValueError(
                 f"policy {p.id!r} runs {p.run_off} years but scenarios stop at {s.horizon}"
             )
-    if spread is None:
-        spread = InflationSpread()
     capped = cap is not None
     per_t, per_t_uncapped = np.zeros(horizon + 1), np.zeros(horizon + 1)
     bound = False

@@ -72,7 +72,7 @@ class BuildingBlockMatrix:
         return len(self.med) - 1
 
 
-def building_blocks(s: ScenarioSet, spread: Optional[InflationSpread] = None) -> BuildingBlockMatrix:
+def building_blocks(s: ScenarioSet, spread: InflationSpread = InflationSpread()) -> BuildingBlockMatrix:
     """Exact block prices under a finite scenario set.
 
     One weighted reduction per (t, s) pair, evaluated as a single matrix
@@ -80,8 +80,6 @@ def building_blocks(s: ScenarioSet, spread: Optional[InflationSpread] = None) ->
     sampled (equal-weight) sets.  Beside the set it holds two full-size
     arrays: the weighted discount and one index buffer.
     """
-    if spread is None:
-        spread = InflationSpread()
     # The index buffer holds the cost index, then the medical index, then its square.
     disc = np.divide(1.0, s.bn)
     disc *= s.weights[:, None]
@@ -166,7 +164,7 @@ def _be_standard_error(
 def be_report(
     portfolio: Sequence[PolicyData],
     s: ScenarioSet,
-    spread: Optional[InflationSpread] = None,
+    spread: InflationSpread = InflationSpread(),
     tolerance: float = 1e-9,
     cap: Optional[CapRule] = None,
 ) -> ValuationReport:
@@ -178,8 +176,6 @@ def be_report(
     attached as a supplement; the decomposition is always uncapped (caps
     break linearity) and bounds the capped value from below.
     """
-    if spread is None:
-        spread = InflationSpread()
     tri = aggregate(portfolio)
     blocks = building_blocks(s, spread)
     be_dec, per_t = be_by_date(tri, blocks)

@@ -13,9 +13,10 @@ Conventions used throughout the engine:
   inflation index is their ratio, ``i[t] = bn[t] / br[t]``, i.e. the
   exchange rate between the nominal and the real "currency".
 - The medical and cost payment indices are that index times a
-  deterministic spread factor.  A scenario set stores only the accounts;
-  :meth:`InflationSpread.index` derives one payment index from them,
-  into a buffer its caller owns, and is the one place of derivation.
+  deterministic spread factor.  A scenario set stores only the accounts
+  and checks at construction that their ratio is finite; the index is
+  derived only through :meth:`InflationSpread.index`, one payment index
+  at a time, into a buffer its caller owns.
 
 All types are immutable after construction and all operations are pure,
 so everything here can be shared freely across threads.
@@ -24,7 +25,6 @@ so everything here can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -103,8 +103,8 @@ class ScenarioSet:
     :func:`_readonly`: a read-only float64 array that owns its data is
     kept without a copy, any other input is copied, and every check runs
     on both.  The index ``i = bn / br`` is not stored: construction checks
-    that the quotient is finite on a temporary, and pricing builds each
-    payment index from the accounts (:meth:`InflationSpread.index`).
+    that the quotient is finite on a temporary, and each payment index is
+    built from the accounts by :meth:`InflationSpread.index`.
     """
 
     bn: np.ndarray
@@ -133,17 +133,6 @@ class ScenarioSet:
         with np.errstate(over="ignore"):
             if not np.all(np.isfinite(self.bn / self.br)):
                 raise ValueError("i contains non-finite entries")
-
-    @cached_property
-    def i(self) -> np.ndarray:
-        """The index ``bn / br`` of every path, read-only; made on first use and then kept.
-
-        A convenience for inspection: no package code reads it, so a
-        pipeline never holds this third full-size array.
-        """
-        i = self.bn / self.br
-        i.setflags(write=False)
-        return i
 
     @property
     def n_paths(self) -> int:
@@ -191,10 +180,6 @@ class InflationSpread:
         np.divide(bn, br, out=out)
         out *= factor if t is None else factor[t]
         return out
-
-    def indices(self, s: ScenarioSet) -> tuple[np.ndarray, np.ndarray]:
-        """Medical and cost index levels ``(i_med, i_cost)`` of every path of ``s``, path-major."""
-        return self.index(s, "med"), self.index(s, "cost")
 
 
 def implied_forwards(curve: CurvePair) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line surface via its entry point."""
 
 import contextlib
+import hashlib
 import io
 import json
 import shutil
@@ -102,8 +103,12 @@ class TestValue:
         assert (record["file"], record["line"], record["column"]) == (str(target), 2, 4)
 
     def test_missing_config_is_input_error(self, tmp_path):
-        result = run_cli("value", "--config", str(tmp_path / "none.json"))
-        assert result.returncode == 2
+        # A missing file and a directory alike are cited at 1:1, the file's start.
+        for config in (str(tmp_path / "none.json"), str(tmp_path)):
+            result = run_cli("value", "--config", config)
+            assert result.returncode == 2
+            record = stderr_record(result)
+            assert (record["file"], record["line"], record["column"]) == (config, 1, 1)
 
     def test_unallocatable_path_count_is_input_error(self, tmp_path, fixtures_dir):
         # 10**15 paths would ask numpy for 21 PiB, far beyond the virtual
@@ -374,6 +379,27 @@ class TestPremiumPath:
         for value in (float("nan"), float("inf"), np.float64("-inf")):
             with pytest.raises(ValueError):
                 reporting.dumps({"value": value})
+
+
+class TestChartBytes:
+    # Pinned digests: the charts are report files, so their bytes are
+    # part of the output contract, not just stable across re-runs.
+    def test_contributions_chart(self):
+        per_t = np.array([-3.5, 0.0, 2.25, 1e-3, -0.75, 0.0, 12.0, -1e-9, 7.5, 3.25, -2.0, 0.0, 1.5])
+        svg = cli._contributions_chart(per_t)
+        assert hashlib.sha256(svg.encode()).hexdigest() == (
+            "2ba39630f8b2c087970b1c46168bea8cfaf569221fd0bd48da2aefbf0ec3da66"
+        )
+
+    def test_line_chart(self):
+        series = {
+            "nominal rate 0.01": [10.0, 10.5, 11.25, 12.0],
+            "real & <rate>": [10.0, 10.2, 10.404, 10.61208],
+        }
+        svg = reporting.svg_line_chart(series, "Net premium development, policy a&b")
+        assert hashlib.sha256(svg.encode()).hexdigest() == (
+            "5aeeb5fc5f4c2b3df5f711e6a2bb2bbab218a15097cdcf8a41f91c9d6d12f537"
+        )
 
 
 class TestDemoNonuniqueness:
@@ -705,7 +731,7 @@ class TestExtremeFiniteInput:
 class TestScenarioIndexNotStored:
     def test_what_value_and_simulate_run_never_builds_the_full_index(self, tmp_path):
         # The pricers, the brute force and the export each build the index
-        # they need from bn and br; none reads the set's cached i.
+        # they need from bn and br.
         s = mc_model(long_curve(100), McModelParams(n_paths=50, vol_n=0.015, vol_r=0.008, corr=0.25, seed=3))
         portfolio = [inpatient_policy(40, rs0=800.0), inpatient_policy(75)]
         spread = InflationSpread(0.01, 0.005)
@@ -713,7 +739,6 @@ class TestScenarioIndexNotStored:
         assert be_report(portfolio, s, spread, cap=cap).routes_agree
         assert simulate_portfolio(portfolio, s, spread, cap=cap).cap_bound
         io_files.write_scenarios(tmp_path / "scenarios.csv", s)
-        assert "i" not in vars(s)
 
 
 class TestCalibrateCheck:

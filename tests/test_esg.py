@@ -33,7 +33,7 @@ class TestDeterministicModel:
     def test_flat_equal_curves_give_unit_index(self):
         curve = CurvePair(pn=[1.0, 0.97, 0.93], pr=[1.0, 0.97, 0.93])
         s = deterministic_model(curve)
-        assert np.max(np.abs(s.i - 1.0)) == 0.0
+        assert np.max(np.abs(s.bn / s.br - 1.0)) == 0.0
 
     def test_delayed_block_price_closed_form(self):
         blocks = building_blocks(deterministic_model(CURVE))
@@ -234,7 +234,7 @@ class TestMcModelMatchesReference:
     def test_arrays_are_read_only_and_calibrated(self):
         curve = random_curve(np.random.default_rng(5), 30)
         s = mc_model(curve, McModelParams(n_paths=200, vol_n=0.03, vol_r=0.02, corr=0.25, seed=3))
-        for arr in (s.bn, s.br, s.weights, s.i):
+        for arr in (s.bn, s.br, s.weights):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1.0

@@ -80,10 +80,13 @@ class TestCurveFile:
             assert (err.value.line, err.value.column) == (line, 1)
 
     def test_first_row_must_be_unit(self, tmp_path):
+        # The error cites the first cell of the row that is not 1.
         path = tmp_path / "curve.csv"
-        path.write_text("t,pn,pr\n0,0.99,1\n1,0.98,1\n")
-        with pytest.raises(ParseError, match="0,1,1"):
-            load_curve(path)
+        for row, column in (("0,0.99,1", 2), ("0,1,0.99", 3), ("0,0.99,0.99", 2)):
+            path.write_text(f"t,pn,pr\n{row}\n1,0.98,1\n")
+            with pytest.raises(ParseError, match="0,1,1") as err:
+                load_curve(path)
+            assert (err.value.line, err.value.column) == (2, column)
 
     def test_maturities_must_be_contiguous(self, tmp_path):
         path = tmp_path / "curve.csv"
@@ -318,14 +321,14 @@ class TestExports:
         _, _, _, bn, br, i = lines[2].split(",")
         assert float(bn) == s.bn[0, 1]
         assert float(br) == s.br[0, 1]
-        assert float(i) == s.i[0, 1]
+        assert float(i) == s.bn[0, 1] / s.br[0, 1]
         assert path.read_bytes() == self._scenario_reference(s)
 
     @staticmethod
     def _scenario_reference(s) -> bytes:
         # Byte for byte what csv.writer makes of the cells, one per row and column.
         rows = (
-            [k, _g17(s.weights[k]), t, _g17(s.bn[k, t]), _g17(s.br[k, t]), _g17(s.i[k, t])]
+            [k, _g17(s.weights[k]), t, _g17(s.bn[k, t]), _g17(s.br[k, t]), _g17(s.bn[k, t] / s.br[k, t])]
             for k in range(s.n_paths)
             for t in range(s.horizon + 1)
         )

@@ -327,6 +327,31 @@ class TestProjectRealRate:
             drift = np.max(np.abs(res.premiums_net - i_med * p0)) / max(abs(p0), 1e-12)
             assert drift <= 1e-12
 
+    @pytest.mark.parametrize("x0", [25, 50, 80])
+    def test_bitwise_equal_to_reference(self, x0):
+        # The real-rate recursion restated from its formulas alone: the
+        # nominal roll-up (rs + net - i * k1) * growth, then * i[t+1] / i[t].
+        policy = inpatient_policy(x0, rs0=300.0)
+        i = random_inflation_path(np.random.default_rng(x0), policy.run_off)
+        fo, so = policy.fo, policy.so
+        rs, surv2 = policy.rs0, 1.0
+        net, gross, reserves, cashflow = ([] for _ in range(4))
+        for t in range(policy.run_off + 1):
+            x = x0 + t
+            reserves.append(rs)
+            net.append((i[t] * fo.benefit_value[x] - rs) / fo.annuity[x])
+            gross.append((net[t] + i[t] * fo.c1) / (1.0 - fo.margin))
+            cashflow.append((gross[t] - i[t] * so.k2[x] - i[t] * so.c2) * surv2)
+            if t < policy.run_off:
+                rs = (rs + net[t] - i[t] * fo.k1[x]) * ((1.0 + fo.r_calc) / (1.0 - fo.q1[x]))
+                rs = rs * (i[t + 1] / i[t])
+                surv2 *= 1.0 - so.q2[x]
+        res = project_real_rate(policy, i)
+        assert np.array_equal(res.premiums_net, net)
+        assert np.array_equal(res.premiums_gross, gross)
+        assert np.array_equal(res.reserves, reserves)
+        assert np.array_equal(res.cashflow, cashflow)
+
 
 class TestOracleBe:
     def test_empty_portfolio(self):
@@ -463,7 +488,7 @@ class TestCapRule:
         s = mc_model(long_curve(100), McModelParams(n_paths=30, vol_n=0.02, vol_r=0.01, corr=0.2, seed=seed))
         spread = InflationSpread(0.01, 0.005)
         cap = CapRule(abs_increase=0.03, inflation_multiple=1.0)
-        i_med, i_cost = spread.indices(s)
+        i_med, i_cost = spread.index(s, "med"), spread.index(s, "cost")
         per_t = [0.0] * (max(p.run_off for p in portfolio) + 1)
         for policy in portfolio:
             surv2 = build_schedule(policy).surv2

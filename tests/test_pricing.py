@@ -27,13 +27,14 @@ SPREADS = [InflationSpread(), InflationSpread(0.01, 0.005), InflationSpread(-0.0
 class TestInflationSpread:
     def test_zero_spread_is_identity(self):
         s = mc_model(toy_curve(), McModelParams(n_paths=4, vol_n=0.02, vol_r=0.01, corr=0.0, seed=1))
-        i_med, i_cost = InflationSpread().indices(s)
-        assert np.array_equal(i_med, s.i)
-        assert np.array_equal(i_cost, s.i)
+        spread = InflationSpread()
+        assert np.array_equal(spread.index(s, "med"), s.bn / s.br)
+        assert np.array_equal(spread.index(s, "cost"), s.bn / s.br)
 
     def test_factors_compound_annually(self):
         s = deterministic_model(flat_curve(3, 0.0, 0.0))
-        i_med, i_cost = InflationSpread(med_spread=0.02).indices(s)
+        spread = InflationSpread(med_spread=0.02)
+        i_med, i_cost = spread.index(s, "med"), spread.index(s, "cost")
         assert i_med[0] == pytest.approx([1.0, 1.02, 1.02**2, 1.02**3], rel=1e-15)
         assert i_cost[0].tolist() == [1.0] * 4
 
@@ -42,7 +43,7 @@ class TestInflationSpread:
         s = random_scenario_set(np.random.default_rng(6), 30, 7)
         t = np.arange(s.horizon + 1)
         for which, rate in (("med", spread.med_spread), ("cost", spread.cost_spread)):
-            want = s.i * (1.0 + rate) ** t
+            want = s.bn / s.br * (1.0 + rate) ** t
             assert np.array_equal(spread.index(s, which), want)
             for date in range(s.horizon + 1):
                 out = np.empty(s.n_paths)
@@ -152,9 +153,10 @@ class TestBuildingBlocks:
 
 
 def reference_indices(s, spread):
-    """``InflationSpread.indices`` as its formula: i * (1 + spread)^t."""
+    """The medical and cost indices as their formula: i * (1 + spread)^t with i = bn / br."""
     t = np.arange(s.horizon + 1)
-    return s.i * (1.0 + spread.med_spread) ** t, s.i * (1.0 + spread.cost_spread) ** t
+    i = s.bn / s.br
+    return i * (1.0 + spread.med_spread) ** t, i * (1.0 + spread.cost_spread) ** t
 
 
 def reference_building_blocks(s, spread):

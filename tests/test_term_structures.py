@@ -7,6 +7,7 @@ from healthval import (
     CoefficientTriangle,
     CurvePair,
     FirstOrderBasis,
+    InflationSpread,
     ProjectionResult,
     ScenarioSet,
     SecondOrderBasis,
@@ -95,19 +96,18 @@ class TestScenarioPath:
             br=[[1.0, 1.0, 1.0], [1.0, 1.05, 1.1]],
             weights=[0.5, 0.5],
         )
-        assert "i" not in vars(s)  # not stored: made on first use
-        assert s.i[0].tolist() == [1.0, 1.02, 1.05]
-        assert np.array_equal(s.i, s.bn / s.br)
-        assert not s.i.flags.writeable
-        assert s.i is s.i
+        i = InflationSpread().index(s, "med")
+        assert i[0].tolist() == [1.0, 1.02, 1.05]
+        assert np.array_equal(i, s.bn / s.br)
 
     def test_equal_accounts_give_unit_index(self):
         s = one_path([1.0, 1.3, 1.7], [1.0, 1.3, 1.7])
-        assert s.i[0].tolist() == [1.0, 1.0, 1.0]
+        assert (s.bn / s.br)[0].tolist() == [1.0, 1.0, 1.0]
 
     def test_deterministic_model_index(self):
         curve = CurvePair(pn=[1.0, 0.98, 0.95], pr=[1.0, 1.0, 1.0])
-        i = deterministic_model(curve).i[0]
+        s = deterministic_model(curve)
+        i = (s.bn / s.br)[0]
         assert i == pytest.approx([1.0, 1.0 / 0.98, 1.0 / 0.95], rel=1e-15)
 
     def test_rejects_bad_start(self):
@@ -128,7 +128,8 @@ class TestScenarioPath:
         rng = np.random.default_rng(3)
         curve = random_curve(rng, 25)
         fn, fr = implied_forwards(curve)
-        i = deterministic_model(curve).i[0]
+        s = deterministic_model(curve)
+        i = (s.bn / s.br)[0]
         ratio = i[1:] / i[:-1]
         assert ratio == pytest.approx((1.0 + fn) / (1.0 + fr), rel=1e-13)
 
@@ -139,7 +140,7 @@ class TestScenarioSet:
         assert s.n_paths == 2
         assert s.horizon == 1
         assert s.bn[1].tolist() == [1.0, 0.9]
-        assert s.i[1, 1] == pytest.approx(0.9 / 1.05, rel=1e-15)
+        assert (s.bn / s.br)[1, 1] == pytest.approx(0.9 / 1.05, rel=1e-15)
         with pytest.raises(ValueError):
             s.bn[0, 0] = 2.0
 
@@ -173,10 +174,10 @@ class TestAdoptionRule:
         bn, br = self.accounts()
         weights = np.array([0.25, 0.75])
         s = ScenarioSet(bn=bn, br=br, weights=weights)
-        before = (s.bn.copy(), s.br.copy(), s.i.copy(), s.weights.copy())
+        before = (s.bn.copy(), s.br.copy(), s.weights.copy())
         bn[1, 1], br[1, 1], weights[0] = 5.0, 7.0, 0.5
         assert bn.flags.writeable
-        for got, want in zip((s.bn, s.br, s.i, s.weights), before):
+        for got, want in zip((s.bn, s.br, s.weights), before):
             assert np.array_equal(got, want)
             assert not got.flags.writeable
 
