@@ -24,11 +24,9 @@ from .policy_engine import (
     CapRule,
     FirstOrderBasis,
     PolicyData,
-    PolicySchedule,
     ProjectionResult,
     SecondOrderBasis,
     SimulationResult,
-    build_schedule,
     first_order_pv,
     project,
     project_real_rate,
@@ -67,11 +65,9 @@ __all__ = [
     "CapRule",
     "FirstOrderBasis",
     "PolicyData",
-    "PolicySchedule",
     "ProjectionResult",
     "SecondOrderBasis",
     "SimulationResult",
-    "build_schedule",
     "first_order_pv",
     "project",
     "project_real_rate",

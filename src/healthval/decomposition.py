@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .policy_engine import PolicyData, build_schedule
+from .policy_engine import PolicyData
 from .term_structures import _readonly
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -153,21 +153,22 @@ def aggregate(portfolio: Sequence[PolicyData]) -> CoefficientTriangle:
     scales, laters = np.zeros((2, len(groups), dates))
     diagonal, fixed = np.zeros((2, dates))
     for k, (first, n, rs0_sum) in enumerate(groups.values()):
-        sched = build_schedule(first)
-        a, A = sched.annuity, sched.benefit_value
-        m = len(a)
-        loading = 1.0 / (1.0 - first.fo.margin)
-        scale = sched.surv2 * loading
+        fo, so, surv2 = first.fo, first.so, first.surv2
+        m = len(surv2)
+        ages = slice(first.x0, first.x0 + m)
+        a, A, k1, k2 = fo.annuity[ages], fo.benefit_value[ages], fo.k1[ages], so.k2[ages]
+        loading = 1.0 / (1.0 - fo.margin)
+        scale = surv2 * loading
         # net[t, t], and the one net[t, s] of every t > s, into row k of L.
         # Columns m - 1 on of that row meet only the zeros of S[k], so the
         # provision may land in L[k, 0] even when m = 1.
         current = A / a
-        laters[k, : m - 1] = (sched.k1[:-1] - A[1:] / a[1:]) / a[:-1]
+        laters[k, : m - 1] = (k1[:-1] - A[1:] / a[1:]) / a[:-1]
         current[0] -= rs0_sum / n / a[0]
         laters[k, 0] -= rs0_sum / n / a[0]
         scales[k, :m] = n * scale
-        diagonal[:m] += n * (scale * current - sched.surv2 * sched.k2)
-        fixed[:m] += n * (sched.surv2 * (first.fo.c1 * loading - first.so.c2))
+        diagonal[:m] += n * (scale * current - surv2 * k2)
+        fixed[:m] += n * (surv2 * (fo.c1 * loading - so.c2))
     coeffs = np.tril(scales.T @ laters, -1)
     np.fill_diagonal(coeffs, diagonal)
     return CoefficientTriangle(coeffs, fixed)

@@ -115,8 +115,7 @@ def _check_header(path, rows: list, expected: list[str]) -> None:
 
 
 def _cell_float(path, row: list[str], line: int, column: int) -> float:
-    if column > len(row):
-        raise ParseError(path, line, column, f"missing column {column}")
+    """The number in cell ``column`` of a row whose width the caller has checked."""
     try:
         value = float(row[column - 1])
     except ValueError:
@@ -162,7 +161,11 @@ def load_curve(path) -> CurvePair:
 
 
 def load_age_table(path, value_column: str) -> np.ndarray:
-    """Read an ``age,q`` or ``age,k`` table; ages must be contiguous from 0."""
+    """Read an ``age,q`` or ``age,k`` table; ages must be contiguous from 0.
+
+    A value a basis would reject is cited at its own cell: a q outside
+    [0, 1], a last q other than 1, a negative k.
+    """
     rows, end = _read_rows(path)
     _check_header(path, rows, ["age", value_column])
     values: list[float] = []
@@ -172,9 +175,18 @@ def load_age_table(path, value_column: str) -> np.ndarray:
         age = _cell_int(path, row, line, 1)
         if age != idx:
             raise ParseError(path, line, 1, f"ages must run 0,1,2,...; expected {idx}, got {age}")
-        values.append(_cell_float(path, row, line, 2))
+        value = _cell_float(path, row, line, 2)
+        if value_column == "q" and not 0.0 <= value <= 1.0:
+            raise ParseError(path, line, 2, f"termination probability must lie in [0, 1], got {value!r}")
+        if value_column == "k" and value < 0.0:
+            raise ParseError(path, line, 2, f"benefit must be nonnegative, got {value!r}")
+        values.append(value)
     if not values:
         raise ParseError(path, end, 1, "table has no rows")
+    if value_column == "q" and values[-1] != 1.0:
+        raise ParseError(
+            path, rows[-1][0], 2, f"termination probability at the terminal age must be 1, got {values[-1]!r}"
+        )
     return np.array(values)
 
 

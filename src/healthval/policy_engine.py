@@ -24,8 +24,13 @@ margin; the projected cash flow weighs the gross premium against
 second-order benefits/costs and second-order survival.
 
 The annuity factors a[x] and benefit values A[x] depend on the age alone,
-so a first-order basis computes them once for ages 0..omega and every
-contract slices its own ages from them.
+so a first-order basis computes them once for ages 0..omega.  A policy
+needs no table of its own: the kernel (`_step`) and the closed-form
+triangle (`decomposition.aggregate`) read the bases' age tables at age
+x0 + t, and the kernel forms the roll-up (1 + r) / (1 - q1[x0+t]) where
+it multiplies the reserve.  The one per-policy vector is
+``PolicyData.surv2``, the second-order in-force probability at
+t = 0..run_off, made on first use and cached on the policy.
 
 Projection steps through the dates one at a time, vectorized over many
 inflation paths: `_step` advances one policy by one date from path-length
@@ -172,6 +177,19 @@ class PolicyData:
             )
         object.__setattr__(self, "run_off", horizon)
 
+    @cached_property
+    def surv2(self) -> np.ndarray:
+        """Second-order in-force probability at t = 0..run_off, made on first use.
+
+        surv2[0] = 1 and surv2[t] = prod_{u<t} (1 - q2[x0+u]).
+        """
+        q2 = self.so.q2[self.x0 : self.x0 + self.run_off]
+        surv2 = np.empty(self.run_off + 1)
+        surv2[0] = 1.0
+        np.cumprod(1.0 - q2, out=surv2[1:])
+        surv2.setflags(write=False)
+        return surv2
+
 
 @dataclass(frozen=True)
 class CapRule:
@@ -245,29 +263,6 @@ class ProjectionResult:
             object.__setattr__(self, name, _readonly(getattr(self, name), name))
 
 
-@dataclass(frozen=True, eq=False)
-class PolicySchedule:
-    """Per-date arrays derived from a policy, for t = 0..run_off.
-
-    annuity[t] and benefit_value[t] are the first-order annuity factor and
-    benefit present value at age x0+t; growth[t] is the reserve roll-up
-    factor (1+r)/(1-q1) for t < run_off; surv2[t] the second-order
-    in-force probability at t.
-    """
-
-    policy: PolicyData
-    annuity: np.ndarray
-    benefit_value: np.ndarray
-    k1: np.ndarray
-    k2: np.ndarray
-    growth: np.ndarray
-    surv2: np.ndarray
-
-    @property
-    def horizon(self) -> int:
-        return self.policy.run_off
-
-
 def _value_tables(fo: FirstOrderBasis) -> tuple[np.ndarray, np.ndarray]:
     """First-order annuity factors a and benefit PVs A for ages 0..omega, one backward pass.
 
@@ -287,25 +282,6 @@ def _value_tables(fo: FirstOrderBasis) -> tuple[np.ndarray, np.ndarray]:
         ann[x] = 1.0 + disc * ann[x + 1]
         apv[x] = fo.k1[x] + disc * apv[x + 1]
     return ann, apv
-
-
-def build_schedule(policy: PolicyData) -> PolicySchedule:
-    """Precompute everything projection and decomposition need per date."""
-    x0, horizon = policy.x0, policy.run_off
-    q1 = policy.fo.q1[x0 : x0 + horizon + 1]
-    q2 = policy.so.q2[x0 : x0 + horizon + 1]
-    surv2 = np.empty(horizon + 1)
-    surv2[0] = 1.0
-    np.cumprod(1.0 - q2[:-1], out=surv2[1:])
-    return PolicySchedule(
-        policy=policy,
-        annuity=policy.fo.annuity[x0 : x0 + horizon + 1],
-        benefit_value=policy.fo.benefit_value[x0 : x0 + horizon + 1],
-        k1=policy.fo.k1[x0 : x0 + horizon + 1],
-        k2=policy.so.k2[x0 : x0 + horizon + 1],
-        growth=(1.0 + policy.fo.r_calc) / (1.0 - q1[:-1]) if horizon > 0 else np.empty(0),
-        surv2=surv2,
-    )
 
 
 def _check_inflation(arr, horizon: int, name: str) -> np.ndarray:
@@ -335,7 +311,7 @@ def _scratch(n_paths: int, capped: bool) -> tuple:
 
 
 def _step(
-    schedule: PolicySchedule,
+    policy: PolicyData,
     t: int,
     im: np.ndarray,
     ic: np.ndarray,
@@ -346,46 +322,47 @@ def _step(
 ) -> None:
     """Date t of one policy's premium recursion, vectorized over paths, in place.
 
-    ``im`` and ``ic`` hold every path's medical and cost index at t.  On
-    entry ``rs`` holds the policy's reserve at t and, under a cap,
-    ``applied`` its applied gross premium at t-1 (anything at t = 0) and
-    ``factor`` the cap's allowed factor from t-1 to t; without a cap
-    ``applied`` is None.  On exit ``applied`` holds the applied premium
-    at t, the scratch buffers (see `_scratch`) hold the net and gross
-    premium and both cash flows of t, and ``rs`` the reserve at t+1,
-    which follows the uncapped recursion whatever the cap.
+    The bases' age tables are read at age x0 + t.  ``im`` and ``ic`` hold
+    every path's medical and cost index at t.  On entry ``rs`` holds the
+    policy's reserve at t and, under a cap, ``applied`` its applied gross
+    premium at t-1 (anything at t = 0) and ``factor`` the cap's allowed
+    factor from t-1 to t; without a cap ``applied`` is None.  On exit
+    ``applied`` holds the applied premium at t, the scratch buffers (see
+    `_scratch`) hold the net and gross premium and both cash flows of t,
+    and ``rs`` the reserve at t+1, which follows the uncapped recursion
+    whatever the cap.
     """
-    policy = schedule.policy
+    fo, so, x, surv2 = policy.fo, policy.so, policy.x0 + t, policy.surv2[t]
     net, gross, benefits, costs, cashflow, uncapped, passthrough = scratch
     # The in-place steps keep the order of operations of the formulas in
     # the comments, so every figure is bit for bit the formula's.
-    # net = (im * A[t] - rs) / a[t]; gross = (net + ic * c1) / (1 - margin)
-    np.multiply(im, schedule.benefit_value[t], out=net)
+    # net = (im * A[x] - rs) / a[x]; gross = (net + ic * c1) / (1 - margin)
+    np.multiply(im, fo.benefit_value[x], out=net)
     net -= rs
-    net /= schedule.annuity[t]
-    np.multiply(ic, policy.fo.c1, out=gross)
+    net /= fo.annuity[x]
+    np.multiply(ic, fo.c1, out=gross)
     np.add(net, gross, out=gross)
-    gross /= 1.0 - policy.fo.margin
+    gross /= 1.0 - fo.margin
     # Second-order outgo, shared by the capped and the uncapped flow.
-    np.multiply(im, schedule.k2[t], out=benefits)
-    np.multiply(ic, policy.so.c2, out=costs)
+    np.multiply(im, so.k2[x], out=benefits)
+    np.multiply(ic, so.c2, out=costs)
     if applied is None:
-        _cashflow(gross, benefits, costs, schedule.surv2[t], out=cashflow)
+        _cashflow(gross, benefits, costs, surv2, out=cashflow)
     else:
         if t == 0:
             np.copyto(applied, gross)
         else:
             CapRule.apply(applied, gross, factor, passthrough)
-        _cashflow(gross, benefits, costs, schedule.surv2[t], out=uncapped)
-        _cashflow(applied, benefits, costs, schedule.surv2[t], out=cashflow)
-    if t < schedule.horizon:
+        _cashflow(gross, benefits, costs, surv2, out=uncapped)
+        _cashflow(applied, benefits, costs, surv2, out=cashflow)
+    if t < policy.run_off:
         # Proposed (uncapped) net premium feeds the reserve: the cap's
         # foregone amount is topped up from the insurer's funds.
-        # rs = (rs + net - im * k1[t]) * growth[t]
+        # rs = (rs + net - im * k1[x]) * (1 + r) / (1 - q1[x])
         rs += net
-        np.multiply(im, schedule.k1[t], out=benefits)
+        np.multiply(im, fo.k1[x], out=benefits)
         rs -= benefits
-        rs *= schedule.growth[t]
+        rs *= (1.0 + fo.r_calc) / (1.0 - fo.q1[x])
 
 
 def _cashflow(premium, benefits, costs, surv2: float, out: np.ndarray) -> np.ndarray:
@@ -404,19 +381,18 @@ def _project_one(
     With ``real_rate`` the reserve rolled up to t+1 gains the factor
     im[t+1] / im[t], which makes the technical rate a real rate.
     """
-    schedule = build_schedule(policy)
     scratch = _scratch(1, cap is not None)
     net, gross, _, _, cashflow, uncapped, _ = scratch
     rs = np.full(1, policy.rs0)
     applied = None if cap is None else np.empty(1)
     factor = np.empty(1)
-    rows = np.empty((6, schedule.horizon + 1))
-    for t in range(schedule.horizon + 1):
+    rows = np.empty((6, policy.run_off + 1))
+    for t in range(policy.run_off + 1):
         reserve = rs[0]
         if cap is not None and t > 0:
             cap.allowed_factor(ic[t - 1 : t], ic[t : t + 1], out=factor)
-        _step(schedule, t, im[t : t + 1], ic[t : t + 1], factor, rs, applied, scratch)
-        if real_rate and t < schedule.horizon:
+        _step(policy, t, im[t : t + 1], ic[t : t + 1], factor, rs, applied, scratch)
+        if real_rate and t < policy.run_off:
             rs *= im[t + 1] / im[t]
         shown = gross if applied is None else applied
         rows[:, t] = net[0], gross[0], shown[0], reserve, cashflow[0], uncapped[0]
@@ -430,7 +406,7 @@ def _project_one(
         reserves,
         cashflow,
         negative_premium=bool(np.any(net < 0.0)),
-        cap_bound=bool(np.any((applied < gross) & (schedule.surv2 > 0.0))),
+        cap_bound=bool(np.any((applied < gross) & (policy.surv2 > 0.0))),
     )
 
 
@@ -536,16 +512,16 @@ def simulate_portfolio(
     rows_per_policy = 2 if capped else 1
     size = max(1, (s.horizon + 1) // rows_per_policy)
     for start in range(0, len(portfolio), size):
-        group = [build_schedule(p) for p in portfolio[start : start + size]]
+        group = portfolio[start : start + size]
         state = np.empty((rows_per_policy, len(group), n))
-        for rs, schedule in zip(state[0], group):
-            rs.fill(schedule.policy.rs0)
+        for rs, policy in zip(state[0], group):
+            rs.fill(policy.rs0)
         applied = state[1] if capped else [None] * len(group)
-        # (position in the group, schedule, reserve, applied premium) of each running policy
+        # (position in the group, policy, reserve, applied premium) of each running policy
         live = list(zip(range(len(group)), group, state[0], applied))
         first_bad = len(group)
-        for t in range(max(schedule.horizon for schedule in group) + 1):
-            live = [member for member in live if member[1].horizon >= t]
+        for t in range(max(policy.run_off for policy in group) + 1):
+            live = [member for member in live if member[1].run_off >= t]
             spread.index(s, "med", out=im, t=t)
             ic, ic_prev = ic_prev, ic
             spread.index(s, "cost", out=ic, t=t)
@@ -553,12 +529,12 @@ def simulate_portfolio(
             if capped and t > 0:
                 cap.allowed_factor(ic_prev, ic, out=factor)
             total, total_uncapped = per_t[t], per_t_uncapped[t]
-            for j, schedule, rs, premium in live:
-                _step(schedule, t, im, ic, factor, rs, premium, scratch)
+            for j, policy, rs, premium in live:
+                _step(policy, t, im, ic, factor, rs, premium, scratch)
                 total -= np.multiply(disc, cashflow, out=weighted).sum()
                 if capped:
                     total_uncapped -= np.multiply(disc, uncapped, out=weighted).sum()
-                    bound = bound or (schedule.surv2[t] > 0.0 and bool(np.any(premium < gross)))
+                    bound = bound or (policy.surv2[t] > 0.0 and bool(np.any(premium < gross)))
                 if not (math.isfinite(total) and math.isfinite(total_uncapped)):
                     # Every sum was finite before this group and a
                     # non-finite sum stays so, so the first policy in
@@ -566,6 +542,6 @@ def simulate_portfolio(
                     first_bad = min(first_bad, j)
             per_t[t], per_t_uncapped[t] = total, total_uncapped
         if first_bad < len(group):
-            raise ValueError(f"policy {group[first_bad].policy.id!r}: projection produced non-finite values")
+            raise ValueError(f"policy {group[first_bad].id!r}: projection produced non-finite values")
     uncapped_result = None if cap is None else SimulationResult(float(per_t_uncapped.sum()), per_t_uncapped, False)
     return SimulationResult(be=float(per_t.sum()), per_t=per_t, cap_bound=bound, uncapped=uncapped_result)

@@ -19,7 +19,6 @@ from healthval import (
     project,
     simulate_portfolio,
 )
-from healthval import decomposition
 from healthval.fixtures import inpatient_policy, toy_curve, toy_first_order, toy_policy
 from healthval.pricing import InflationSpread
 
@@ -36,15 +35,19 @@ def zero_triangle(horizon: int) -> CoefficientTriangle:
 
 
 def counting_closed_forms(monkeypatch) -> list:
-    """Record every closed-form evaluation ``aggregate`` makes: one schedule per key."""
-    calls = []
-    original = decomposition.build_schedule
+    """Record every closed-form evaluation ``aggregate`` makes: each reads its key's ``surv2`` once.
 
-    def wrapper(policy):
+    ``surv2`` becomes a plain property for the test, so a survival vector
+    cached by an earlier read is counted too.
+    """
+    calls = []
+    original = PolicyData.surv2.func
+
+    def surv2(policy):
         calls.append(policy)
         return original(policy)
 
-    monkeypatch.setattr(decomposition, "build_schedule", wrapper)
+    monkeypatch.setattr(PolicyData, "surv2", property(surv2))
     return calls
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -57,17 +58,19 @@ class TestCurveFile:
 
     def test_bad_number_cites_column(self, tmp_path):
         path = tmp_path / "curve.csv"
-        for rows, line, column in (
-            ("0,1,1\n1,abc,1", 3, 2),
-            ("0,1,1\ninf,0.98,1", 3, 1),
-            ("0,1,1\n1,nan,1", 3, 2),
-            ("0,1,1\n1,0.98,-inf", 3, 3),
-            ("0,1,1\n1,1e-320,1", 3, 2),  # positive, but 1/pn overflows
-            ("0,1,1\n1,0.98,5e-309", 3, 3),
-            ('0,1,"1\n"\n1,abc,1', 4, 2),  # the quoted cell spans lines 2 and 3
+        for rows, line, column, reason in (
+            ("0,1,1\n1,abc,1", 3, 2, "not a number"),
+            ("0,1,1\ninf,0.98,1", 3, 1, "not a finite number"),
+            ("0,1,1\n1,nan,1", 3, 2, "not a finite number"),
+            ("0,1,1\n1,0.98,-inf", 3, 3, "not a finite number"),
+            ("0,1,1\n1,1e-320,1", 3, 2, "too small"),  # positive, but 1/pn overflows
+            ("0,1,1\n1,0.98,5e-309", 3, 3, "too small"),
+            ('0,1,"1\n"\n1,abc,1', 4, 2, "not a number"),  # the quoted cell spans lines 2 and 3
+            ("0,1,1\n1.5,0.98,1", 3, 1, "expected an integer"),
+            ("0,1,1\n1,0,1", 3, 2, "ZCB price must be positive"),
         ):
             path.write_text(f"t,pn,pr\n{rows}\n")
-            with pytest.raises(ParseError) as err:
+            with pytest.raises(ParseError, match=reason) as err:
                 load_curve(path)
             assert (err.value.line, err.value.column) == (line, column)
 
@@ -117,11 +120,29 @@ class TestAgeTables:
 
     def test_empty_table_cites_the_line_after_the_header(self, tmp_path):
         path = tmp_path / "q.csv"
-        for header, line in (("age,q", 2), ('"age\n",q', 3)):  # the quoted cell spans lines 1 and 2
-            path.write_text(f"{header}\n")
-            with pytest.raises(ParseError, match="no rows") as err:
+        # A file without even a header is cited at its start.
+        for text, line, reason in (
+            ("age,q\n", 2, "no rows"),
+            ('"age\n",q\n', 3, "no rows"),  # the quoted cell spans lines 1 and 2
+            ("", 1, "file is empty"),
+        ):
+            path.write_text(text)
+            with pytest.raises(ParseError, match=reason) as err:
                 load_age_table(path, "q")
             assert (err.value.line, err.value.column) == (line, 1)
+
+    def test_value_a_basis_rejects_cites_its_own_cell(self, tmp_path):
+        path = tmp_path / "table.csv"
+        for column, rows, line, reason in (
+            ("q", "0,0\n1,1.5\n2,1", 3, r"must lie in \[0, 1\], got 1.5"),
+            ("q", "0,-0.25\n1,1", 2, r"must lie in \[0, 1\], got -0.25"),
+            ("q", "0,0\n1,0.5", 3, "at the terminal age must be 1, got 0.5"),
+            ("k", "0,10\n1,-1\n2,0", 3, "benefit must be nonnegative, got -1.0"),
+        ):
+            path.write_text(f"age,{column}\n{rows}\n")
+            with pytest.raises(ParseError, match=reason) as err:
+                load_age_table(path, column)
+            assert (err.value.line, err.value.column) == (line, 2)
 
     def test_value_column_name_must_match(self, tmp_path):
         path = tmp_path / "k.csv"
@@ -151,6 +172,15 @@ class TestPortfolioFile:
             load_portfolio(path, fixtures_dir / "tables")
         assert err.value.line == 2
         assert "nope.csv" in err.value.reason
+
+    def test_bad_table_cell_is_cited_in_its_table(self, tmp_path, fixtures_dir):
+        # The portfolio row that first needs the table is not the culprit.
+        tables = tmp_path / "tables"
+        shutil.copytree(fixtures_dir / "tables", tables)
+        (tables / "toy_q.csv").write_text("age,q\n0,0\n1,1.5\n2,1\n")
+        with pytest.raises(ParseError, match=r"must lie in \[0, 1\]") as err:
+            load_portfolio(fixtures_dir / "portfolio_toy.csv", tables)
+        assert (err.value.path, err.value.line, err.value.column) == (str(tables / "toy_q.csv"), 3, 2)
 
     def test_rows_of_one_tariff_share_their_bases(self, tmp_path, fixtures_dir):
         path = tmp_path / "portfolio.csv"
@@ -212,9 +242,13 @@ class TestConfig:
         path = tmp_path / "config.json"
         # Nesting too deep for the decoder has no position of its own: it
         # is cited at the start of the document.
-        for text, position in (('{"curves": }', (1, 12)), ("[" * 200_000 + "]" * 200_000, (1, 1))):
+        for text, position, reason in (
+            ('{"curves": }', (1, 12), "invalid JSON"),
+            ("[" * 200_000 + "]" * 200_000, (1, 1), "invalid JSON"),
+            ("[]", (1, 1), "config must be a JSON object"),
+        ):
             path.write_text(text)
-            with pytest.raises(ParseError, match="invalid JSON") as err:
+            with pytest.raises(ParseError, match=reason) as err:
                 load_config(path)
             assert (err.value.line, err.value.column) == position
 

@@ -12,7 +12,6 @@ from healthval import (
     PolicyData,
     SecondOrderBasis,
     be_report,
-    build_schedule,
     deterministic_model,
     first_order_pv,
     mc_model,
@@ -54,10 +53,8 @@ def brute_force_benefit_pv(fo: FirstOrderBasis, x: int) -> float:
 
 
 def first_order_values(fo: FirstOrderBasis, x: int) -> tuple[float, float]:
-    """annuity[0] and benefit_value[0] of the schedule of a contract entering at x."""
-    so = SecondOrderBasis(k2=fo.k1, q2=fo.q1)
-    sched = build_schedule(PolicyData(x0=x, fo=fo, so=so))
-    return float(sched.annuity[0]), float(sched.benefit_value[0])
+    """The annuity factor and benefit value a contract entering at x reads at t = 0."""
+    return float(fo.annuity[x]), float(fo.benefit_value[x])
 
 
 def annuity_at(fo: FirstOrderBasis, x: int) -> float:
@@ -139,7 +136,7 @@ def backward_value_tables(fo: FirstOrderBasis, x: int) -> tuple[np.ndarray, np.n
 
 class TestAgeTables:
     @pytest.mark.parametrize("name", ["toy", "inpatient"])
-    def test_schedule_slices_equal_a_backward_recursion_from_every_entry_age(self, fixtures_dir, name):
+    def test_age_table_slices_equal_a_backward_recursion_from_every_entry_age(self, fixtures_dir, name):
         # The basis computes its tables once for ages 0..omega; a contract
         # entering at x must see exactly what a recursion stopping at x gives.
         portfolio = load_portfolio(fixtures_dir / f"portfolio_{name}.csv", fixtures_dir / "tables")
@@ -148,10 +145,10 @@ class TestAgeTables:
         (fo,) = bases.values()
         so = SecondOrderBasis(k2=fo.k1, q2=fo.q1)
         for x in range(fo.terminal_age + 1):
-            sched = build_schedule(PolicyData(x0=x, fo=fo, so=so))
+            ages = slice(x, x + PolicyData(x0=x, fo=fo, so=so).run_off + 1)
             ann, apv = backward_value_tables(fo, x)
-            assert np.array_equal(sched.annuity, ann[: sched.horizon + 1])
-            assert np.array_equal(sched.benefit_value, apv[: sched.horizon + 1])
+            assert np.array_equal(fo.annuity[ages], ann[: ages.stop - x])
+            assert np.array_equal(fo.benefit_value[ages], apv[: ages.stop - x])
 
 
 class TestBenefitPv:
@@ -200,11 +197,11 @@ class TestProject:
         rng = np.random.default_rng(42)
         for _ in range(50):
             policy = random_policy(rng, 12)
-            sched = build_schedule(policy)
+            ages = slice(policy.x0, policy.x0 + policy.run_off + 1)
             i_med = random_inflation_path(rng, policy.run_off)
             res = project(policy, i_med, i_med)
-            lhs = res.reserves + sched.annuity * res.premiums_net
-            rhs = i_med * sched.benefit_value
+            lhs = res.reserves + policy.fo.annuity[ages] * res.premiums_net
+            rhs = i_med * policy.fo.benefit_value[ages]
             assert np.max(np.abs(lhs - rhs)) <= 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
     def test_index_move_shifts_later_premiums_by_a_level_amount(self):
@@ -491,7 +488,7 @@ class TestCapRule:
         i_med, i_cost = spread.index(s, "med"), spread.index(s, "cost")
         per_t = [0.0] * (max(p.run_off for p in portfolio) + 1)
         for policy in portfolio:
-            surv2 = build_schedule(policy).surv2
+            surv2 = policy.surv2
             for k in range(s.n_paths):
                 res = project(policy, i_med[k], i_cost[k])
                 gross = [float(g) for g in res.premiums_gross]
