@@ -20,7 +20,6 @@ from .esg import (
     two_scenario_model,
 )
 from .policy_engine import (
-    DEFAULT_TERMINAL_AGE,
     CapRule,
     FirstOrderBasis,
     PolicyData,
@@ -61,7 +60,6 @@ __all__ = [
     "deterministic_model",
     "mc_model",
     "two_scenario_model",
-    "DEFAULT_TERMINAL_AGE",
     "CapRule",
     "FirstOrderBasis",
     "PolicyData",

@@ -46,7 +46,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .esg import McModelParams, TwoScenarioParams, deterministic_model, mc_model, two_scenario_model
-from .policy_engine import CapRule, FirstOrderBasis, PolicyData, SecondOrderBasis
+from .policy_engine import CapRule, FirstOrderBasis, PolicyData, SecondOrderBasis, _FieldError
 from .pricing import BuildingBlockMatrix
 from .decomposition import CoefficientTriangle
 from .term_structures import CurvePair, InflationSpread, ScenarioSet
@@ -209,7 +209,9 @@ def load_portfolio(path, tables_dir) -> list[PolicyData]:
     """Read a portfolio file, resolving table columns inside ``tables_dir``.
 
     Rows that name the same tables and parameters share one basis object,
-    built (and validated) the first time a row needs it.
+    built (and validated) the first time a row needs it.  A value the
+    basis or the policy rejects is cited at its own cell; a rejection that
+    no one cell explains (tables that disagree) at the row's first cell.
     """
     rows, _ = _read_rows(path)
     _check_header(path, rows, PORTFOLIO_COLUMNS)
@@ -261,6 +263,9 @@ def load_portfolio(path, tables_dir) -> list[PolicyData]:
             policies.append(PolicyData(x0=x0, fo=fo, so=so, rs0=rs0, id=policy_id))
         except ParseError:
             raise
+        except _FieldError as exc:
+            column = PORTFOLIO_COLUMNS.index(exc.field) + 1
+            raise ParseError(path, line, column, f"policy {policy_id!r}: {exc}") from exc
         except ValueError as exc:
             raise ParseError(path, line, 1, f"policy {policy_id!r}: {exc}") from exc
     return policies
@@ -524,28 +529,6 @@ def load_config(path, *, model=None, seed=None, out_dir=None, tolerance=None) ->
         return RunConfig(**fields)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(path, 1, 1, str(exc)) from exc
-
-
-def _fmt_short(x: float) -> str:
-    """Shortest decimal that round-trips; integers without a trailing .0."""
-    x = float(x)
-    return str(int(x)) if x == int(x) and abs(x) < 1e16 else repr(x)
-
-
-def write_curve(path, curve: CurvePair) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "pn", "pr"])
-        for t in range(curve.horizon + 1):
-            writer.writerow([t, _fmt_short(curve.pn[t]), _fmt_short(curve.pr[t])])
-
-
-def write_age_table(path, values, value_column: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["age", value_column])
-        for age, value in enumerate(values):
-            writer.writerow([age, _fmt_short(value)])
 
 
 def _write_rows(handle, prefix: str, tails: list[str], *columns) -> None:

@@ -30,7 +30,9 @@ triangle (`decomposition.aggregate`) read the bases' age tables at age
 x0 + t, and the kernel forms the roll-up (1 + r) / (1 - q1[x0+t]) where
 it multiplies the reserve.  The one per-policy vector is
 ``PolicyData.surv2``, the second-order in-force probability at
-t = 0..run_off, made on first use and cached on the policy.
+t = 0..run_off.  It is not cached: each read makes it anew, so every
+route reads it once per policy it steps (once per key in `aggregate`),
+holds it while it steps, and a policy keeps no array of its own.
 
 Projection steps through the dates one at a time, vectorized over many
 inflation paths: `_step` advances one policy by one date from path-length
@@ -56,8 +58,13 @@ import numpy as np
 
 from .term_structures import InflationSpread, ScenarioSet, _readonly
 
-#: Terminal age used by the shipped table builders; q[omega] must be 1.
-DEFAULT_TERMINAL_AGE = 121
+
+class _FieldError(ValueError):
+    """A value a basis or policy rejects; ``field`` names it (a portfolio column)."""
+
+    def __init__(self, field_name: str, reason: str):
+        super().__init__(reason)
+        self.field = field_name
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,11 +89,11 @@ class FirstOrderBasis:
         object.__setattr__(self, "q1", _readonly(self.q1, "q1"))
         _validate_tables(self.k1, self.q1, "first-order")
         if not self.r_calc > -1.0:
-            raise ValueError(f"technical rate must exceed -1, got {self.r_calc}")
+            raise _FieldError("r_calc", f"technical rate r_calc must exceed -1, got {self.r_calc}")
         if not self.c1 >= 0.0:
-            raise ValueError("annual fixed cost must be nonnegative")
+            raise _FieldError("c1", f"annual fixed cost c1 must be nonnegative, got {self.c1}")
         if not 0.0 <= self.margin < 1.0:
-            raise ValueError(f"margin must lie in [0, 1), got {self.margin}")
+            raise _FieldError("margin", f"margin must lie in [0, 1), got {self.margin}")
         for name, table in zip(("annuity", "benefit_value"), _value_tables(self)):
             table.setflags(write=False)
             object.__setattr__(self, name, table)
@@ -114,7 +121,7 @@ class SecondOrderBasis:
         object.__setattr__(self, "q2", _readonly(self.q2, "q2"))
         _validate_tables(self.k2, self.q2, "second-order")
         if not self.c2 >= 0.0:
-            raise ValueError("annual fixed cost must be nonnegative")
+            raise _FieldError("c2", f"annual fixed cost c2 must be nonnegative, got {self.c2}")
 
     @property
     def terminal_age(self) -> int:
@@ -158,11 +165,11 @@ class PolicyData:
 
     def __post_init__(self) -> None:
         if self.x0 < 0 or self.x0 > self.fo.terminal_age:
-            raise ValueError(f"entry age {self.x0} outside first-order table")
+            raise _FieldError("x0", f"entry age x0 = {self.x0} outside first-order table")
         if self.x0 > self.so.terminal_age:
-            raise ValueError(f"entry age {self.x0} outside second-order table")
+            raise _FieldError("x0", f"entry age x0 = {self.x0} outside second-order table")
         if not (np.isfinite(self.rs0) and self.rs0 >= 0.0):
-            raise ValueError(f"initial provision must be finite and >= 0, got {self.rs0}")
+            raise _FieldError("rs0", f"initial provision rs0 must be finite and >= 0, got {self.rs0}")
         horizon = int(np.argmax(self.fo.q1[self.x0 :] == 1.0))
         if self.x0 + horizon > self.so.terminal_age:
             raise ValueError(
@@ -177,17 +184,18 @@ class PolicyData:
             )
         object.__setattr__(self, "run_off", horizon)
 
-    @cached_property
+    @property
     def surv2(self) -> np.ndarray:
-        """Second-order in-force probability at t = 0..run_off, made on first use.
+        """Second-order in-force probability at t = 0..run_off, made anew on every read.
 
-        surv2[0] = 1 and surv2[t] = prod_{u<t} (1 - q2[x0+u]).
+        surv2[0] = 1 and surv2[t] = prod_{u<t} (1 - q2[x0+u]).  Nothing is
+        kept on the policy: a caller reads it once and holds it while it
+        steps the policy.
         """
         q2 = self.so.q2[self.x0 : self.x0 + self.run_off]
         surv2 = np.empty(self.run_off + 1)
         surv2[0] = 1.0
         np.cumprod(1.0 - q2, out=surv2[1:])
-        surv2.setflags(write=False)
         return surv2
 
 
@@ -318,12 +326,14 @@ def _step(
     factor: Optional[np.ndarray],
     rs: np.ndarray,
     applied: Optional[np.ndarray],
+    surv2: float,
     scratch: tuple,
 ) -> None:
     """Date t of one policy's premium recursion, vectorized over paths, in place.
 
     The bases' age tables are read at age x0 + t.  ``im`` and ``ic`` hold
-    every path's medical and cost index at t.  On entry ``rs`` holds the
+    every path's medical and cost index at t, and ``surv2`` is the
+    policy's ``surv2[t]``, read by the caller.  On entry ``rs`` holds the
     policy's reserve at t and, under a cap, ``applied`` its applied gross
     premium at t-1 (anything at t = 0) and ``factor`` the cap's allowed
     factor from t-1 to t; without a cap ``applied`` is None.  On exit
@@ -332,7 +342,7 @@ def _step(
     and ``rs`` the reserve at t+1, which follows the uncapped recursion
     whatever the cap.
     """
-    fo, so, x, surv2 = policy.fo, policy.so, policy.x0 + t, policy.surv2[t]
+    fo, so, x = policy.fo, policy.so, policy.x0 + t
     net, gross, benefits, costs, cashflow, uncapped, passthrough = scratch
     # The in-place steps keep the order of operations of the formulas in
     # the comments, so every figure is bit for bit the formula's.
@@ -386,12 +396,13 @@ def _project_one(
     rs = np.full(1, policy.rs0)
     applied = None if cap is None else np.empty(1)
     factor = np.empty(1)
+    surv2 = policy.surv2
     rows = np.empty((6, policy.run_off + 1))
     for t in range(policy.run_off + 1):
         reserve = rs[0]
         if cap is not None and t > 0:
             cap.allowed_factor(ic[t - 1 : t], ic[t : t + 1], out=factor)
-        _step(policy, t, im[t : t + 1], ic[t : t + 1], factor, rs, applied, scratch)
+        _step(policy, t, im[t : t + 1], ic[t : t + 1], factor, rs, applied, surv2[t], scratch)
         if real_rate and t < policy.run_off:
             rs *= im[t + 1] / im[t]
         shown = gross if applied is None else applied
@@ -406,7 +417,7 @@ def _project_one(
         reserves,
         cashflow,
         negative_premium=bool(np.any(net < 0.0)),
-        cap_bound=bool(np.any((applied < gross) & (policy.surv2 > 0.0))),
+        cap_bound=bool(np.any((applied < gross) & (surv2 > 0.0))),
     )
 
 
@@ -517,8 +528,9 @@ def simulate_portfolio(
         for rs, policy in zip(state[0], group):
             rs.fill(policy.rs0)
         applied = state[1] if capped else [None] * len(group)
-        # (position in the group, policy, reserve, applied premium) of each running policy
-        live = list(zip(range(len(group)), group, state[0], applied))
+        # (position in the group, policy, reserve, applied premium, survival
+        # vector) of each running policy; the vector lives as long as the group.
+        live = list(zip(range(len(group)), group, state[0], applied, (policy.surv2 for policy in group)))
         first_bad = len(group)
         for t in range(max(policy.run_off for policy in group) + 1):
             live = [member for member in live if member[1].run_off >= t]
@@ -529,12 +541,12 @@ def simulate_portfolio(
             if capped and t > 0:
                 cap.allowed_factor(ic_prev, ic, out=factor)
             total, total_uncapped = per_t[t], per_t_uncapped[t]
-            for j, policy, rs, premium in live:
-                _step(policy, t, im, ic, factor, rs, premium, scratch)
+            for j, policy, rs, premium, surv2 in live:
+                _step(policy, t, im, ic, factor, rs, premium, surv2[t], scratch)
                 total -= np.multiply(disc, cashflow, out=weighted).sum()
                 if capped:
                     total_uncapped -= np.multiply(disc, uncapped, out=weighted).sum()
-                    bound = bound or (policy.surv2[t] > 0.0 and bool(np.any(premium < gross)))
+                    bound = bound or (surv2[t] > 0.0 and bool(np.any(premium < gross)))
                 if not (math.isfinite(total) and math.isfinite(total_uncapped)):
                     # Every sum was finite before this group and a
                     # non-finite sum stays so, so the first policy in

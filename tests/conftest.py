@@ -1,14 +1,17 @@
-"""Shared generators and paths for the test suite."""
+"""Shared generators, example data and paths for the test suite."""
 
+import functools
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from healthval import FirstOrderBasis, PolicyData, ScenarioSet, SecondOrderBasis
+from healthval import CurvePair, FirstOrderBasis, PolicyData, ScenarioSet, SecondOrderBasis
+from healthval.io_files import load_curve, load_portfolio
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -30,14 +33,62 @@ FIXTURES = REPO_ROOT / "fixtures"
 
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
-    assert FIXTURES.is_dir(), "run scripts/make_fixtures.py first"
+    assert FIXTURES.is_dir(), f"the shipped example inputs are missing: {FIXTURES}"
     return FIXTURES
+
+
+# The shipped example contracts, read from fixtures/.  The toy contract
+# runs three dates at a zero technical rate with one benefit of 30 at the
+# last date and zero second-order benefits, so its premium path is
+# P = (10, 15*i1 - 5, 30*i2 - 15*i1 - 5) and its cash flow is the premium
+# leg.  The inpatient tariff is synthetic (benefits rising with age, high
+# early lapse, old-age mortality).  Each file is read once; a helper
+# varies the loaded policy or basis with dataclasses.replace.
+
+
+@functools.cache
+def _shipped_policy(tariff: str) -> PolicyData:
+    return load_portfolio(FIXTURES / f"portfolio_{tariff}.csv", FIXTURES / "tables")[0]
+
+
+def toy_policy(rs0: float = 0.0) -> PolicyData:
+    return replace(_shipped_policy("toy"), rs0=rs0)
+
+
+def toy_first_order() -> FirstOrderBasis:
+    return _shipped_policy("toy").fo
+
+
+@functools.cache
+def toy_curve() -> CurvePair:
+    return load_curve(FIXTURES / "curves_toy.csv")
+
+
+def flat_curve(horizon: int, nominal_rate: float, real_rate: float) -> CurvePair:
+    """Flat-rate curve pair: p[t] = (1 + rate)^-t."""
+    t = np.arange(horizon + 1)
+    return CurvePair(pn=(1.0 + nominal_rate) ** -t, pr=(1.0 + real_rate) ** -t)
+
+
+def long_curve(horizon: int = 100) -> CurvePair:
+    """The shipped curves_long.csv out to the given horizon: 2% nominal, 0.5% real."""
+    return flat_curve(horizon, 0.02, 0.005)
+
+
+def inpatient_first_order(r_calc: float = 0.01) -> FirstOrderBasis:
+    return replace(_shipped_policy("inpatient").fo, r_calc=r_calc)
+
+
+def inpatient_second_order() -> SecondOrderBasis:
+    return _shipped_policy("inpatient").so
+
+
+def inpatient_policy(x0: int, rs0: float = 0.0, policy_id: str = "") -> PolicyData:
+    return replace(_shipped_policy("inpatient"), x0=x0, rs0=rs0, id=policy_id or f"inpatient-{x0}")
 
 
 def random_curve(rng: np.random.Generator, horizon: int):
     """Strictly positive ZCB curve pair with mild random year-over-year moves."""
-    from healthval import CurvePair
-
     steps_n = rng.uniform(0.92, 1.04, horizon)
     steps_r = rng.uniform(0.95, 1.03, horizon)
     pn = np.concatenate([[1.0], np.cumprod(steps_n)])

@@ -32,17 +32,21 @@ from healthval import (
     two_scenario_model,
 )
 from healthval.cli import _sweep, main as cli_main
-from healthval.fixtures import (
+
+from conftest import (
+    FIXTURES,
     flat_curve,
     inpatient_first_order,
     inpatient_policy,
     inpatient_second_order,
     long_curve,
+    random_curve,
+    random_inflation_path,
+    random_policy,
+    random_scenario_set,
     toy_curve,
     toy_policy,
 )
-
-from conftest import FIXTURES, random_curve, random_inflation_path, random_policy, random_scenario_set
 
 
 @contextmanager

@@ -26,9 +26,7 @@ from healthval import (
     reporting,
     simulate_portfolio,
 )
-from healthval.fixtures import inpatient_policy, long_curve
-
-from conftest import FIXTURES
+from conftest import FIXTURES, inpatient_policy, long_curve
 
 
 def run_cli(*args):

@@ -19,10 +19,18 @@ from healthval import (
     project,
     simulate_portfolio,
 )
-from healthval.fixtures import inpatient_policy, toy_curve, toy_first_order, toy_policy
 from healthval.pricing import InflationSpread
 
-from conftest import random_basis_pair, random_inflation_path, random_policy, random_scenario_set
+from conftest import (
+    inpatient_policy,
+    random_basis_pair,
+    random_inflation_path,
+    random_policy,
+    random_scenario_set,
+    toy_curve,
+    toy_first_order,
+    toy_policy,
+)
 
 
 def per_policy_sum(portfolio) -> CoefficientTriangle:
@@ -37,11 +45,11 @@ def zero_triangle(horizon: int) -> CoefficientTriangle:
 def counting_closed_forms(monkeypatch) -> list:
     """Record every closed-form evaluation ``aggregate`` makes: each reads its key's ``surv2`` once.
 
-    ``surv2`` becomes a plain property for the test, so a survival vector
-    cached by an earlier read is counted too.
+    ``surv2`` is made anew on every read, so wrapping its getter in a
+    counting property counts every survival vector ``aggregate`` makes.
     """
     calls = []
-    original = PolicyData.surv2.func
+    original = PolicyData.surv2.fget
 
     def surv2(policy):
         calls.append(policy)

@@ -1,13 +1,13 @@
 import csv
 import io
 import json
+import re
 import shutil
 
 import numpy as np
 import pytest
 
 from healthval import (
-    CurvePair,
     InflationSpread,
     McModelParams,
     ScenarioSet,
@@ -15,7 +15,6 @@ from healthval import (
     mc_model,
     two_scenario_model,
 )
-from healthval.fixtures import inpatient_policy, long_curve, toy_curve, toy_policy, write_fixture_tree
 from healthval.io_files import (
     MAX_PATH_DATES,
     ModelConfig,
@@ -25,28 +24,29 @@ from healthval.io_files import (
     load_config,
     load_curve,
     load_portfolio,
-    write_age_table,
     write_blocks,
-    write_curve,
     write_scenarios,
     write_triangle,
 )
 from healthval.decomposition import aggregate
 from healthval.pricing import building_blocks
 
+from conftest import inpatient_policy, long_curve, toy_curve, toy_policy
+
 
 class TestCurveFile:
     def test_round_trip(self, tmp_path):
+        # 17 significant digits, as the exports write them, read back exactly.
         path = tmp_path / "curve.csv"
-        curve = CurvePair(pn=[1.0, 0.981234567890123, 0.95], pr=[1.0, 1.0, 0.999])
-        write_curve(path, curve)
+        path.write_text("t,pn,pr\n0,1,1\n1,0.98123456789012298,1\n2,0.94999999999999996,0.999\n")
         back = load_curve(path)
-        assert np.array_equal(back.pn, curve.pn)
-        assert np.array_equal(back.pr, curve.pr)
+        assert np.array_equal(back.pn, [1.0, 0.981234567890123, 0.95])
+        assert np.array_equal(back.pr, [1.0, 1.0, 0.999])
 
     def test_fixture_round_trip(self, fixtures_dir):
         curve = load_curve(fixtures_dir / "curves_toy.csv")
-        assert np.array_equal(curve.pn, toy_curve().pn)
+        assert np.array_equal(curve.pn, [1.0, 0.98, 0.95, 0.95])
+        assert np.array_equal(curve.pr, np.ones(4))
 
     def test_missing_column_cites_position(self, tmp_path):
         path = tmp_path / "curve.csv"
@@ -107,10 +107,10 @@ class TestCurveFile:
 
 class TestAgeTables:
     def test_round_trip(self, tmp_path):
+        # 17 significant digits, as the exports write them, read back exactly.
         path = tmp_path / "q.csv"
-        values = np.array([0.1, 0.2, 1.0])
-        write_age_table(path, values, "q")
-        assert np.array_equal(load_age_table(path, "q"), values)
+        path.write_text("age,q\n0,0.10000000000000001\n1,0.20000000000000001\n2,1\n")
+        assert np.array_equal(load_age_table(path, "q"), [0.1, 0.2, 1.0])
 
     def test_ages_contiguous_from_zero(self, tmp_path):
         path = tmp_path / "q.csv"
@@ -156,11 +156,10 @@ class TestPortfolioFile:
         policies = load_portfolio(fixtures_dir / "portfolio_toy.csv", fixtures_dir / "tables")
         assert len(policies) == 1
         policy = policies[0]
-        reference = toy_policy()
         assert policy.id == "toy-1"
-        assert policy.run_off == reference.run_off
-        assert np.array_equal(policy.fo.k1, reference.fo.k1)
-        assert np.array_equal(policy.so.q2, reference.so.q2)
+        assert policy.run_off == 2
+        assert np.array_equal(policy.fo.k1, [0.0, 0.0, 30.0])
+        assert np.array_equal(policy.so.q2, [0.0, 0.0, 1.0])
 
     def test_missing_table_file_cites_row(self, tmp_path, fixtures_dir):
         path = tmp_path / "portfolio.csv"
@@ -204,6 +203,22 @@ class TestPortfolioFile:
         with pytest.raises(ParseError, match="margin") as err:
             load_portfolio(path, fixtures_dir / "tables")
         assert err.value.line == 3
+
+    @pytest.mark.parametrize(
+        "field, value, column",
+        [("x0", "7", 2), ("rs0", "-5", 3), ("margin", "1.5", 4), ("r_calc", "-2", 5), ("c1", "-1", 6), ("c2", "-1", 7)],
+    )
+    def test_value_a_basis_or_policy_rejects_cites_its_own_cell(self, tmp_path, fixtures_dir, field, value, column):
+        row = "toy-1,0,0,0,0,0,0,toy_k1.csv,toy_k2.csv,toy_q.csv,toy_q.csv".split(",")
+        row[column - 1] = value
+        path = tmp_path / "portfolio.csv"
+        path.write_text(
+            "id,x0,rs0,margin,r_calc,c1,c2,benefit_table,benefit_table_2nd,q_table,q_table_2nd\n" + ",".join(row) + "\n"
+        )
+        with pytest.raises(ParseError) as err:
+            load_portfolio(path, fixtures_dir / "tables")
+        assert (err.value.line, err.value.column) == (2, column)
+        assert re.search(rf"\b{field}\b", err.value.reason), err.value.reason
 
     def test_invalid_policy_values_cite_row_and_id(self, tmp_path, fixtures_dir):
         path = tmp_path / "portfolio.csv"
@@ -433,16 +448,3 @@ class TestExports:
         assert lines[0] == "t,s,b_med,se_med"
         assert lines[1].endswith(",")
 
-
-class TestShippedFixtures:
-    def test_generator_reproduces_committed_tree(self, tmp_path, fixtures_dir):
-        write_fixture_tree(tmp_path)
-
-        def files(root):
-            # out/ is where the shipped configs write their runs, not a fixture.
-            paths = (p.relative_to(root) for p in root.rglob("*") if p.is_file())
-            return {p for p in paths if p.parts[0] != "out"}
-
-        assert files(tmp_path) == files(fixtures_dir)
-        for name in sorted(files(tmp_path)):
-            assert (tmp_path / name).read_bytes() == (fixtures_dir / name).read_bytes(), name

@@ -11,6 +11,7 @@ from healthval import (
     McModelParams,
     PolicyData,
     SecondOrderBasis,
+    aggregate,
     be_report,
     deterministic_model,
     first_order_pv,
@@ -19,17 +20,21 @@ from healthval import (
     project_real_rate,
     simulate_portfolio,
 )
-from healthval.fixtures import (
+from healthval.io_files import load_portfolio
+
+from conftest import (
     flat_curve,
     inpatient_policy,
     long_curve,
+    random_basis_pair,
+    random_inflation_path,
+    random_policy,
+    random_scenario_set,
     toy_curve,
     toy_first_order,
     toy_policy,
+    traced_peak,
 )
-from healthval.io_files import load_portfolio
-
-from conftest import random_basis_pair, random_inflation_path, random_policy, random_scenario_set, traced_peak
 
 
 def brute_force_annuity(fo: FirstOrderBasis, x: int) -> float:
@@ -650,6 +655,22 @@ class TestSimulatePortfolioMemory:
         portfolio, s = self.inputs()
         peak = traced_peak(lambda: be_report(portfolio, s, self.SPREAD, cap=self.CAP))
         assert peak / self.UNIT < 2.5
+
+    def test_no_route_leaves_an_array_on_the_policy(self):
+        # Each route holds a policy's survival vector only while it steps
+        # the policy; nothing stays behind in the policy's own attributes.
+        s = deterministic_model(long_curve(100))
+        path = np.ones(101)
+        routes = {
+            "simulate_portfolio": lambda p: simulate_portfolio([p], s, self.SPREAD, self.CAP),
+            "aggregate": lambda p: aggregate([p]),
+            "project": lambda p: project(p, path, path, self.CAP),
+        }
+        for name, route in routes.items():
+            policy = inpatient_policy(30, rs0=5.0)
+            route(policy)
+            arrays = [key for key, value in vars(policy).items() if isinstance(value, np.ndarray)]
+            assert arrays == [], name
 
 
 class TestFirstOrderPv:

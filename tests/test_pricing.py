@@ -15,10 +15,18 @@ from healthval import (
     mc_model,
     two_scenario_model,
 )
-from healthval.fixtures import flat_curve, inpatient_policy, long_curve, toy_curve, toy_policy
 from healthval.pricing import _be_standard_error
 
-from conftest import random_curve, random_scenario_set, traced_peak
+from conftest import (
+    flat_curve,
+    inpatient_policy,
+    long_curve,
+    random_curve,
+    random_scenario_set,
+    toy_curve,
+    toy_policy,
+    traced_peak,
+)
 
 
 SPREADS = [InflationSpread(), InflationSpread(0.01, 0.005), InflationSpread(-0.02, 0.03)]
