@@ -16,11 +16,14 @@ of policies.  A seasoned provision rs0 enters a triangle only in column
 sum to n * T(mean rs0): the coefficient cost grows with the number of
 distinct keys, not with the number of policies.
 
-A triangle is stored like the block prices it multiplies: a dense
-(T+1, T+1) array with zeros above the diagonal, so a horizon-h triangle
-is the leading (h+1, h+1) block of any longer one.  Below the diagonal
-each key's triangle is rank one, the outer product of a row scale and
-a column of later net amounts, so :func:`aggregate` builds a
+A triangle is stored as one (T+2, T+1) table: row 0 is ``fixed`` and
+rows 1..T+1 are ``coeffs``, laid out like the block prices ``med`` it
+multiplies, with zeros above the diagonal.  With ``fixed`` on top,
+padding a table with zeros after its last row and column keeps that
+layout, so a horizon-h triangle is the leading (h+2, h+1) block of any
+longer one and a sum of triangles is one add per triangle.  Below the
+diagonal each key's triangle is rank one, the outer product of a row
+scale and a column of later net amounts, so :func:`aggregate` builds a
 portfolio's triangle from the keys' vectors alone, with one matrix
 product; it is the one builder, and :func:`gross_coefficients` is its
 one-policy case.  No per-key or reserve triangle is built.
@@ -32,7 +35,7 @@ bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -46,25 +49,29 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass(frozen=True, eq=False)
 class CoefficientTriangle:
-    """Lower-triangular coefficients plus the fixed-cost vector.
+    """Lower-triangular coefficients and the fixed-cost vector, in one table.
 
-    ``coeffs[t, s]`` is the amount of the index level i_med[s] paid at t
-    (zero for s > t), ``fixed[t]`` the amount of i_cost[t] paid at t; the
-    horizon is ``len(fixed) - 1``.  A shorter triangle is the leading
-    block of a longer one, so triangles of any horizons add up.
+    ``table`` is (T+2, T+1): row 0 is ``fixed`` and rows 1..T+1 are
+    ``coeffs``, both read-only views of it.  ``coeffs[t, s]`` is the
+    amount of the index level i_med[s] paid at t (zero for s > t),
+    ``fixed[t]`` the amount of i_cost[t] paid at t; the horizon is
+    ``len(fixed) - 1``.  ``fixed`` sits on top so that a shorter table is
+    the leading block of a longer one: triangles of any horizons add up
+    table by table.
     """
 
-    coeffs: np.ndarray
-    fixed: np.ndarray
+    table: np.ndarray
+    coeffs: np.ndarray = field(init=False, repr=False)
+    fixed: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _readonly(self.coeffs, "coeffs", ndim=2))
-        object.__setattr__(self, "fixed", _readonly(self.fixed, "fixed"))
-        n = len(self.fixed)
-        if self.coeffs.shape != (n, n):
-            raise ValueError(
-                f"coeffs must be ({n}, {n}), one entry per date pair, got {self.coeffs.shape}"
-            )
+        table = _readonly(self.table, "table", ndim=2)
+        n = table.shape[1]
+        if table.shape != (n + 1, n):
+            raise ValueError(f"table must be (n + 1, n), fixed above n coeffs rows, got {table.shape}")
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "coeffs", table[1:])
+        object.__setattr__(self, "fixed", table[0])
 
     @property
     def horizon(self) -> int:
@@ -79,25 +86,22 @@ def gross_coefficients(policy: PolicyData) -> CoefficientTriangle:
 def aggregate_triangles(triangles: Iterable[CoefficientTriangle]) -> CoefficientTriangle:
     """Elementwise sum of triangles, extended with zeros to the largest horizon.
 
-    The input is consumed once: each triangle is added, in input order,
-    into the leading block of one accumulator, which grows with zeros
-    along both axes when a longer triangle arrives.  An empty input sums
-    to the zero triangle of horizon 0.
+    The input is consumed once: each table is added, in input order, into
+    the leading block of one accumulator, which grows with zeros along
+    both axes when a longer triangle arrives.  An empty input sums to the
+    zero triangle of horizon 0.
     """
-    coeffs, fixed = np.zeros((1, 1)), np.zeros(1)
+    table = np.zeros((2, 1))
     for tri in triangles:
-        n = len(tri.fixed)
-        if n > len(fixed):
-            coeffs = np.pad(coeffs, (0, n - len(fixed)))
-            fixed = np.pad(fixed, (0, n - len(fixed)))
-        if n == len(fixed):
-            # Whole-array adds: no slice view, no write-back.
-            coeffs += tri.coeffs
-            fixed += tri.fixed
+        grow = len(tri.fixed) - table.shape[1]
+        if grow > 0:
+            table = np.pad(table, (0, grow))
+        if grow >= 0:
+            # Whole-array add: no slice view, no write-back.
+            table += tri.table
         else:
-            coeffs[:n, :n] += tri.coeffs
-            fixed[:n] += tri.fixed
-    return CoefficientTriangle(coeffs, fixed)
+            table[: len(tri.table), : len(tri.fixed)] += tri.table
+    return CoefficientTriangle(table)
 
 
 def _tariff_key(p: PolicyData) -> tuple:
@@ -169,9 +173,10 @@ def aggregate(portfolio: Sequence[PolicyData]) -> CoefficientTriangle:
         scales[k, :m] = n * scale
         diagonal[:m] += n * (scale * current - surv2 * k2)
         fixed[:m] += n * (surv2 * (fo.c1 * loading - so.c2))
-    coeffs = np.tril(scales.T @ laters, -1)
-    np.fill_diagonal(coeffs, diagonal)
-    return CoefficientTriangle(coeffs, fixed)
+    table = np.vstack([fixed, np.tril(scales.T @ laters, -1)])
+    np.fill_diagonal(table[1:], diagonal)
+    table.setflags(write=False)
+    return CoefficientTriangle(table)
 
 
 def be_by_date(tri: CoefficientTriangle, blocks: "BuildingBlockMatrix") -> tuple[float, np.ndarray]:

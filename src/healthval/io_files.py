@@ -210,8 +210,12 @@ def load_portfolio(path, tables_dir) -> list[PolicyData]:
 
     Rows that name the same tables and parameters share one basis object,
     built (and validated) the first time a row needs it.  A value the
-    basis or the policy rejects is cited at its own cell; a rejection that
-    no one cell explains (tables that disagree) at the row's first cell.
+    basis or the policy rejects is cited at its own cell, and a benefit
+    table that covers other ages than its termination table at the
+    benefit table's cell (the termination table's last age is fixed by
+    its q = 1).  A rejection that no one cell explains (first- and
+    second-order tables that end at different ages) is cited at the
+    row's first cell.
     """
     rows, _ = _read_rows(path)
     _check_header(path, rows, PORTFOLIO_COLUMNS)

@@ -87,7 +87,7 @@ class FirstOrderBasis:
     def __post_init__(self) -> None:
         object.__setattr__(self, "k1", _readonly(self.k1, "k1"))
         object.__setattr__(self, "q1", _readonly(self.q1, "q1"))
-        _validate_tables(self.k1, self.q1, "first-order")
+        _validate_tables(self.k1, self.q1, "first-order", "benefit_table")
         if not self.r_calc > -1.0:
             raise _FieldError("r_calc", f"technical rate r_calc must exceed -1, got {self.r_calc}")
         if not self.c1 >= 0.0:
@@ -119,7 +119,7 @@ class SecondOrderBasis:
     def __post_init__(self) -> None:
         object.__setattr__(self, "k2", _readonly(self.k2, "k2"))
         object.__setattr__(self, "q2", _readonly(self.q2, "q2"))
-        _validate_tables(self.k2, self.q2, "second-order")
+        _validate_tables(self.k2, self.q2, "second-order", "benefit_table_2nd")
         if not self.c2 >= 0.0:
             raise _FieldError("c2", f"annual fixed cost c2 must be nonnegative, got {self.c2}")
 
@@ -133,9 +133,11 @@ class SecondOrderBasis:
         return self.k2.tobytes(), self.q2.tobytes()
 
 
-def _validate_tables(k: np.ndarray, q: np.ndarray, label: str) -> None:
+def _validate_tables(k: np.ndarray, q: np.ndarray, label: str, benefit_column: str) -> None:
+    # The termination table's ages end at its q = 1, so a length mismatch
+    # is the benefit table's.
     if len(k) != len(q):
-        raise ValueError(f"{label} benefit and termination tables must cover the same ages")
+        raise _FieldError(benefit_column, f"{label} benefit and termination tables must cover the same ages")
     if len(q) < 1:
         raise ValueError(f"{label} tables must not be empty")
     if np.any(k < 0.0):

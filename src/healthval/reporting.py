@@ -17,25 +17,17 @@ import numpy as np
 def dumps(payload) -> str:
     """Canonical JSON: sorted keys, two-space indent, trailing newline.
 
-    NaN and infinities raise ``ValueError``: RFC 8259 JSON has no token for them.
+    numpy arrays and scalars are written as their Python values
+    (``np.float64`` is a ``float`` and is written as one).  NaN and
+    infinities raise ``ValueError``: RFC 8259 JSON has no token for them.
     """
-    return json.dumps(_plain(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False, default=_numpy_value) + "\n"
 
 
-def _plain(value):
-    if isinstance(value, Mapping):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
+def _numpy_value(value):
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:

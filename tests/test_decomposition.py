@@ -39,7 +39,7 @@ def per_policy_sum(portfolio) -> CoefficientTriangle:
 
 
 def zero_triangle(horizon: int) -> CoefficientTriangle:
-    return CoefficientTriangle(np.zeros((horizon + 1, horizon + 1)), np.zeros(horizon + 1))
+    return CoefficientTriangle(np.zeros((horizon + 2, horizon + 1)))
 
 
 def counting_closed_forms(monkeypatch) -> list:
@@ -71,7 +71,7 @@ def assert_is_per_policy_sum(got: CoefficientTriangle, portfolio) -> None:
     """
     triangles = [gross_coefficients(p) for p in portfolio]
     want = aggregate_triangles(triangles)
-    magnitude = aggregate_triangles(CoefficientTriangle(np.abs(t.coeffs), np.abs(t.fixed)) for t in triangles)
+    magnitude = aggregate_triangles(CoefficientTriangle(np.abs(t.table)) for t in triangles)
     assert got.horizon == want.horizon
     assert np.array_equal(got.fixed, want.fixed)
     assert np.array_equal(np.diag(got.coeffs), np.diag(want.coeffs))
@@ -112,12 +112,24 @@ def toy_with_second_order_equal_first() -> PolicyData:
 
 class TestTriangleContainer:
     def test_shape_follows_fixed_vector(self):
-        tri = CoefficientTriangle(np.tril(np.arange(9.0).reshape(3, 3)), np.zeros(3))
+        table = np.vstack([[-1.0, -2.0, -3.0], np.tril(np.arange(9.0).reshape(3, 3))])
+        tri = CoefficientTriangle(table)
         assert tri.horizon == 2
+        assert tri.fixed.tolist() == [-1.0, -2.0, -3.0]
         assert tri.coeffs[2].tolist() == [6.0, 7.0, 8.0]
-        for coeffs in (np.zeros((2, 2)), np.zeros((3, 2)), np.zeros((4, 4)), np.zeros(6)):
-            with pytest.raises(ValueError, match="coeffs must be"):
-                CoefficientTriangle(coeffs, np.zeros(3))
+        # Anything but (n + 1, n) rows by columns is rejected, square tables included.
+        for bad in (np.zeros((3, 3)), np.zeros((3, 1)), np.zeros((5, 3)), np.zeros((3, 4)), np.zeros(6)):
+            with pytest.raises(ValueError, match="table must be"):
+                CoefficientTriangle(bad)
+
+    def test_coeffs_and_fixed_are_read_only_views_of_the_table(self):
+        tri = aggregate([toy_policy(), toy_with_second_order_equal_first()])
+        assert tri.table.shape == (tri.horizon + 2, tri.horizon + 1)
+        for view in (tri.coeffs, tri.fixed):
+            assert np.shares_memory(view, tri.table)
+            assert not view.flags.writeable
+        assert np.array_equal(tri.fixed, tri.table[0])
+        assert np.array_equal(tri.coeffs, tri.table[1:])
 
 
 class TestNetCoefficients:

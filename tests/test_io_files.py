@@ -220,6 +220,22 @@ class TestPortfolioFile:
         assert (err.value.line, err.value.column) == (2, column)
         assert re.search(rf"\b{field}\b", err.value.reason), err.value.reason
 
+    @pytest.mark.parametrize("column, order", [(8, "first-order"), (9, "second-order")])
+    def test_benefit_table_of_other_ages_cites_its_cell(self, tmp_path, fixtures_dir, column, order):
+        # A two-age benefit table beside the three-age termination table.
+        tables = tmp_path / "tables"
+        shutil.copytree(fixtures_dir / "tables", tables)
+        (tables / "short_k.csv").write_text("age,k\n0,0\n1,0\n")
+        row = "toy-1,0,0,0,0,0,0,toy_k1.csv,toy_k2.csv,toy_q.csv,toy_q.csv".split(",")
+        row[column - 1] = "short_k.csv"
+        path = tmp_path / "portfolio.csv"
+        path.write_text(
+            "id,x0,rs0,margin,r_calc,c1,c2,benefit_table,benefit_table_2nd,q_table,q_table_2nd\n" + ",".join(row) + "\n"
+        )
+        with pytest.raises(ParseError, match=f"{order} benefit and termination tables must cover the same ages") as err:
+            load_portfolio(path, tables)
+        assert (err.value.line, err.value.column) == (2, column)
+
     def test_invalid_policy_values_cite_row_and_id(self, tmp_path, fixtures_dir):
         path = tmp_path / "portfolio.csv"
         path.write_text(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import as_strided
 
 from healthval import (
     CoefficientTriangle,
@@ -216,7 +217,9 @@ class TestAdoptionRule:
             (lambda a: CurvePair(pn=a, pr=a), ("pn", "pr")),
             (lambda a: FirstOrderBasis(k1=a, q1=np.array([0.1, 0.2, 1.0]), r_calc=0.01), ("k1",)),
             (lambda a: SecondOrderBasis(k2=a, q2=np.array([0.1, 0.2, 1.0])), ("k2",)),
-            (lambda a: CoefficientTriangle(coeffs=np.diag(a), fixed=a), ("fixed",)),
+            # A writable (4, 3) view whose every row is ``a``: the test's
+            # write to ``a`` reaches the table unless the triangle copies it.
+            (lambda a: CoefficientTriangle(as_strided(a, shape=(4, 3), strides=(0, a.itemsize))), ("fixed",)),
             (lambda a: ProjectionResult(a, a, a, a), ("premiums_net", "cashflow")),
         ],
     )
