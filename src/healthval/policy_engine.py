@@ -38,18 +38,29 @@ Projection steps through the dates one at a time, vectorized over many
 inflation paths: `_step` advances one policy by one date from path-length
 rows of the indices, writing into shared path-length scratch buffers, so
 it allocates nothing.  The brute-force portfolio valuation
-(`simulate_portfolio`) takes the policies in groups and walks the dates
-outermost: each date's index, discount and cap-factor rows are built
-once for the group, every running policy steps through the date, and
-its discounted flow is reduced into ``per_t`` at once.  A policy carries
-only its reserve and, under a cap, its applied premium from one date to
-the next, so no (paths x dates) table is built.  `project` steps its
-single path and stacks the dates.
+(`simulate_portfolio`) cuts the portfolio into contiguous shares of about
+equal work, one per CPU in the process's affinity mask, but none
+carrying less than a measured break-even amount of work
+(``_SHARE_WORK``), so a small portfolio is one share.  This process
+steps the first share; on Linux a child made by ``os.fork`` steps each
+other one and sends back its policies' per-date flow sums through a
+pipe, and no child outlives the call.  Within a share the policies are
+taken in groups that walk the dates outermost: each date's index,
+discount and cap-factor rows are built once for the group, every
+running policy steps through the date, and its discounted flow is
+summed at once.  A policy carries only its reserve and, under a cap,
+its applied premium from one date to the next, so no (paths x dates)
+table is built.  ``per_t`` then subtracts the sums policy by policy in
+portfolio order, the operations of a one-process pass in the same
+order, so every figure has the same bits whatever the number of shares.
+`project` steps its single path and stacks the dates.
 """
 
 from __future__ import annotations
 
-import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -486,6 +497,153 @@ class SimulationResult:
     uncapped: Optional["SimulationResult"] = None
 
 
+#: Work, in path-dates (paths x the sum of run_off + 1 over the policies),
+#: that each share must carry to repay its fork, so two shares start at
+#: 6 M.  On a 2-vCPU VM one share against two took 31 and 48 ms at 1.4 M,
+#: 49 and 50 ms at 2.75 M and 104 and 77 ms at 6.1 M (10 000 paths); at
+#: 2000 paths two shares of 2.46 M took 85 ms against one's 71.
+_SHARE_WORK = 3_000_000
+
+
+def _cpus() -> int:
+    """CPUs this process may run on, or 1 where the platform cannot fork or tell."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _share_bounds(portfolio: Sequence[PolicyData], n_paths: int) -> list[tuple[int, int]]:
+    """Contiguous (start, stop) shares of the portfolio, of about equal work, at most one per CPU.
+
+    A policy's work is n_paths * (run_off + 1).  There are as many
+    shares as CPUs, but no more than policies, nor than leave each share
+    ``_SHARE_WORK``.
+    """
+    cumulative = np.cumsum([p.run_off + 1 for p in portfolio])
+    total = int(cumulative[-1]) if len(portfolio) else 0
+    n = max(1, min(_cpus(), len(portfolio), n_paths * total // _SHARE_WORK))
+    cuts = np.searchsorted(cumulative, np.arange(1, n) * (total / n), side="right")
+    # A set, not np.unique, whose first call imports numpy.ma (about 1 MB).
+    edges = sorted({0, *cuts.tolist(), len(portfolio)})
+    return list(zip(edges, edges[1:])) or [(0, 0)]
+
+
+def _simulate_share(
+    share: Sequence[PolicyData],
+    s: ScenarioSet,
+    spread: InflationSpread,
+    cap: Optional[CapRule],
+    n_dates: int,
+) -> tuple[np.ndarray, bool]:
+    """Each policy's discounted flow sums per date, for one contiguous share of a portfolio.
+
+    Returns ``sums``, (policies, 2, dates) under a cap and (policies, 1,
+    dates) without one: ``sums[k, 0, t]`` is the sum over paths of
+    policy k's weighted cash flow at t, ``sums[k, 1, t]`` its uncapped
+    one, and 0 past its run-off.  Also returns whether the cap bound.
+    The policies are taken in groups and each group walks the dates:
+    date t's indices, weighted discount factors and cap factors are
+    built once into path-length rows, then every live policy of the
+    group steps through t.  A policy keeps only its reserve (and under a
+    cap its applied premium) from one date to the next, so a group's
+    state is at most one (paths x dates) array.
+    """
+    capped = cap is not None
+    rows_per_policy = 2 if capped else 1
+    sums = np.zeros((len(share), rows_per_policy, n_dates))
+    bound = False
+    n = s.n_paths
+    im, ic, ic_prev, disc, factor, weighted = (np.empty(n) for _ in range(6))
+    scratch = _scratch(n, capped)
+    _, gross, _, _, cashflow, uncapped, _ = scratch
+    # Each policy's state is one row, two under a cap: a group holds as
+    # many policies as one (paths x dates) array has room for.
+    size = max(1, (s.horizon + 1) // rows_per_policy)
+    for start in range(0, len(share), size):
+        group = share[start : start + size]
+        state = np.empty((rows_per_policy, len(group), n))
+        for rs, policy in zip(state[0], group):
+            rs.fill(policy.rs0)
+        applied = state[1] if capped else [None] * len(group)
+        # (sums of the policy, policy, reserve, applied premium, survival
+        # vector) of each running policy; the vector lives as long as the group.
+        live = list(zip(sums[start:], group, state[0], applied, (policy.surv2 for policy in group)))
+        for t in range(max(policy.run_off for policy in group) + 1):
+            live = [member for member in live if member[1].run_off >= t]
+            spread.index(s, "med", out=im, t=t)
+            ic, ic_prev = ic_prev, ic
+            spread.index(s, "cost", out=ic, t=t)
+            np.divide(s.weights, s.bn[:, t], out=disc)
+            if capped and t > 0:
+                cap.allowed_factor(ic_prev, ic, out=factor)
+            for policy_sums, policy, rs, premium, surv2 in live:
+                _step(policy, t, im, ic, factor, rs, premium, surv2[t], scratch)
+                policy_sums[0, t] = np.multiply(disc, cashflow, out=weighted).sum()
+                if capped:
+                    policy_sums[1, t] = np.multiply(disc, uncapped, out=weighted).sum()
+                    bound = bound or (surv2[t] > 0.0 and bool(np.any(premium < gross)))
+    return sums, bound
+
+
+def _in_shares(step, bounds: list[tuple[int, int]]) -> list:
+    """``step(start, stop)`` of every share, in order: the first here, each other in a forked child.
+
+    A child sends its result, or the exception it raised, pickled through
+    a pipe and ends with ``os._exit``; the parent re-raises a child's
+    exception.  Whether the call returns or raises, every child has been
+    reaped (and killed first if still running) when it ends.
+    """
+    pids, pipes = [], []
+    try:
+        for start, stop in bounds[1:]:
+            read_end, write_end = os.pipe()
+            pipes.append(read_end)
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(write_end)
+                raise
+            if pid == 0:
+                _child(step, start, stop, write_end)
+            os.close(write_end)
+            pids.append(pid)
+        results = [step(*bounds[0])]
+        for pid, read_end in zip(list(pids), pipes):
+            chunks = []
+            while chunk := os.read(read_end, 1 << 20):
+                chunks.append(chunk)
+            _, status = os.waitpid(pid, 0)
+            pids.remove(pid)
+            if not chunks:
+                raise RuntimeError(f"a brute-force share ended without a result (wait status {status})")
+            ok, value = pickle.loads(b"".join(chunks))
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for read_end in pipes:
+            os.close(read_end)
+
+
+def _child(step, start: int, stop: int, write_end: int) -> None:
+    """The forked side of `_in_shares`: step one share, send it, and end the process."""
+    status = 1
+    try:
+        try:
+            payload = pickle.dumps((True, step(start, stop)))
+        except BaseException as exc:
+            payload = pickle.dumps((False, exc))
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def simulate_portfolio(
     portfolio: Sequence[PolicyData],
     s: ScenarioSet,
@@ -496,16 +654,21 @@ def simulate_portfolio(
 
     BE = -sum_k w_k sum_policies sum_t CF[t](path k) / bn_k[t].  This is
     the reference route the coefficient decomposition is tested against,
-    and the only route that supports premium caps.  Policies are taken
-    in groups, in portfolio order, and each group walks the dates: date
-    t's indices, weighted discount factors and cap factors are built once
-    into path-length rows, then every live policy of the group steps
-    through t and its discounted flow is summed into ``per_t[t]``, in
-    portfolio order.  A policy keeps only its reserve (and under a cap
-    its applied premium) from one date to the next, so a group's state
-    is at most one (paths x dates) array, and no table of the indices or
-    of the cap factors is made.  Under a cap each policy is still
-    projected once; the same pass gives ``.uncapped``.
+    and the only route that supports premium caps.  Under a cap each
+    policy is still projected once; the same pass gives ``.uncapped``.
+
+    The portfolio is cut into contiguous shares of about equal work
+    (paths x the sum of run_off + 1): one per CPU in the process's
+    affinity mask, but no more than leave each share ``_SHARE_WORK``, so
+    a small portfolio is one share.  This process steps the first share
+    (`_simulate_share`); on Linux a child made by ``os.fork`` steps each
+    other one and sends back its policies' per-date sums.  ``per_t``
+    then subtracts the sums policy by policy in portfolio order: the
+    operations of a one-process pass in the same order, so every figure
+    has the same bits whatever the number of shares.  No child outlives
+    the call, whether it returns or raises.  A non-finite figure names
+    the first policy, in portfolio order, whose sums spoil a running
+    total.
     """
     horizon = max((p.run_off for p in portfolio), default=0)
     for p in portfolio:
@@ -513,49 +676,23 @@ def simulate_portfolio(
             raise ValueError(
                 f"policy {p.id!r} runs {p.run_off} years but scenarios stop at {s.horizon}"
             )
-    capped = cap is not None
-    per_t, per_t_uncapped = np.zeros(horizon + 1), np.zeros(horizon + 1)
-    bound = False
-    n = s.n_paths
-    im, ic, ic_prev, disc, factor, weighted = (np.empty(n) for _ in range(6))
-    scratch = _scratch(n, capped)
-    _, gross, _, _, cashflow, uncapped, _ = scratch
-    # Each policy's state is one row, two under a cap: a group holds as
-    # many policies as one (paths x dates) array has room for.
-    rows_per_policy = 2 if capped else 1
-    size = max(1, (s.horizon + 1) // rows_per_policy)
-    for start in range(0, len(portfolio), size):
-        group = portfolio[start : start + size]
-        state = np.empty((rows_per_policy, len(group), n))
-        for rs, policy in zip(state[0], group):
-            rs.fill(policy.rs0)
-        applied = state[1] if capped else [None] * len(group)
-        # (position in the group, policy, reserve, applied premium, survival
-        # vector) of each running policy; the vector lives as long as the group.
-        live = list(zip(range(len(group)), group, state[0], applied, (policy.surv2 for policy in group)))
-        first_bad = len(group)
-        for t in range(max(policy.run_off for policy in group) + 1):
-            live = [member for member in live if member[1].run_off >= t]
-            spread.index(s, "med", out=im, t=t)
-            ic, ic_prev = ic_prev, ic
-            spread.index(s, "cost", out=ic, t=t)
-            np.divide(s.weights, s.bn[:, t], out=disc)
-            if capped and t > 0:
-                cap.allowed_factor(ic_prev, ic, out=factor)
-            total, total_uncapped = per_t[t], per_t_uncapped[t]
-            for j, policy, rs, premium, surv2 in live:
-                _step(policy, t, im, ic, factor, rs, premium, surv2[t], scratch)
-                total -= np.multiply(disc, cashflow, out=weighted).sum()
-                if capped:
-                    total_uncapped -= np.multiply(disc, uncapped, out=weighted).sum()
-                    bound = bound or (surv2[t] > 0.0 and bool(np.any(premium < gross)))
-                if not (math.isfinite(total) and math.isfinite(total_uncapped)):
-                    # Every sum was finite before this group and a
-                    # non-finite sum stays so, so the first policy in
-                    # portfolio order to spoil one is the culprit.
-                    first_bad = min(first_bad, j)
-            per_t[t], per_t_uncapped[t] = total, total_uncapped
-        if first_bad < len(group):
-            raise ValueError(f"policy {group[first_bad].id!r}: projection produced non-finite values")
-    uncapped_result = None if cap is None else SimulationResult(float(per_t_uncapped.sum()), per_t_uncapped, False)
+    shares = _in_shares(
+        lambda start, stop: _simulate_share(portfolio[start:stop], s, spread, cap, horizon + 1),
+        _share_bounds(portfolio, s.n_paths),
+    )
+    sums = np.concatenate([share_sums for share_sums, _ in shares])
+    totals = np.zeros(sums.shape[1:])
+    for policy_sums in sums:
+        totals -= policy_sums
+    if not np.all(np.isfinite(totals)):
+        # A non-finite total stays so, so replaying the sums finds the
+        # first policy in portfolio order to spoil one.
+        totals[:] = 0.0
+        for policy, policy_sums in zip(portfolio, sums):
+            totals -= policy_sums
+            if not np.all(np.isfinite(totals)):
+                raise ValueError(f"policy {policy.id!r}: projection produced non-finite values")
+    bound = any(share_bound for _, share_bound in shares)
+    per_t = totals[0]
+    uncapped_result = None if cap is None else SimulationResult(float(totals[1].sum()), totals[1], False)
     return SimulationResult(be=float(per_t.sum()), per_t=per_t, cap_bound=bound, uncapped=uncapped_result)

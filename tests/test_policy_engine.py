@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,6 +22,7 @@ from healthval import (
     project_real_rate,
     simulate_portfolio,
 )
+from healthval import policy_engine
 from healthval.io_files import load_portfolio
 
 from conftest import (
@@ -552,6 +555,23 @@ def reference_simulate_portfolio(portfolio, s, spread, cap=None):
     return per_t, per_t_uncapped, bound
 
 
+@pytest.fixture
+def force_shares(monkeypatch):
+    """``force_shares(n)``: simulate_portfolio then cuts every portfolio into up to n shares."""
+
+    def force(n_shares: int) -> None:
+        monkeypatch.setattr(policy_engine, "_SHARE_WORK", 1)
+        monkeypatch.setattr(policy_engine, "_cpus", lambda: n_shares)
+
+    return force
+
+
+def assert_no_child_left():
+    """No child of this process is running or waiting to be reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def policy_running(rng: np.random.Generator, run_off: int, policy_id: str) -> PolicyData:
     """A seasoned policy on random bases whose run-off is exactly ``run_off`` years."""
     fo, so = random_basis_pair(rng, run_off + 2)
@@ -585,21 +605,66 @@ class TestSimulatePortfolioMatchesReference:
             self.assert_matches_reference(portfolio, s, spread, None)
             self.assert_matches_reference(portfolio, s, spread, self.CAP)
 
-    @pytest.mark.parametrize("spread", [InflationSpread(), InflationSpread(0.01, 0.005)])
-    def test_bitwise_equal_to_reference_over_several_groups(self, spread):
+    @staticmethod
+    def several_groups():
         # Horizon 10: a group holds 11 policies, 5 under a cap.  The run-offs
         # end inside groups, and the longest runs sit on group boundaries.
         rng = np.random.default_rng(18)
         run_offs = [10, 3, 7, 1, 10, 5, 2, 9, 10, 4, 10, 8]
         portfolio = [policy_running(rng, r, f"p{k}") for k, r in enumerate(run_offs)]
         assert [p.run_off for p in portfolio] == run_offs
-        for s in (
+        return portfolio, (
             mc_model(flat_curve(10, 0.02, 0.005), McModelParams(n_paths=30, vol_n=0.05, vol_r=0.03, corr=0.2, seed=3)),
             random_scenario_set(np.random.default_rng(7), 10, 25),
-        ):
+        )
+
+    @pytest.mark.parametrize("spread", [InflationSpread(), InflationSpread(0.01, 0.005)])
+    def test_bitwise_equal_to_reference_over_several_groups(self, spread):
+        portfolio, sets = self.several_groups()
+        for s in sets:
             self.assert_matches_reference(portfolio, s, spread, None)
             capped = self.assert_matches_reference(portfolio, s, spread, self.CAP)
             assert capped.cap_bound
+
+    @pytest.mark.parametrize(
+        ("n_shares", "bounds"), [(2, [(0, 7), (7, 12)]), (3, [(0, 4), (4, 8), (8, 12)])]
+    )
+    def test_bitwise_equal_to_reference_in_shares_that_cut_groups(self, force_shares, n_shares, bounds):
+        # The shares split the work, n_paths * (run_off + 1), about evenly;
+        # every cut falls inside a group of 11, and of 5 under a cap.
+        portfolio, sets = self.several_groups()
+        force_shares(n_shares)
+        for s in sets:
+            assert policy_engine._share_bounds(portfolio, s.n_paths) == bounds
+            for spread in (InflationSpread(), InflationSpread(0.01, 0.005)):
+                self.assert_matches_reference(portfolio, s, spread, None)
+                assert_no_child_left()
+                capped = self.assert_matches_reference(portfolio, s, spread, self.CAP)
+                assert_no_child_left()
+                assert capped.cap_bound
+
+    def test_cap_bound_only_in_a_child_share_is_reported(self, force_shares):
+        # A policy with no date after t = 0 meets no cap, so the eleven in
+        # the first share never bind; the one policy in the second does.
+        rng = np.random.default_rng(21)
+        portfolio = [policy_running(rng, 0, f"p{k}") for k in range(11)] + [policy_running(rng, 10, "p11")]
+        s = random_scenario_set(np.random.default_rng(7), 10, 25)
+        force_shares(2)
+        assert policy_engine._share_bounds(portfolio, s.n_paths) == [(0, 11), (11, 12)]
+        assert not simulate_portfolio(portfolio[:11], s, cap=self.CAP).cap_bound
+        assert self.assert_matches_reference(portfolio, s, InflationSpread(), self.CAP).cap_bound
+        assert_no_child_left()
+
+    def test_each_share_carries_the_break_even_work(self, monkeypatch):
+        # Work is n_paths * (run_off + 1): four 10-date policies need
+        # 2 * _SHARE_WORK for two shares, however many CPUs there are.
+        monkeypatch.setattr(policy_engine, "_cpus", lambda: 8)
+        rng = np.random.default_rng(20)
+        portfolio = [policy_running(rng, 9, f"p{k}") for k in range(4)]
+        paths = 2 * policy_engine._SHARE_WORK // 40
+        assert policy_engine._share_bounds(portfolio, paths - 1) == [(0, 4)]
+        assert policy_engine._share_bounds(portfolio, paths) == [(0, 2), (2, 4)]
+        assert policy_engine._share_bounds([], paths) == [(0, 0)]
 
     def test_empty_portfolio(self):
         s = random_scenario_set(np.random.default_rng(8), 10, 5)
@@ -608,7 +673,8 @@ class TestSimulatePortfolioMatchesReference:
             assert got.per_t.tolist() == [0.0]
             assert got.be == 0.0 and not got.cap_bound
 
-    def test_non_finite_in_a_later_group_names_first_policy_in_portfolio_order(self):
+    @staticmethod
+    def overflowing():
         # On i[t] = 2^t a benefit of 1e308 overflows at every date t >= 1.
         # Policies p11 and p12 share a group either way (11 or 5 to a
         # group); p12 overflows at t = 1, p11 only at t = 8, and p11 comes
@@ -622,11 +688,48 @@ class TestSimulatePortfolioMatchesReference:
             k2[policy.x0 + age] = 1e308
             so = SecondOrderBasis(k2=k2, q2=policy.so.q2, c2=policy.so.c2)
             portfolio[k] = PolicyData(x0=policy.x0, fo=policy.fo, so=so, rs0=policy.rs0, id=policy.id)
+        return portfolio, s
+
+    def test_non_finite_in_a_later_group_names_first_policy_in_portfolio_order(self):
+        portfolio, s = self.overflowing()
         for cap in (None, self.CAP):
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(ValueError, match=r"^policy 'p11': projection produced non-finite values$"):
                     simulate_portfolio(portfolio, s, cap=cap)
             simulate_portfolio(portfolio[:11], s, cap=cap)
+
+    @pytest.mark.parametrize(("n_shares", "shares_of"), [(2, (1, 1)), (3, (2, 2)), (7, (5, 6))])
+    def test_non_finite_in_a_child_names_first_policy_in_portfolio_order(self, force_shares, n_shares, shares_of):
+        # p11 and p12 fall in a child's share, together or (7 shares of
+        # two) in two children, the later one overflowing first.
+        portfolio, s = self.overflowing()
+        force_shares(n_shares)
+        bounds = policy_engine._share_bounds(portfolio, s.n_paths)
+        assert tuple(next(i for i, (a, b) in enumerate(bounds) if a <= k < b) for k in (11, 12)) == shares_of
+        for cap in (None, self.CAP):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ValueError, match=r"^policy 'p11': projection produced non-finite values$"):
+                    simulate_portfolio(portfolio, s, cap=cap)
+            assert_no_child_left()
+
+    @pytest.mark.parametrize("failing", ["p9", "p0"])
+    def test_an_exception_in_any_share_is_raised_as_it_was(self, force_shares, monkeypatch, failing):
+        # p9 steps in a child, whose exception comes back through its pipe;
+        # p0 steps here, while the children are still running and get killed.
+        portfolio, sets = self.several_groups()
+        step = policy_engine._step
+
+        def failing_step(policy, t, *args):
+            if policy.id == failing and t == 2:
+                raise ArithmeticError(f"step of {policy.id} at t = {t} failed")
+            step(policy, t, *args)
+
+        monkeypatch.setattr(policy_engine, "_step", failing_step)
+        force_shares(3)
+        for cap in (None, self.CAP):
+            with pytest.raises(ArithmeticError, match=rf"^step of {failing} at t = 2 failed$"):
+                simulate_portfolio(portfolio, sets[0], cap=cap)
+            assert_no_child_left()
 
 
 class TestSimulatePortfolioMemory:
@@ -642,19 +745,35 @@ class TestSimulatePortfolioMemory:
         s = mc_model(long_curve(100), params)
         return [inpatient_policy(21 + k, rs0=10.0 * k) for k in range(40)], s
 
-    def test_capped_simulate_portfolio_holds_under_one_and_a_half_scenario_arrays(self):
+    # tracemalloc sees only this process, so the two bounds below run on
+    # one share, which steps every policy here.
+
+    def test_capped_simulate_portfolio_holds_under_one_and_a_half_scenario_arrays(self, force_shares):
         # The group's reserves and applied premiums, 0.8 for 40 policies,
         # plus path-length rows: one full-size table of the indices, the
         # discount or the cap factors crosses the bound.
         portfolio, s = self.inputs()
+        force_shares(1)
         peak = traced_peak(lambda: simulate_portfolio(portfolio, s, self.SPREAD, self.CAP))
         assert peak / self.UNIT < 1.5
 
-    def test_capped_be_report_holds_under_two_and_a_half_scenario_arrays(self):
+    def test_capped_be_report_holds_under_two_and_a_half_scenario_arrays(self, force_shares):
         # building_blocks' two full-size arrays set the peak, about 2.1.
         portfolio, s = self.inputs()
+        force_shares(1)
         peak = traced_peak(lambda: be_report(portfolio, s, self.SPREAD, cap=self.CAP))
         assert peak / self.UNIT < 2.5
+
+    def test_shares_hold_no_more_here_than_one_share(self, force_shares):
+        # This process steps only the first share and keeps the others'
+        # per-date sums, (policies x dates) per share.
+        portfolio, s = self.inputs()
+        peaks = {}
+        for n_shares in (1, 4):
+            force_shares(n_shares)
+            peaks[n_shares] = traced_peak(lambda: simulate_portfolio(portfolio, s, self.SPREAD, self.CAP))
+            assert_no_child_left()
+        assert peaks[4] <= peaks[1]
 
     def test_no_route_leaves_an_array_on_the_policy(self):
         # Each route holds a policy's survival vector only while it steps
