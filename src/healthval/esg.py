@@ -17,7 +17,13 @@ for every t.  Three models are provided:
 - ``mc_model``: correlated lognormal account increments around the
   forward drift, then an exact per-time-slice renormalization so the
   empirical means of 1/bn[t] and 1/br[t] match the curves to machine
-  precision.  Deterministic for a fixed seed.
+  precision.  Deterministic for a fixed seed.  The sampler works inside
+  its two accounts: the shocks are drawn into the accounts' own
+  buffers, then spread into accounts and moment-matched one block of
+  rows at a time, with the bits of the formulas applied to whole
+  arrays, and the scenario set checks i over the same blocks.  Beside
+  the accounts the float temporaries are a few blocks of
+  ``term_structures._BLOCK_BYTES`` each, not full-size arrays.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .term_structures import CurvePair, ScenarioSet, implied_forwards
+from .term_structures import CurvePair, ScenarioSet, _row_blocks, implied_forwards
 
 
 @dataclass(frozen=True)
@@ -157,42 +163,61 @@ def mc_model(curve: CurvePair, params: McModelParams) -> ScenarioSet:
     deterministic model on every path.
     """
     n, horizon = params.n_paths, curve.horizon
-    rng = np.random.default_rng(np.uint64(params.seed))
-    z_n = rng.standard_normal((n, horizon))
-    z_r = rng.standard_normal((n, horizon))
     fn, fr = implied_forwards(curve)
-
-    # Every step works in place and keeps the order of operations of the
-    # formulas in the comments (an addition may swap its operands), so
-    # each account is bit for bit the formula's.  The accounts are the
-    # only full-size arrays allocated besides the two shock arrays, and
-    # each shock array is dropped once its account is summed.
+    vols, drifts = (params.vol_n, params.vol_r), (np.log1p(fn), np.log1p(fr))
     bn = np.empty((n, horizon + 1))
-    bn[:, 0] = 1.0
-    # z_r = corr * z_n + sqrt(1 - corr^2) * z_ind, with bn's later
-    # columns holding corr * z_n until the nominal account overwrites them.
-    np.multiply(z_n, params.corr, out=bn[:, 1:])
-    z_r *= np.sqrt(1.0 - params.corr**2)
-    z_r += bn[:, 1:]
+    br = np.empty((n, horizon + 1))
+    # The shocks z_n, then z_r, are drawn into the leading n * horizon
+    # slots of bn's and br's own buffers: the same draws in the same order
+    # as into arrays of their own, with no full-size array besides the
+    # two accounts.
+    z_n = bn.reshape(-1)[: n * horizon].reshape(n, horizon)
+    z_r = br.reshape(-1)[: n * horizon].reshape(n, horizon)
+    rng = np.random.default_rng(np.uint64(params.seed))
+    rng.standard_normal(out=z_n)
+    rng.standard_normal(out=z_r)
+    blocks = _row_blocks(n, horizon + 1)
+
+    # Every step keeps the order of operations of the formulas in the
+    # comments (an addition may swap its operands), so each account is
+    # bit for bit the formula's.  Account rows r0..r1 occupy the slots
+    # from r0 * (horizon + 1) on, at or past where their shocks start, so
+    # writing a block's rows overwrites only its own shocks, copied
+    # first, and those of later rows.  Hence the blocks run from the last
+    # one back to the first.
     with np.errstate(over="ignore", invalid="ignore"):
-        # b[:, 1:] = exp(cumsum(log1p(f) + vol * z, axis=1))
-        z_n *= params.vol_n
-        z_n += np.log1p(fn)
-        np.cumsum(z_n, axis=1, out=bn[:, 1:])
-        del z_n
-        br = np.empty((n, horizon + 1))
-        br[:, 0] = 1.0
-        z_r *= params.vol_r
-        z_r += np.log1p(fr)
-        np.cumsum(z_r, axis=1, out=br[:, 1:])
-        del z_r
+        for rows in reversed(blocks):
+            shock_n, shock_r = z_n[rows].copy(), z_r[rows].copy()
+            # z_r = corr * z_n + sqrt(1 - corr^2) * z_ind, with bn's block
+            # holding corr * z_n until the nominal account overwrites it.
+            np.multiply(shock_n, params.corr, out=bn[rows, 1:])
+            shock_r *= np.sqrt(1.0 - params.corr**2)
+            shock_r += bn[rows, 1:]
+            for b, z, vol, drift in zip((bn, br), (shock_n, shock_r), vols, drifts):
+                # b[:, 1:] = exp(cumsum(log1p(f) + vol * z, axis=1))
+                z *= vol
+                z += drift
+                b[rows, 0] = 1.0
+                np.cumsum(z, axis=1, out=b[rows, 1:])
+                np.exp(b[rows, 1:], out=b[rows, 1:])
+        del shock_n, shock_r, z
+        # Exact per-slice moment matching: slice t is scaled so that
+        # mean(1/b[:, t]) == p[t].  Slice 0 is pinned at 1 already.  The
+        # column sums of 1/b run over the rows in order, as np.mean's do
+        # on two or more columns: each block's reduction starts from the
+        # running total, held in row 0 of the block's buffer.
+        inverse = np.empty((blocks[0].stop + 1, horizon + 1))
         for b, prices in ((bn, curve.pn), (br, curve.pr)):
-            np.exp(b[:, 1:], out=b[:, 1:])
-            # Exact per-slice moment matching: slice t is scaled so that
-            # mean(1/b[:, t]) == p[t].  Slice 0 is pinned at 1 already.
-            scale = np.mean(1.0 / b, axis=0) / prices
+            total = np.zeros(horizon + 1)
+            for rows in blocks:
+                k = rows.stop - rows.start
+                inverse[0] = total
+                np.divide(1.0, b[rows], out=inverse[1 : k + 1])
+                np.add.reduce(inverse[: k + 1], axis=0, out=total)
+            scale = total / n / prices
             scale[0] = 1.0
             b *= scale
+        del inverse
     if not (np.all(np.isfinite(bn)) and np.all(np.isfinite(br))):
         raise ValueError("non-finite scenario draws; volatilities too large for the horizon")
 

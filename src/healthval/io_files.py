@@ -52,10 +52,10 @@ from .decomposition import CoefficientTriangle
 from .term_structures import CurvePair, InflationSpread, ScenarioSet
 
 #: Most scenario entries (paths x dates) a configured MC model may ask for.
-#: A run holds about five float arrays of that size at its peak (some
-#: 39 bytes per entry: the peak RSS of ``value`` on ``config_inpatient.json``
-#: at 2000 and at 20 000 paths, 44.5 and 112.9 MB), so the limit is about
-#: 1.2 GB; the production size of 10 000 paths over 101 dates is 1 010 000.
+#: A run holds about four float arrays of that size at its peak (some
+#: 33 bytes per entry: the peak RSS of ``value`` on ``config_inpatient.json``
+#: at 20 000 and at 60 000 paths, 105.6 and 239.3 MB), so the limit is about
+#: 1.0 GB; the production size of 10 000 paths over 101 dates is 1 010 000.
 MAX_PATH_DATES = 30_000_000
 
 

@@ -55,6 +55,23 @@ def _readonly(values, name: str, ndim: int = 1) -> np.ndarray:
     return arr
 
 
+# Byte budget of one block of rows.  The Monte-Carlo sampler and the
+# scenario set's quotient check walk their (paths x dates) arrays in row
+# blocks of about this size, so their temporaries stay this small
+# whatever the number of paths.
+_BLOCK_BYTES = 1 << 18
+
+
+def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """Consecutive slices covering the rows of an (n_rows, n_cols) float64 array.
+
+    Each block holds as many rows as fit in ``_BLOCK_BYTES``, and at
+    least one; only the last block may be shorter.
+    """
+    step = max(1, _BLOCK_BYTES // (8 * n_cols))
+    return [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
+
+
 @dataclass(frozen=True, eq=False)
 class CurvePair:
     """Current nominal and real ZCB price term structures out to horizon T.
@@ -103,8 +120,10 @@ class ScenarioSet:
     :func:`_readonly`: a read-only float64 array that owns its data is
     kept without a copy, any other input is copied, and every check runs
     on both.  The index ``i = bn / br`` is not stored: construction checks
-    that the quotient is finite on a temporary, and each payment index is
-    built from the accounts by :meth:`InflationSpread.index`.
+    that the quotient is finite one block of rows at a time (see
+    ``_row_blocks``), so the check's temporary is one block, not a third
+    full-size array, and each payment index is built from the accounts by
+    :meth:`InflationSpread.index`.
     """
 
     bn: np.ndarray
@@ -131,8 +150,9 @@ class ScenarioSet:
         if np.any(self.bn[:, 0] != 1.0) or np.any(self.br[:, 0] != 1.0):
             raise ValueError("every path must start with bn[0] = br[0] = 1")
         with np.errstate(over="ignore"):
-            if not np.all(np.isfinite(self.bn / self.br)):
-                raise ValueError("i contains non-finite entries")
+            for rows in _row_blocks(*self.bn.shape):
+                if not np.all(np.isfinite(self.bn[rows] / self.br[rows])):
+                    raise ValueError("i contains non-finite entries")
 
     @property
     def n_paths(self) -> int:

@@ -16,6 +16,8 @@ from healthval import (
     two_scenario_model,
 )
 
+from healthval.term_structures import _BLOCK_BYTES, _row_blocks
+
 from conftest import random_curve, traced_peak
 
 CURVE = CurvePair(pn=[1.0, 0.98, 0.95], pr=[1.0, 1.0, 1.0])
@@ -206,8 +208,18 @@ def reference_mc_model(curve, params):
     return bn, br, np.full(n, 1.0 / n)
 
 
+def block_rows(horizon: int) -> int:
+    """Rows in one of ``mc_model``'s blocks at this horizon (blocks hold whole rows)."""
+    return max(1, _BLOCK_BYTES // (8 * (horizon + 1)))
+
+
 class TestMcModelMatchesReference:
-    """The in-place sampler gives the reference formulas' bits, not just their values."""
+    """The in-place sampler gives the reference formulas' bits, not just their values.
+
+    The shapes include block edges: the sampler spreads and
+    moment-matches its accounts in row blocks, and the column sums of
+    1/b must run over the rows in order across the blocks' edges.
+    """
 
     @pytest.mark.parametrize(
         "horizon, n_paths, vol_n, vol_r, corr",
@@ -220,6 +232,16 @@ class TestMcModelMatchesReference:
             (20, 2, 0.03, 0.02, 0.25),
             (1, 300, 0.03, 0.02, 0.25),
             (100, 300, 0.015, 0.008, 0.25),
+            # One block less one row, one block plus one row, three blocks
+            # exactly; at horizon 1 one block plus one row, and 2 paths.
+            (20, block_rows(20) - 1, 0.03, 0.02, 0.25),
+            (20, block_rows(20) + 1, 0.03, 0.02, 0.25),
+            (20, 3 * block_rows(20), 0.03, 0.02, -0.6),
+            (1, block_rows(1) + 1, 0.03, 0.02, 0.25),
+            (1, 2, 0.03, 0.02, 0.25),
+            # A long horizon, where a block holds few rows.
+            (400, 300, 0.01, 0.005, 0.25),
+            (400, 2 * block_rows(400) + 1, 0.01, 0.005, 0.25),
         ],
     )
     def test_bitwise_equal_to_reference(self, horizon, n_paths, vol_n, vol_r, corr):
@@ -230,6 +252,14 @@ class TestMcModelMatchesReference:
         assert np.array_equal(s.bn, bn)
         assert np.array_equal(s.br, br)
         assert np.array_equal(s.weights, weights)
+
+    def test_block_edge_shapes_cut_blocks_where_expected(self):
+        for horizon in (1, 20, 400):
+            rows = block_rows(horizon)
+            counts = [len(_row_blocks(n, horizon + 1)) for n in (rows - 1, rows, rows + 1)]
+            assert counts == [1, 1, 2]
+        assert block_rows(400) < 100
+        assert len(_row_blocks(300, 401)) >= 3
 
     def test_arrays_are_read_only_and_calibrated(self):
         curve = random_curve(np.random.default_rng(5), 30)
@@ -242,6 +272,22 @@ class TestMcModelMatchesReference:
 
 
 class TestScenarioPipelineMemory:
+    def test_sampler_peak_stays_near_its_two_accounts(self):
+        # The shocks are drawn into the accounts' own buffers and every
+        # float temporary beside them is a row block: two shock copies and
+        # the (rows + 1)-row buffer of 1/b, allowed four blocks here.  On
+        # top, one boolean mask as large as an account's entries (numpy's
+        # draw into a buffer and the set's finite checks make one at a
+        # time).  Full-size shock arrays, as drawn on their own, take the
+        # peak to about 3.1 accounts.
+        n_paths, horizon = 10_000, 100
+        t = np.arange(horizon + 1)
+        curve = CurvePair(pn=1.02**-t, pr=1.005**-t)
+        params = McModelParams(n_paths=n_paths, vol_n=0.015, vol_r=0.008, corr=0.25, seed=1)
+        entries = n_paths * (horizon + 1)
+        allowance = 4 * _BLOCK_BYTES + entries
+        assert traced_peak(lambda: mc_model(curve, params)) < 2 * 8 * entries + allowance
+
     def test_peak_allocation_stays_below_five_scenario_arrays(self):
         # mc_model -> calibration_check -> building_blocks at 4000 paths x
         # 101 dates, in units of one (paths x dates) float64 array.  The set

@@ -16,6 +16,8 @@ from healthval import (
     implied_forwards,
 )
 
+from healthval.term_structures import _BLOCK_BYTES, _row_blocks
+
 from conftest import random_curve
 
 
@@ -124,6 +126,23 @@ class TestScenarioPath:
         # made, with no overflow warning, although i itself is never stored.
         with pytest.raises(ValueError, match="^i contains non-finite entries$"):
             one_path([1.0, 1e300, 1.0], [1.0, 1e-300, 1.0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("where", ["first row", "first row of a later block", "last row"])
+    def test_blocked_check_rejects_overflowing_index_in_any_block(self, where):
+        # The quotient is checked one row block at a time; an overflow in
+        # the edge rows of the blocks must not slip through, nor warn.
+        rows = _BLOCK_BYTES // (8 * 3)
+        n_paths = 2 * rows + 5
+        assert len(_row_blocks(n_paths, 3)) == 3
+        row = {"first row": 0, "first row of a later block": rows, "last row": n_paths - 1}[where]
+        bn, br = np.ones((n_paths, 3)), np.ones((n_paths, 3))
+        bn[row, 1], br[row, 1] = 1e300, 1e-300
+        weights = np.full(n_paths, 1.0 / n_paths)
+        with pytest.raises(ValueError, match="^i contains non-finite entries$"):
+            ScenarioSet(bn=bn, br=br, weights=weights)
+        bn[row, 1] = 1.0
+        assert ScenarioSet(bn=bn, br=br, weights=weights).n_paths == n_paths
 
     def test_inflation_cocycle_on_deterministic_path(self):
         rng = np.random.default_rng(3)
