@@ -43,23 +43,25 @@ equal work, one per CPU in the process's affinity mask, but none
 carrying less than a measured break-even amount of work
 (``_SHARE_WORK``), so a small portfolio is one share.  This process
 steps the first share; on Linux a child made by ``os.fork`` steps each
-other one and sends back its policies' per-date flow sums through a
-pipe, and no child outlives the call.  Within a share the policies are
-taken in groups that walk the dates outermost: each date's index,
-discount and cap-factor rows are built once for the group, every
-running policy steps through the date, and its discounted flow is
-summed at once.  A policy carries only its reserve and, under a cap,
-its applied premium from one date to the next, so no (paths x dates)
-table is built.  ``per_t`` then subtracts the sums policy by policy in
-portfolio order, the operations of a one-process pass in the same
-order, so every figure has the same bits whatever the number of shares.
-`project` steps its single path and stacks the dates.
+other one and writes its policies' per-date flow sums into memory
+shared with this process.  A share whose child did not finish is
+stepped again here, and no child outlives the call.  Within a share
+the policies are taken in groups that walk the dates outermost: each
+date's index, discount and cap-factor rows are built once for the
+group, every running policy steps through the date, and its
+discounted flow is summed at once.  A policy carries only its reserve
+and, under a cap, its applied premium from one date to the next, so no
+(paths x dates) table is built.  ``per_t`` then subtracts the sums
+policy by policy in portfolio order, the operations of a one-process
+pass in the same order, so every figure has the same bits whatever the
+number of shares.  `project` steps its single path and stacks the dates.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 import os
-import pickle
 import signal
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -186,14 +188,13 @@ class PolicyData:
         horizon = int(np.argmax(self.fo.q1[self.x0 :] == 1.0))
         if self.x0 + horizon > self.so.terminal_age:
             raise ValueError(
-                f"policy {self.id!r}: second-order table ends at age {self.so.terminal_age}, "
-                f"run-off needs age {self.x0 + horizon}"
+                f"second-order table ends at age {self.so.terminal_age}, run-off needs age {self.x0 + horizon}"
             )
         so_horizon_slice = self.so.q2[self.x0 : self.x0 + horizon + 1]
         if not np.any(so_horizon_slice == 1.0):
             raise ValueError(
-                f"policy {self.id!r}: second-order survival outlives the first-order "
-                "run-off; premiums are undefined past it (inconsistent q tables)"
+                "second-order survival outlives the first-order run-off; "
+                "premiums are undefined past it (inconsistent q tables)"
             )
         object.__setattr__(self, "run_off", horizon)
 
@@ -306,16 +307,19 @@ def _value_tables(fo: FirstOrderBasis) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_inflation(arr, horizon: int, name: str) -> np.ndarray:
-    arr = np.atleast_2d(np.asarray(arr, dtype=float))
-    if arr.shape[1] < horizon + 1:
-        raise ValueError(f"{name} covers {arr.shape[1] - 1} years, run-off needs {horizon}")
+    """One validated path of index levels at t = 0..horizon."""
+    arr = np.asarray(arr, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be one path of index levels (1-D), got shape {arr.shape}")
+    if len(arr) < horizon + 1:
+        raise ValueError(f"{name} covers {len(arr) - 1} years, run-off needs {horizon}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     if np.any(arr <= 0.0):
         raise ValueError(f"{name} must be strictly positive (index levels)")
-    if np.any(np.abs(arr[:, 0] - 1.0) > 1e-12):
+    if abs(arr[0] - 1.0) > 1e-12:
         raise ValueError(f"{name}[0] must be 1 at the valuation date")
-    return arr[:, : horizon + 1]
+    return arr[: horizon + 1]
 
 
 def _scratch(n_paths: int, capped: bool) -> tuple:
@@ -442,13 +446,13 @@ def project(
 ) -> ProjectionResult:
     """Project premiums, reserves and cash flow along one inflation path.
 
-    ``i_med`` and ``i_cost`` are index levels at t = 0..run_off (at
+    ``i_med`` and ``i_cost`` are 1-D index levels at t = 0..run_off (at
     least), both 1 at the valuation date.  With a cap, premium entries are
     the applied ones while reserves follow the uncapped recursion (the
     foregone net premium is added back each capped year).
     """
-    im = _check_inflation(i_med, policy.run_off, "i_med")[0]
-    ic = _check_inflation(i_cost, policy.run_off, "i_cost")[0]
+    im = _check_inflation(i_med, policy.run_off, "i_med")
+    ic = _check_inflation(i_cost, policy.run_off, "i_cost")
     return _project_one(policy, im, ic, cap)
 
 
@@ -461,7 +465,7 @@ def project_real_rate(policy: PolicyData, i_med) -> ProjectionResult:
     numerically hostile basis).  The cost index is taken equal to the
     medical index for the gross figures.
     """
-    im = _check_inflation(i_med, policy.run_off, "i_med")[0]
+    im = _check_inflation(i_med, policy.run_off, "i_med")
     result = _project_one(policy, im, im, cap=None, real_rate=True)
     p = result.premiums_net
     scale = max(abs(p[0]), 1e-12)
@@ -533,14 +537,18 @@ def _simulate_share(
     s: ScenarioSet,
     spread: InflationSpread,
     cap: Optional[CapRule],
-    n_dates: int,
-) -> tuple[np.ndarray, bool]:
+    sums: np.ndarray,
+) -> bool:
     """Each policy's discounted flow sums per date, for one contiguous share of a portfolio.
 
-    Returns ``sums``, (policies, 2, dates) under a cap and (policies, 1,
-    dates) without one: ``sums[k, 0, t]`` is the sum over paths of
-    policy k's weighted cash flow at t, ``sums[k, 1, t]`` its uncapped
-    one, and 0 past its run-off.  Also returns whether the cap bound.
+    ``sums`` is the share's slice of the portfolio's sums, (policies, 2,
+    dates) under a cap and (policies, 1, dates) without one, written in
+    place: ``sums[k, 0, t]`` becomes the sum over paths of policy k's
+    weighted cash flow at t, ``sums[k, 1, t]`` its uncapped one, and 0
+    past its run-off.  The slice is zeroed first, so a share stepped
+    again overwrites whatever an earlier attempt left.  Returns whether
+    the cap bound.
+
     The policies are taken in groups and each group walks the dates:
     date t's indices, weighted discount factors and cap factors are
     built once into path-length rows, then every live policy of the
@@ -550,7 +558,7 @@ def _simulate_share(
     """
     capped = cap is not None
     rows_per_policy = 2 if capped else 1
-    sums = np.zeros((len(share), rows_per_policy, n_dates))
+    sums.fill(0.0)
     bound = False
     n = s.n_paths
     im, ic, ic_prev, disc, factor, weighted = (np.empty(n) for _ in range(6))
@@ -582,66 +590,48 @@ def _simulate_share(
                 if capped:
                     policy_sums[1, t] = np.multiply(disc, uncapped, out=weighted).sum()
                     bound = bound or (surv2[t] > 0.0 and bool(np.any(premium < gross)))
-    return sums, bound
+    return bound
 
 
-def _in_shares(step, bounds: list[tuple[int, int]]) -> list:
-    """``step(start, stop)`` of every share, in order: the first here, each other in a forked child.
+def _in_shares(step, n_shares: int) -> None:
+    """``step(k)`` for every share k < n_shares: the first here, each other in a forked child.
 
-    A child sends its result, or the exception it raised, pickled through
-    a pipe and ends with ``os._exit``; the parent re-raises a child's
-    exception.  Whether the call returns or raises, every child has been
-    reaped (and killed first if still running) when it ends.
+    A child ends with ``os._exit(0)`` once its share is stepped, or with
+    status 1 if ``step`` raised.  Once this process has stepped share 0
+    it reaps the children in order and steps again any share that its
+    child did not finish, or that had no child because ``os.fork``
+    failed.  So an exception in a share is raised here as it was raised
+    in the child, and a child killed from outside costs only time.
+    Whether the call returns or raises, every child has been reaped (and
+    killed first if still running) when it ends.
     """
-    pids, pipes = [], []
+    children = []
     try:
-        for start, stop in bounds[1:]:
-            read_end, write_end = os.pipe()
-            pipes.append(read_end)
+        for k in range(1, n_shares):
             try:
                 pid = os.fork()
-            except BaseException:
-                os.close(write_end)
-                raise
+            except OSError:
+                pid = None
             if pid == 0:
-                _child(step, start, stop, write_end)
-            os.close(write_end)
-            pids.append(pid)
-        results = [step(*bounds[0])]
-        for pid, read_end in zip(list(pids), pipes):
-            chunks = []
-            while chunk := os.read(read_end, 1 << 20):
-                chunks.append(chunk)
-            _, status = os.waitpid(pid, 0)
-            pids.remove(pid)
-            if not chunks:
-                raise RuntimeError(f"a brute-force share ended without a result (wait status {status})")
-            ok, value = pickle.loads(b"".join(chunks))
-            if not ok:
-                raise value
-            results.append(value)
-        return results
+                status = 1
+                try:
+                    step(k)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children.append((k, pid))
+        step(0)
+        while children:
+            k, pid = children[0]
+            status = 1 if pid is None else os.waitpid(pid, 0)[1]
+            del children[0]
+            if status != 0:
+                step(k)
     finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for read_end in pipes:
-            os.close(read_end)
-
-
-def _child(step, start: int, stop: int, write_end: int) -> None:
-    """The forked side of `_in_shares`: step one share, send it, and end the process."""
-    status = 1
-    try:
-        try:
-            payload = pickle.dumps((True, step(start, stop)))
-        except BaseException as exc:
-            payload = pickle.dumps((False, exc))
-        with os.fdopen(write_end, "wb") as pipe:
-            pipe.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
+        for _, pid in children:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def simulate_portfolio(
@@ -660,15 +650,19 @@ def simulate_portfolio(
     The portfolio is cut into contiguous shares of about equal work
     (paths x the sum of run_off + 1): one per CPU in the process's
     affinity mask, but no more than leave each share ``_SHARE_WORK``, so
-    a small portfolio is one share.  This process steps the first share
-    (`_simulate_share`); on Linux a child made by ``os.fork`` steps each
-    other one and sends back its policies' per-date sums.  ``per_t``
-    then subtracts the sums policy by policy in portfolio order: the
+    a small portfolio is one share.  The policies' per-date sums and a
+    cap-bound flag per share live in one anonymous shared ``mmap``.  This
+    process steps the first share (`_simulate_share`); on Linux a child
+    made by ``os.fork`` steps each other one, writing its sums into the
+    mapping.  A share whose child did not finish, because it raised, was
+    killed or could not be forked, is stepped again in this process with
+    the same bits, so its exception is raised here (`_in_shares`).  ``per_t`` then
+    subtracts the sums policy by policy in portfolio order: the
     operations of a one-process pass in the same order, so every figure
-    has the same bits whatever the number of shares.  No child outlives
-    the call, whether it returns or raises.  A non-finite figure names
-    the first policy, in portfolio order, whose sums spoil a running
-    total.
+    has the same bits whatever the number of shares.  No returned array
+    is a view of the mapping, and no child outlives the call, whether it
+    returns or raises.  A non-finite figure names the first policy, in
+    portfolio order, whose sums spoil a running total.
     """
     horizon = max((p.run_off for p in portfolio), default=0)
     for p in portfolio:
@@ -676,11 +670,20 @@ def simulate_portfolio(
             raise ValueError(
                 f"policy {p.id!r} runs {p.run_off} years but scenarios stop at {s.horizon}"
             )
-    shares = _in_shares(
-        lambda start, stop: _simulate_share(portfolio[start:stop], s, spread, cap, horizon + 1),
-        _share_bounds(portfolio, s.n_paths),
-    )
-    sums = np.concatenate([share_sums for share_sums, _ in shares])
+    bounds = _share_bounds(portfolio, s.n_paths)
+    shape = (len(portfolio), 1 if cap is None else 2, horizon + 1)
+    # The sums and one cap-bound flag per share, in memory that the
+    # forked children write into as well; it is unmapped with its last
+    # view, when the call ends.
+    shared = mmap.mmap(-1, 8 * (math.prod(shape) + len(bounds)))
+    sums = np.ndarray(shape, buffer=shared)
+    bound = np.ndarray(len(bounds), buffer=shared, offset=sums.nbytes)
+
+    def step(k: int) -> None:
+        start, stop = bounds[k]
+        bound[k] = _simulate_share(portfolio[start:stop], s, spread, cap, sums[start:stop])
+
+    _in_shares(step, len(bounds))
     totals = np.zeros(sums.shape[1:])
     for policy_sums in sums:
         totals -= policy_sums
@@ -692,7 +695,6 @@ def simulate_portfolio(
             totals -= policy_sums
             if not np.all(np.isfinite(totals)):
                 raise ValueError(f"policy {policy.id!r}: projection produced non-finite values")
-    bound = any(share_bound for _, share_bound in shares)
     per_t = totals[0]
     uncapped_result = None if cap is None else SimulationResult(float(totals[1].sum()), totals[1], False)
-    return SimulationResult(be=float(per_t.sum()), per_t=per_t, cap_bound=bound, uncapped=uncapped_result)
+    return SimulationResult(be=float(per_t.sum()), per_t=per_t, cap_bound=bool(bound.any()), uncapped=uncapped_result)

@@ -400,6 +400,17 @@ class TestChartBytes:
         )
 
 
+    def test_flat_series_span_one_unit_above_their_level(self):
+        # A flat series has no range of its own: the axis runs from its
+        # level to one above, and every mark sits at the bottom of the plot.
+        bars = reporting.svg_bar_chart(np.zeros(3), "flat")
+        assert "BE: [0, 1]" in bars
+        assert bars.count('height="0.00"') == 3
+        lines = reporting.svg_line_chart({"level": [2.5, 2.5, 2.5]}, "flat")
+        assert "range [2.5, 3.5]" in lines
+        assert 'points="58.00,320.00 403.00,320.00 748.00,320.00"' in lines
+
+
 class TestDemoNonuniqueness:
     def test_sweep_exhibits_both_limits(self, tmp_path):
         result = run_cli(
@@ -546,6 +557,39 @@ class TestDriverContract:
             "column": 1,
         }
         assert not (tmp_path / "out").exists()
+
+    def test_zero_tolerance_is_a_parse_error_at_the_config_start(self, tmp_path):
+        payload = json.loads((FIXTURES / "config_toy.json").read_text())
+        for key in ("curves", "portfolio", "tables_dir"):
+            payload[key] = str(FIXTURES / payload[key])
+        payload["tolerance"] = 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        code, stderr = run_in_process(["value", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert json.loads(stderr)["error"] == {
+            "kind": "parse",
+            "message": f"{config}:1:1: tolerance must be positive and finite",
+            "file": str(config),
+            "line": 1,
+            "column": 1,
+        }
+        assert not (tmp_path / "out").exists()
+
+    def test_an_arithmetic_error_is_a_tolerance_failure_with_exit_three(self, tmp_path):
+        # An inflation factor of 50 breaks the real-rate premium identity,
+        # which project_real_rate raises as an ArithmeticError.
+        payload = json.loads((FIXTURES / "config_inpatient.json").read_text())
+        for key in ("curves", "portfolio", "tables_dir"):
+            payload[key] = str(FIXTURES / payload[key])
+        payload["premium_path"]["inflation_factor"] = 50.0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        code, stderr = run_in_process(["premium-path", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 3
+        record = json.loads(stderr)["error"]
+        assert record["kind"] == "tolerance"
+        assert "real-rate premium identity violated" in record["message"]
 
 
 TOY_ECHO = {

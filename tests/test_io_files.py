@@ -236,6 +236,28 @@ class TestPortfolioFile:
             load_portfolio(path, tables)
         assert (err.value.line, err.value.column) == (2, column)
 
+    @pytest.mark.parametrize(
+        "x0, column, reason",
+        [
+            (0, 1, "second-order table ends at age 1, run-off needs age 2"),
+            (2, 2, "entry age x0 = 2 outside second-order table"),
+        ],
+    )
+    def test_short_second_order_tables_cite_the_row_once(self, tmp_path, fixtures_dir, x0, column, reason):
+        # Two-age second-order tables beside the three-age first-order ones.
+        tables = tmp_path / "tables"
+        shutil.copytree(fixtures_dir / "tables", tables)
+        (tables / "short_k.csv").write_text("age,k\n0,0\n1,0\n")
+        (tables / "short_q.csv").write_text("age,q\n0,0\n1,1\n")
+        path = tmp_path / "portfolio.csv"
+        path.write_text(
+            "id,x0,rs0,margin,r_calc,c1,c2,benefit_table,benefit_table_2nd,q_table,q_table_2nd\n"
+            f"toy-1,{x0},0,0,0,0,0,toy_k1.csv,short_k.csv,toy_q.csv,short_q.csv\n"
+        )
+        with pytest.raises(ParseError) as err:
+            load_portfolio(path, tables)
+        assert str(err.value) == f"{path}:2:{column}: policy 'toy-1': {reason}"
+
     def test_invalid_policy_values_cite_row_and_id(self, tmp_path, fixtures_dir):
         path = tmp_path / "portfolio.csv"
         path.write_text(

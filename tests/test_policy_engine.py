@@ -1,4 +1,7 @@
+import json
 import os
+import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +25,11 @@ from healthval import (
     project_real_rate,
     simulate_portfolio,
 )
-from healthval import policy_engine
+from healthval import cli, policy_engine
 from healthval.io_files import load_portfolio
 
 from conftest import (
+    FIXTURES,
     flat_curve,
     inpatient_policy,
     long_curve,
@@ -275,6 +279,27 @@ class TestProject:
     def test_rejects_non_finite_index(self):
         with pytest.raises(ValueError, match="non-finite"):
             project(toy_policy(), [1.0, np.nan, 1.0], [1.0, 1.0, 1.0])
+
+    def test_rejects_more_than_one_path(self):
+        # A second row would be ignored: each route takes one path of levels.
+        path, rows = [1.0, 1.02, 1.04], [[1.0, 1.02, 1.04], [1.0, 1.5, 3.0]]
+        for name, call in (
+            ("i_med", lambda: project(toy_policy(), rows, path)),
+            ("i_cost", lambda: project(toy_policy(), path, rows)),
+            ("i_med", lambda: project_real_rate(toy_policy(), rows)),
+            ("i_med", lambda: project(toy_policy(), 1.0, path)),
+        ):
+            with pytest.raises(ValueError, match=rf"^{name} must be one path of index levels \(1-D\), got shape"):
+                call()
+
+    def test_overflow_is_rejected_as_non_finite(self):
+        # A benefit of 1e308 on an index of 4 at t = 2 overflows the cash flow.
+        policy = toy_policy()
+        so = SecondOrderBasis(k2=[0.0, 0.0, 1e308], q2=policy.so.q2)
+        policy = PolicyData(x0=0, fo=policy.fo, so=so, id="big")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=r"^policy 'big': projection produced non-finite values$"):
+                project(policy, [1.0, 2.0, 4.0], [1.0, 2.0, 4.0])
 
 
 class TestSeasonedRs0:
@@ -572,6 +597,11 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def shared_mappings() -> int:
+    """Anonymous shared mappings of this process, which Linux lists as /dev/zero."""
+    return Path("/proc/self/maps").read_text().count("/dev/zero (deleted)")
+
+
 def policy_running(rng: np.random.Generator, run_off: int, policy_id: str) -> PolicyData:
     """A seasoned policy on random bases whose run-off is exactly ``run_off`` years."""
     fo, so = random_basis_pair(rng, run_off + 2)
@@ -714,8 +744,9 @@ class TestSimulatePortfolioMatchesReference:
 
     @pytest.mark.parametrize("failing", ["p9", "p0"])
     def test_an_exception_in_any_share_is_raised_as_it_was(self, force_shares, monkeypatch, failing):
-        # p9 steps in a child, whose exception comes back through its pipe;
-        # p0 steps here, while the children are still running and get killed.
+        # p9 steps in a child, which ends with status 1, so this process
+        # steps p9's share again and raises the exception itself; p0 steps
+        # here, while the children are still running and get killed.
         portfolio, sets = self.several_groups()
         step = policy_engine._step
 
@@ -730,6 +761,104 @@ class TestSimulatePortfolioMatchesReference:
             with pytest.raises(ArithmeticError, match=rf"^step of {failing} at t = 2 failed$"):
                 simulate_portfolio(portfolio, sets[0], cap=cap)
             assert_no_child_left()
+
+    @staticmethod
+    def kill_children_at_step(monkeypatch, t_kill: int) -> set:
+        """Patch `_step` so a forked child kills itself with SIGKILL at date ``t_kill``.
+
+        Returns the set of the policy ids that this process steps.
+        """
+        step, here, stepped_here = policy_engine._step, os.getpid(), set()
+
+        def killing_step(policy, t, *args):
+            if os.getpid() != here:
+                if t == t_kill:
+                    os.kill(os.getpid(), signal.SIGKILL)
+            else:
+                stepped_here.add(policy.id)
+            step(policy, t, *args)
+
+        monkeypatch.setattr(policy_engine, "_step", killing_step)
+        return stepped_here
+
+    @pytest.mark.parametrize("n_shares", [2, 3])
+    def test_a_share_whose_child_is_killed_is_stepped_again_with_the_same_bits(
+        self, force_shares, monkeypatch, n_shares
+    ):
+        # Every child dies at t = 3 of its first policy; this process steps
+        # each of their shares again, so it steps every policy itself.
+        portfolio, sets = self.several_groups()
+        s = sets[0]
+        force_shares(1)
+        one_share = {cap: simulate_portfolio(portfolio, s, cap=cap) for cap in (None, self.CAP)}
+        stepped_here = self.kill_children_at_step(monkeypatch, 3)
+        force_shares(n_shares)
+        assert len(policy_engine._share_bounds(portfolio, s.n_paths)) == n_shares
+        mappings = shared_mappings()
+        for cap, want in one_share.items():
+            stepped_here.clear()
+            got = simulate_portfolio(portfolio, s, cap=cap)
+            assert_no_child_left()
+            assert shared_mappings() == mappings
+            assert stepped_here == {p.id for p in portfolio}
+            assert np.array_equal(got.per_t, want.per_t)
+            assert got.be == want.be and got.cap_bound is want.cap_bound
+            if cap is None:
+                assert got.uncapped is None
+            else:
+                assert np.array_equal(got.uncapped.per_t, want.uncapped.per_t)
+                assert got.uncapped.be == want.uncapped.be
+
+    def test_a_share_whose_fork_fails_is_stepped_here(self, force_shares, monkeypatch):
+        # os.fork fails as it does at the process limit (EAGAIN), so this
+        # process steps all three shares itself.
+        portfolio, sets = self.several_groups()
+        s = sets[0]
+        force_shares(1)
+        one_share = simulate_portfolio(portfolio, s, cap=self.CAP)
+        forks = []
+
+        def failing_fork():
+            forks.append(None)
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        force_shares(3)
+        got = simulate_portfolio(portfolio, s, cap=self.CAP)
+        assert len(forks) == 2
+        assert np.array_equal(got.per_t, one_share.per_t)
+        assert np.array_equal(got.uncapped.per_t, one_share.uncapped.per_t)
+        assert got.cap_bound is one_share.cap_bound
+
+    def test_simulate_cap_writes_the_same_bytes_when_a_child_is_killed(self, force_shares, monkeypatch, tmp_path):
+        # The shipped inpatient contract at four entry ages splits into the
+        # shares (0, 1) and (1, 4): the shipped two policies are one share.
+        rows = (FIXTURES / "portfolio_inpatient.csv").read_text().splitlines()
+        header, row = rows[0], rows[1].split(",", 2)[2]
+        ids = [f"inpatient-{x0}" for x0 in (25, 35, 45, 55)]
+        lines = [header, *(f"{policy_id},{policy_id[-2:]},{row}" for policy_id in ids)]
+        (tmp_path / "portfolio.csv").write_text("\n".join(lines) + "\n")
+        payload = json.loads((FIXTURES / "config_inpatient.json").read_text())
+        payload.update(
+            curves=str(FIXTURES / payload["curves"]),
+            tables_dir=str(FIXTURES / payload["tables_dir"]),
+            portfolio=str(tmp_path / "portfolio.csv"),
+        )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        force_shares(2)
+        portfolio = load_portfolio(tmp_path / "portfolio.csv", FIXTURES / "tables")
+        assert policy_engine._share_bounds(portfolio, 2000) == [(0, 1), (1, 4)]
+        runs = {}
+        for name in ("undisturbed", "killed"):
+            if name == "killed":
+                stepped_here = self.kill_children_at_step(monkeypatch, 3)
+            out = tmp_path / name
+            assert cli.main(["simulate", "--cap", "--config", str(config), "--out", str(out)]) == 0
+            assert_no_child_left()
+            runs[name] = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert stepped_here == set(ids)
+        assert runs["killed"] == runs["undisturbed"]
 
 
 class TestSimulatePortfolioMemory:
