@@ -234,14 +234,21 @@ def calibration_check(
     """Worst absolute repricing error of the set against both curves.
 
     The default tolerance suits the exact constructors; a sampler without
-    moment matching would need a statistical bound instead.
+    moment matching would need a statistical bound instead.  The prices
+    sum the paths one block of rows at a time, through one block's
+    buffer of reciprocals.
     """
     if s.horizon != curve.horizon:
         raise ValueError(
             f"horizon mismatch: scenario set has T={s.horizon}, curve has T={curve.horizon}"
         )
-    priced_n = s.weights @ (1.0 / s.bn)
-    priced_r = s.weights @ (1.0 / s.br)
+    blocks = _row_blocks(*s.bn.shape)
+    inverse = np.empty((blocks[0].stop, s.horizon + 1))
+    priced_n, priced_r = np.zeros(s.horizon + 1), np.zeros(s.horizon + 1)
+    for rows in blocks:
+        k = rows.stop - rows.start
+        priced_n += s.weights[rows] @ np.divide(1.0, s.bn[rows], out=inverse[:k])
+        priced_r += s.weights[rows] @ np.divide(1.0, s.br[rows], out=inverse[:k])
     return CalibrationReport(
         max_error_nominal=float(np.max(np.abs(priced_n - curve.pn))),
         max_error_real=float(np.max(np.abs(priced_r - curve.pr))),

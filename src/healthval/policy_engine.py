@@ -590,6 +590,9 @@ def _simulate_share(
                 if capped:
                     policy_sums[1, t] = np.multiply(disc, uncapped, out=weighted).sum()
                     bound = bound or (surv2[t] > 0.0 and bool(np.any(premium < gross)))
+        # Release this group's state, and every view of it, before the
+        # next group allocates its own.
+        del state, applied, live, rs, premium
     return bound
 
 

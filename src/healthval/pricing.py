@@ -9,8 +9,10 @@ probability-weighted sum
 The boundary cases are ordinary bonds: med[t, 0] is the nominal ZCB
 price and, with zero spread, med[t, t] the real ZCB price.  The medical
 and cost indices come from :meth:`InflationSpread.index
-<healthval.term_structures.InflationSpread.index>`, one at a time, into
-a buffer the pricer owns.
+<healthval.term_structures.InflationSpread.index>`, one index and one
+block of rows at a time, into a buffer of one block that the pricer
+owns: the pricers walk the paths in row blocks, so beside the set they
+hold no (paths x dates) array.
 
 Prices are always exact weighted sums over the finite set, never
 subsampled; Monte-Carlo standard errors attach only to equal-weight
@@ -30,7 +32,7 @@ import numpy as np
 
 from .decomposition import CoefficientTriangle, aggregate, be_by_date, be_from_blocks  # noqa: F401
 from .policy_engine import CapRule, PolicyData, simulate_portfolio
-from .term_structures import InflationSpread, ScenarioSet
+from .term_structures import InflationSpread, ScenarioSet, _row_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,9 +46,11 @@ class BuildingBlockMatrix:
     ``se_med`` holds the i.i.d. per-entry standard errors of ``med``,
     present only for sampled sets: for each (t, s), the sample standard
     error of the per-path values i_med[s]/bn[t], as if the paths were
-    independent.  ``mc_model`` matches every time slice's moments
-    exactly, which this ignores, so it overstates an entry's spread
-    across seeds (as ``ValuationReport.standard_error`` does the BE's).
+    independent, and exactly 0 where bn[t] and i_med[s] are each the
+    same on every path, as at (0, 0).  ``mc_model`` matches every time
+    slice's moments exactly, which this ignores, so it overstates an
+    entry's spread across seeds (as ``ValuationReport.standard_error``
+    does the BE's).
     No other block SE is carried, because nothing reads one.
     """
 
@@ -75,29 +79,58 @@ class BuildingBlockMatrix:
 def building_blocks(s: ScenarioSet, spread: InflationSpread = InflationSpread()) -> BuildingBlockMatrix:
     """Exact block prices under a finite scenario set.
 
-    One weighted reduction per (t, s) pair, evaluated as a single matrix
-    product; the i.i.d. standard errors of ``med`` are attached for
-    sampled (equal-weight) sets.  Beside the set it holds two full-size
-    arrays: the weighted discount and one index buffer.
+    The paths are walked in row blocks (``term_structures._row_blocks``).
+    Each block builds its weighted discount and its cost and medical
+    indices into buffers of one block, and adds its part of every
+    weighted reduction into (T+1)-sized sums: ``med`` as one matrix
+    product, and for sampled (equal-weight) sets the second moment
+    behind the i.i.d. standard errors as another.  So beside the set
+    the call holds a few blocks, whatever the number of paths.  A set of
+    one block gets the bits of the formulas applied to whole arrays, but
+    for the standard errors that are exactly 0 (see
+    :class:`BuildingBlockMatrix`).
     """
-    # The index buffer holds the cost index, then the medical index, then its square.
-    disc = np.divide(1.0, s.bn)
-    disc *= s.weights[:, None]
-    nominal_diag = disc.sum(axis=0)
-    index = spread.index(s, "cost")
-    cost_diag = np.einsum("kt,kt->t", disc, index)
-    med = np.tril(disc.T @ spread.index(s, "med", out=index))
+    dates = s.horizon + 1
+    blocks = _row_blocks(*s.bn.shape)
+    # Block buffers: 1/bn, the weighted discount w/bn, and the index
+    # buffer, which holds the cost index, then the medical index, then
+    # its square.
+    inv_bn, disc, index = (np.empty((blocks[0].stop, dates)) for _ in range(3))
+    nominal_diag, cost_diag = np.zeros(dates), np.zeros(dates)
+    med = np.zeros((dates, dates))
+    if s.sampled:
+        second_med = np.zeros((dates, dates))
+        # Whether each date's bn, and each date's medical index, is the
+        # same on every path.
+        same_bn, same_med = np.ones(dates, dtype=bool), np.ones(dates, dtype=bool)
+        first_med = spread._index(s, "med", np.s_[:1, :])[0]
+    for rows in blocks:
+        k = rows.stop - rows.start
+        inv = np.divide(1.0, s.bn[rows], out=inv_bn[:k])
+        weighted = np.multiply(inv, s.weights[rows, None], out=disc[:k])
+        nominal_diag += weighted.sum(axis=0)
+        at = (rows, slice(None))
+        cost_diag += np.einsum("kt,kt->t", weighted, spread._index(s, "cost", at, out=index[:k]))
+        i_med = spread._index(s, "med", at, out=index[:k])
+        med += weighted.T @ i_med
+        if s.sampled:
+            # second_med = ((1 / bn)**2 / n).T @ i_med**2, squared in place.
+            same_bn &= (s.bn[rows] == s.bn[0]).all(axis=0)
+            same_med &= (i_med == first_med).all(axis=0)
+            np.square(inv, out=inv)
+            inv /= s.n_paths
+            np.square(i_med, out=i_med)
+            second_med += inv.T @ i_med
+    med = np.tril(med)
 
     se_med = None
     if s.sampled:
-        # second_med = tril(((1 / bn)**2 / n).T @ i_med**2), squared in place.
         n = s.n_paths
-        inv_bn = np.divide(1.0, s.bn, out=disc)
-        np.square(inv_bn, out=inv_bn)
-        inv_bn /= n
-        np.square(index, out=index)
-        second_med = np.tril(inv_bn.T @ index)
-        se_med = np.sqrt(np.maximum(second_med - med**2, 0.0) / (n - 1))
+        se_med = np.sqrt(np.maximum(np.tril(second_med) - med**2, 0.0) / (n - 1))
+        # An entry whose discount and index are each the same on every
+        # path, as (0, 0) always is, has no spread: the two moments'
+        # rounding would leave a few 1e-9 there.
+        se_med[np.outer(same_bn, same_med)] = 0.0
 
     return BuildingBlockMatrix(
         med=med,
@@ -142,22 +175,29 @@ def _be_standard_error(
 
     ``mc_model`` matches the moments of every time slice exactly, which
     this ignores, so the figure overstates the BE's spread across seeds
-    (by about 30x on the shipped inpatient MC config).
+    (by about 30x on the shipped inpatient MC config).  The per-path
+    values are built one block of rows at a time, each row with the bits
+    of the formula applied to whole arrays.
     """
     if not s.sampled or s.n_paths < 2:
         return None
     n = tri.horizon + 1
+    blocks = _row_blocks(s.n_paths, n)
     # z = -sum(dated / bn, axis=1) for dated = i_med @ coeffs.T + i_cost * fixed,
     # each step in place once the product has its buffer; one index buffer
     # holds the medical index, then the cost index.
-    index = spread.index(s, "med")
-    dated = index[:, :n] @ tri.coeffs.T
-    cost = spread.index(s, "cost", out=index)[:, :n]
-    cost *= tri.fixed
-    dated += cost
-    del index, cost
-    dated /= s.bn[:, :n]
-    z = -np.sum(dated, axis=1)
+    index, dated = (np.empty((blocks[0].stop, n)) for _ in range(2))
+    z = np.empty(s.n_paths)
+    for rows in blocks:
+        k = rows.stop - rows.start
+        at = (rows, slice(0, n))
+        values = np.matmul(spread._index(s, "med", at, out=index[:k]), tri.coeffs.T, out=dated[:k])
+        cost = spread._index(s, "cost", at, out=index[:k])
+        cost *= tri.fixed
+        values += cost
+        values /= s.bn[at]
+        np.sum(values, axis=1, out=z[rows])
+    np.negative(z, out=z)
     return float(np.std(z, ddof=1) / np.sqrt(s.n_paths))
 
 

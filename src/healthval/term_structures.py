@@ -16,7 +16,8 @@ Conventions used throughout the engine:
   deterministic spread factor.  A scenario set stores only the accounts
   and checks at construction that their ratio is finite; the index is
   derived only through :meth:`InflationSpread.index`, one payment index
-  at a time, into a buffer its caller owns.
+  (of every path, one date or one block of rows) at a time, into a
+  buffer its caller owns.
 
 All types are immutable after construction and all operations are pure,
 so everything here can be shared freely across threads.
@@ -55,10 +56,10 @@ def _readonly(values, name: str, ndim: int = 1) -> np.ndarray:
     return arr
 
 
-# Byte budget of one block of rows.  The Monte-Carlo sampler and the
-# scenario set's quotient check walk their (paths x dates) arrays in row
-# blocks of about this size, so their temporaries stay this small
-# whatever the number of paths.
+# Byte budget of one block of rows.  The Monte-Carlo sampler, the
+# scenario set's quotient check, the calibration check and the pricers
+# walk their (paths x dates) arrays in row blocks of about this size, so
+# their temporaries stay this small whatever the number of paths.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -192,13 +193,24 @@ class InflationSpread:
         ``(1 + spread)^t`` rounded, so a date's row holds the bits of that
         date's column of the whole index.
         """
+        return self._index(s, which, np.s_[:, :] if t is None else np.s_[:, t], out)
+
+    def _index(
+        self, s: ScenarioSet, which: str, at: tuple, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """:meth:`index` at ``at``, a (rows, dates) key of the set's accounts.
+
+        The rows are a slice and the dates a slice or one date, so a
+        block of rows (see ``_row_blocks``) gets the bits of its part of
+        the whole index.
+        """
         rate = {"med": self.med_spread, "cost": self.cost_spread}[which]
         factor = (1.0 + rate) ** np.arange(s.horizon + 1)
-        bn, br = (s.bn, s.br) if t is None else (s.bn[:, t], s.br[:, t])
+        bn, br = s.bn[at], s.br[at]
         if out is None:
             out = np.empty(bn.shape)
         np.divide(bn, br, out=out)
-        out *= factor if t is None else factor[t]
+        out *= factor[at[1]]
         return out
 
 

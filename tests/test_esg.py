@@ -288,12 +288,12 @@ class TestScenarioPipelineMemory:
         allowance = 4 * _BLOCK_BYTES + entries
         assert traced_peak(lambda: mc_model(curve, params)) < 2 * 8 * entries + allowance
 
-    def test_peak_allocation_stays_below_five_scenario_arrays(self):
+    def test_peak_allocation_stays_below_three_scenario_arrays(self):
         # mc_model -> calibration_check -> building_blocks at 4000 paths x
         # 101 dates, in units of one (paths x dates) float64 array.  The set
-        # holds two (bn, br) and the block pricer two more at once (the
-        # weighted discount and one index), about 4.4 in all: one more
-        # full-size array beside those crosses the bound.
+        # holds two (bn, br); the sampler, the calibration check and the
+        # block pricer each add a few row blocks, about 2.4 in all: one
+        # more full-size array beside the accounts crosses the bound.
         n_paths, horizon = 4000, 100
         t = np.arange(horizon + 1)
         curve = CurvePair(pn=1.02**-t, pr=1.005**-t)
@@ -304,7 +304,7 @@ class TestScenarioPipelineMemory:
             assert calibration_check(s, curve, tolerance=1e-12).passed
             building_blocks(s, InflationSpread(0.01, 0.005))
 
-        assert traced_peak(pipeline) / (8 * n_paths * (horizon + 1)) < 5.0
+        assert traced_peak(pipeline) / (8 * n_paths * (horizon + 1)) < 3.0
 
 
 class TestCalibrationCheck:

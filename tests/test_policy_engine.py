@@ -886,12 +886,25 @@ class TestSimulatePortfolioMemory:
         peak = traced_peak(lambda: simulate_portfolio(portfolio, s, self.SPREAD, self.CAP))
         assert peak / self.UNIT < 1.5
 
-    def test_capped_be_report_holds_under_two_and_a_half_scenario_arrays(self, force_shares):
-        # building_blocks' two full-size arrays set the peak, about 2.1.
+    def test_capped_be_report_holds_under_one_and_a_half_scenario_arrays(self, force_shares):
+        # The group's state, 0.8 for 40 policies, sets the peak, about 1.0:
+        # the pricers walk the paths in row blocks, so one full-size array
+        # of theirs crosses the bound.
         portfolio, s = self.inputs()
         force_shares(1)
         peak = traced_peak(lambda: be_report(portfolio, s, self.SPREAD, cap=self.CAP))
-        assert peak / self.UNIT < 2.5
+        assert peak / self.UNIT < 1.5
+
+    def test_capped_simulate_portfolio_holds_one_group_at_a_time(self, force_shares):
+        # 400 policies make eight groups of 50 under a cap, each with about
+        # one unit of state.  A group's state is released before the next
+        # one's is allocated, so the peak stays about 1.1; two groups' state
+        # at once takes it past 2.
+        _, s = self.inputs()
+        portfolio = [inpatient_policy(80 + k % 20, rs0=10.0 * k) for k in range(400)]
+        force_shares(1)
+        peak = traced_peak(lambda: simulate_portfolio(portfolio, s, self.SPREAD, self.CAP))
+        assert peak / self.UNIT < 1.5
 
     def test_shares_hold_no_more_here_than_one_share(self, force_shares):
         # This process steps only the first share and keeps the others'

@@ -1,3 +1,9 @@
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -16,6 +22,7 @@ from healthval import (
     two_scenario_model,
 )
 from healthval.pricing import _be_standard_error
+from healthval.term_structures import _row_blocks
 
 from conftest import (
     flat_curve,
@@ -215,7 +222,12 @@ class TestPricingMatchesReference:
             assert np.array_equal(blocks.cost_diag, cost_diag)
             assert np.array_equal(blocks.nominal_diag, nominal_diag)
             if s.sampled:
-                assert np.array_equal(blocks.se_med, se_med)
+                # (0, 0) pays 1 on every path: its SE is exactly 0, where
+                # the formula's two moments leave their rounding.
+                assert blocks.se_med[0, 0] == 0.0
+                off = np.ones(se_med.shape, dtype=bool)
+                off[0, 0] = False
+                assert np.array_equal(blocks.se_med[off], se_med[off])
             else:
                 assert blocks.se_med is None
 
@@ -226,6 +238,126 @@ class TestPricingMatchesReference:
         for portfolio in ([inpatient_policy(40, rs0=800.0), inpatient_policy(75)], [inpatient_policy(21)]):
             tri = aggregate(portfolio)
             assert _be_standard_error(tri, s, spread) == reference_be_standard_error(tri, s, spread)
+
+
+# Unit roundoff of float64.
+U = 2.0**-53
+
+
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u).
+
+    A dot product of n terms, summed in any order, lies within gamma_n of
+    its exact value relative to the sum of the terms' magnitudes.
+    """
+    return n * U / (1.0 - n * U)
+
+
+@pytest.fixture(scope="module", params=[1000, 10_000], ids=lambda n: f"{n}paths")
+def several_blocks(request):
+    """A sampled set of several row blocks, 101 dates, and a spread."""
+    params = McModelParams(n_paths=request.param, vol_n=0.015, vol_r=0.008, corr=0.25, seed=5)
+    s = mc_model(long_curve(100), params)
+    assert len(_row_blocks(*s.bn.shape)) > 1
+    return s, InflationSpread(0.01, 0.005)
+
+
+class TestPricingOverSeveralBlocks:
+    """Sets of several row blocks sum in another order than whole arrays do."""
+
+    def test_building_blocks_within_the_summation_bound(self, several_blocks):
+        # Both routes round every discount and index entry alike and
+        # differ only in the order of each price's n-term dot product.
+        # Its terms are positive, so each order lies within gamma(n) of
+        # the exact dot product relative to it, and the two within twice
+        # that of each other.
+        s, spread = several_blocks
+        blocks = building_blocks(s, spread)
+        med, cost_diag, nominal_diag, _ = reference_building_blocks(s, spread)
+        bound = 2.0 * gamma(s.n_paths)
+        for got, want in ((blocks.med, med), (blocks.cost_diag, cost_diag), (blocks.nominal_diag, nominal_diag)):
+            assert np.all(np.abs(got - want) <= bound * want)
+
+    def test_standard_errors_within_the_derived_bound(self, several_blocks):
+        # se = sqrt(max(D, 0) / (n - 1)) with D = second - med**2.  As
+        # above, each moment (positive terms) is within 2 gamma(n) of the
+        # reference's relative to itself, so med**2 within 2.01 times that.
+        # Each route rounds the square and the subtraction once, so the
+        # two D lie within e = 2 gamma(n) (second + 2.01 med**2) + 2u
+        # (second + med**2) of each other.  The square roots then differ by
+        # at most e / ((n - 1)(se + se_ref)) and at most sqrt(e / (n - 1)),
+        # and each route's division and root round by under 2u of se.
+        # second is the reference's, rebuilt from its SE.
+        s, spread = several_blocks
+        n = s.n_paths
+        se = building_blocks(s, spread).se_med
+        med, _, _, se_ref = reference_building_blocks(s, spread)
+        second = med**2 + (n - 1) * se_ref**2
+        e = 2.0 * gamma(n) * (second + 2.01 * med**2) + 2.0 * U * (second + med**2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = np.fmin(e / ((n - 1) * (se + se_ref)), np.sqrt(e / (n - 1)))
+        assert np.all(np.abs(se - se_ref) <= bound + 2.0 * U * (se + se_ref))
+        # (0, 0) pays 1 on every path; every other entry spreads.
+        assert se[0, 0] == 0.0
+        lower = np.tril(np.ones(se.shape, dtype=bool))
+        lower[0, 0] = False
+        assert np.all(se[lower] > 0.0)
+
+    def test_an_entry_equal_on_every_path_has_no_standard_error(self):
+        # Without volatility every path is the deterministic one, so every
+        # block pays the same on every path.
+        params = McModelParams(n_paths=2000, vol_n=0.0, vol_r=0.0, corr=0.0, seed=5)
+        s = mc_model(long_curve(100), params)
+        assert len(_row_blocks(*s.bn.shape)) > 1
+        assert np.all(building_blocks(s, InflationSpread(0.01, 0.005)).se_med == 0.0)
+
+    def test_be_standard_error_bitwise(self, several_blocks):
+        # Each path's value is a row of its own, so the blocks keep its bits.
+        s, spread = several_blocks
+        for portfolio in ([inpatient_policy(40, rs0=800.0), inpatient_policy(75)], [inpatient_policy(21)]):
+            tri = aggregate(portfolio)
+            assert _be_standard_error(tri, s, spread) == reference_be_standard_error(tri, s, spread)
+
+    def test_calibration_check_within_the_summation_bound(self, several_blocks):
+        # Each price is an n-term dot product of positive terms, so the
+        # blocked and the whole-array sums lie within 2 gamma(n) of each
+        # other relative to the price; the worst errors move by no more.
+        s, _ = several_blocks
+        curve = long_curve(100)
+        report = calibration_check(s, curve, tolerance=1e-12)
+        assert report.passed
+        for error, b, prices in ((report.max_error_nominal, s.bn, curve.pn), (report.max_error_real, s.br, curve.pr)):
+            priced = s.weights @ (1.0 / b)
+            whole = float(np.max(np.abs(priced - prices)))
+            assert abs(error - whole) <= 2.0 * gamma(s.n_paths) * priced.max()
+
+    def test_blocks_do_not_follow_the_blas_thread_count(self):
+        # One process per OpenBLAS thread count, each pricing the same sets
+        # of 7 and 31 row blocks: the digests of every price and SE must
+        # match.  Whole-array products gave other bits on 2 threads at
+        # both sizes.
+        script = textwrap.dedent(
+            """
+            import hashlib
+            from conftest import long_curve
+            from healthval import InflationSpread, McModelParams, building_blocks, mc_model
+            digest = hashlib.sha256()
+            for n_paths in (2000, 10_000):
+                params = McModelParams(n_paths=n_paths, vol_n=0.015, vol_r=0.008, corr=0.25, seed=5)
+                blocks = building_blocks(mc_model(long_curve(100), params), InflationSpread(0.01, 0.005))
+                for prices in (blocks.med, blocks.se_med, blocks.cost_diag, blocks.nominal_diag):
+                    digest.update(prices.tobytes())
+            print(digest.hexdigest())
+            """
+        )
+        here = pathlib.Path(__file__).parent
+        path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]))
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+            digests.add(run.stdout)
+        assert len(digests) == 1
 
 
 class TestPricingMemory:
@@ -240,19 +372,21 @@ class TestPricingMemory:
         params = McModelParams(n_paths=self.N_PATHS, vol_n=0.015, vol_r=0.008, corr=0.25, seed=1)
         return mc_model(self.CURVE, params)
 
-    def test_building_blocks_holds_two_scenario_arrays(self):
-        # The weighted discount and one index buffer, about 2.1 with the
-        # products' outputs: a third full-size array crosses the bound.
+    def test_building_blocks_holds_a_few_row_blocks(self):
+        # Three block buffers (1/bn, the weighted discount, one index) and
+        # the (T+1)-sized sums, about 0.4: one full-size array crosses the
+        # bound.
         s = self.scenario_set()
-        assert traced_peak(lambda: building_blocks(s, self.SPREAD)) / self.UNIT < 2.5
+        assert traced_peak(lambda: building_blocks(s, self.SPREAD)) / self.UNIT < 0.5
 
-    def test_be_standard_error_holds_two_scenario_arrays(self):
-        # One index buffer and the dated values, here over the whole
-        # horizon, about 2.0: a third full-size array crosses the bound.
+    def test_be_standard_error_holds_a_few_row_blocks(self):
+        # Two block buffers (one index, the dated values) and the per-path
+        # values, here over the whole horizon, about 0.2: one full-size
+        # array crosses the bound.
         s = self.scenario_set()
         tri = aggregate([inpatient_policy(21)])
         assert tri.horizon == s.horizon
-        assert traced_peak(lambda: _be_standard_error(tri, s, self.SPREAD)) / self.UNIT < 2.5
+        assert traced_peak(lambda: _be_standard_error(tri, s, self.SPREAD)) / self.UNIT < 0.5
 
 
 class TestBeReport:
