@@ -17,22 +17,26 @@ for every t.  Three models are provided:
 - ``mc_model``: correlated lognormal account increments around the
   forward drift, then an exact per-time-slice renormalization so the
   empirical means of 1/bn[t] and 1/br[t] match the curves to machine
-  precision.  Deterministic for a fixed seed.  The sampler works inside
-  its two accounts: the shocks are drawn into the accounts' own
-  buffers, then spread into accounts and moment-matched one block of
-  rows at a time, with the bits of the formulas applied to whole
-  arrays, and the scenario set checks i over the same blocks.  Beside
-  the accounts the float temporaries are a few blocks of
-  ``term_structures._BLOCK_BYTES`` each, not full-size arrays.
+  precision.  Deterministic for a fixed seed.  The shocks are one
+  ordered stream of row blocks, z_n of every block and then z_ind of
+  every block, drawn into two buffers of one block each: the bits of
+  the two whole draws.  The caller builds each drawn block of accounts,
+  and adds its column sums of the inverse accounts, while the next
+  block is drawn; from two CPUs on (``term_structures._cpus``) a helper
+  thread draws, otherwise the caller does.  The bits of the formulas
+  applied to whole arrays are kept, and beside the two accounts the
+  float temporaries are the two blocks of ``term_structures._BLOCK_BYTES``.
 """
 
 from __future__ import annotations
 
+import threading
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .term_structures import CurvePair, ScenarioSet, _row_blocks, implied_forwards
+from .term_structures import CurvePair, ScenarioSet, _cpus, _row_blocks, implied_forwards
 
 
 @dataclass(frozen=True)
@@ -153,6 +157,65 @@ def delayed_inflation_factor(params: TwoScenarioParams) -> float:
     )
 
 
+def _drawn(rng: np.random.Generator, views: list, threaded: bool) -> Iterator[np.ndarray]:
+    """Yield each of ``views`` in turn, once ``rng``'s standard normals fill it.
+
+    The draws follow one another in ``rng``'s stream, so the views hold
+    the bits of one draw laid end to end over them.  View j may share
+    its buffer with view j - 2, never with view j - 1: the caller is done
+    with a view when it asks for the next one.  With ``threaded`` a
+    helper thread draws, one view ahead of the caller at most; it only
+    draws, and is joined when this generator ends or is closed.  A draw
+    that raises on the helper raises here, at the caller's request for
+    that view, and a caller that stops early (by an exception, say)
+    closes this generator, which stops the helper before it joins it.
+    """
+    if not threaded:
+        for view in views:
+            rng.standard_normal(out=view)
+            yield view
+        return
+    turn = threading.Condition()
+    # The views drawn, the views the caller is done with, the helper's
+    # exception and whether the caller has stopped.
+    drawn, done, failure, stop = 0, 0, None, False
+
+    def draw() -> None:
+        nonlocal drawn, failure
+        try:
+            for j, view in enumerate(views):
+                with turn:
+                    turn.wait_for(lambda: stop or done >= j - 1)
+                    if stop:
+                        return
+                rng.standard_normal(out=view)
+                with turn:
+                    drawn += 1
+                    turn.notify()
+        except BaseException as exc:  # re-raised by the caller
+            with turn:
+                failure = exc
+                turn.notify()
+
+    helper = threading.Thread(target=draw, name="healthval-mc-draws")
+    helper.start()
+    try:
+        for j, view in enumerate(views):
+            with turn:
+                turn.wait_for(lambda: drawn > j or failure is not None)
+                if drawn <= j:
+                    raise failure
+            yield view
+            with turn:
+                done += 1
+                turn.notify()
+    finally:
+        with turn:
+            stop = True
+            turn.notify()
+        helper.join()
+
+
 def mc_model(curve: CurvePair, params: McModelParams) -> ScenarioSet:
     """Sampled lognormal scenario set, exactly moment-matched to the curves.
 
@@ -160,72 +223,94 @@ def mc_model(curve: CurvePair, params: McModelParams) -> ScenarioSet:
     shocks; each time slice of each account is then rescaled by one
     multiplicative factor so the weighted mean of the inverse account
     hits the curve price exactly.  Zero volatility reproduces the
-    deterministic model on every path.
+    deterministic model on every path.  No thread is left when this
+    returns or raises (see `_accounts`).
     """
-    n, horizon = params.n_paths, curve.horizon
-    fn, fr = implied_forwards(curve)
-    vols, drifts = (params.vol_n, params.vol_r), (np.log1p(fn), np.log1p(fr))
-    bn = np.empty((n, horizon + 1))
-    br = np.empty((n, horizon + 1))
-    # The shocks z_n, then z_r, are drawn into the leading n * horizon
-    # slots of bn's and br's own buffers: the same draws in the same order
-    # as into arrays of their own, with no full-size array besides the
-    # two accounts.
-    z_n = bn.reshape(-1)[: n * horizon].reshape(n, horizon)
-    z_r = br.reshape(-1)[: n * horizon].reshape(n, horizon)
-    rng = np.random.default_rng(np.uint64(params.seed))
-    rng.standard_normal(out=z_n)
-    rng.standard_normal(out=z_r)
-    blocks = _row_blocks(n, horizon + 1)
-
-    # Every step keeps the order of operations of the formulas in the
-    # comments (an addition may swap its operands), so each account is
-    # bit for bit the formula's.  Account rows r0..r1 occupy the slots
-    # from r0 * (horizon + 1) on, at or past where their shocks start, so
-    # writing a block's rows overwrites only its own shocks, copied
-    # first, and those of later rows.  Hence the blocks run from the last
-    # one back to the first.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for rows in reversed(blocks):
-            shock_n, shock_r = z_n[rows].copy(), z_r[rows].copy()
-            # z_r = corr * z_n + sqrt(1 - corr^2) * z_ind, with bn's block
-            # holding corr * z_n until the nominal account overwrites it.
-            np.multiply(shock_n, params.corr, out=bn[rows, 1:])
-            shock_r *= np.sqrt(1.0 - params.corr**2)
-            shock_r += bn[rows, 1:]
-            for b, z, vol, drift in zip((bn, br), (shock_n, shock_r), vols, drifts):
-                # b[:, 1:] = exp(cumsum(log1p(f) + vol * z, axis=1))
-                z *= vol
-                z += drift
-                b[rows, 0] = 1.0
-                np.cumsum(z, axis=1, out=b[rows, 1:])
-                np.exp(b[rows, 1:], out=b[rows, 1:])
-        del shock_n, shock_r, z
-        # Exact per-slice moment matching: slice t is scaled so that
-        # mean(1/b[:, t]) == p[t].  Slice 0 is pinned at 1 already.  The
-        # column sums of 1/b run over the rows in order, as np.mean's do
-        # on two or more columns: each block's reduction starts from the
-        # running total, held in row 0 of the block's buffer.
-        inverse = np.empty((blocks[0].stop + 1, horizon + 1))
-        for b, prices in ((bn, curve.pn), (br, curve.pr)):
-            total = np.zeros(horizon + 1)
-            for rows in blocks:
-                k = rows.stop - rows.start
-                inverse[0] = total
-                np.divide(1.0, b[rows], out=inverse[1 : k + 1])
-                np.add.reduce(inverse[: k + 1], axis=0, out=total)
-            scale = total / n / prices
-            scale[0] = 1.0
-            b *= scale
-        del inverse
+    bn, br = _accounts(curve, params)
     if not (np.all(np.isfinite(bn)) and np.all(np.isfinite(br))):
         raise ValueError("non-finite scenario draws; volatilities too large for the horizon")
 
-    weights = np.full(n, 1.0 / n)
+    weights = np.full(bn.shape[0], 1.0 / bn.shape[0])
     # Read-only arrays that own their data: the set adopts them uncopied.
     for arr in (bn, br, weights):
         arr.setflags(write=False)
     return ScenarioSet(bn=bn, br=br, weights=weights, sampled=True)
+
+
+def _accounts(curve: CurvePair, params: McModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """``mc_model``'s accounts (bn, br), moment-matched but not yet checked.
+
+    The shocks z_n of every row block (``_row_blocks``), then z_ind of
+    every row block, are drawn in that order into two buffers of one
+    block, taken in turn (`_drawn`): the bits of the two whole draws.
+    While this builds one block of accounts and adds its column sums of
+    1/b, the next block is drawn, on a helper thread when the process
+    may run on two or more CPUs.  The helper is joined before this
+    returns or raises.
+    """
+    n, horizon = params.n_paths, curve.horizon
+    fn, fr = implied_forwards(curve)
+    bn = np.empty((n, horizon + 1))
+    br = np.empty((n, horizon + 1))
+    blocks = _row_blocks(n, horizon + 1)
+    # Block j of the stream takes buffer j % 2: first its shocks, then,
+    # once they are spent, its reciprocals 1/b below a row for their
+    # running column sums.
+    buffers = np.empty((2, (blocks[0].stop + 1) * (horizon + 1)))
+    stream = [(buffers[j % 2], rows.stop - rows.start) for j, rows in enumerate(blocks * 2)]
+    # On one CPU the helper only adds switches: pinned to one CPU of a
+    # 2-vCPU x86-64 machine, a 10 000 x 100 set took about 50.7 ms
+    # threaded against 49.7 ms inline (medians of 100 alternating calls,
+    # threaded slower in 80).
+    drawn = _drawn(
+        np.random.default_rng(np.uint64(params.seed)),
+        [buf[: k * horizon].reshape(k, horizon) for buf, k in stream],
+        _cpus() >= 2,
+    )
+    shocks = zip([buf[: (k + 1) * (horizon + 1)].reshape(k + 1, horizon + 1) for buf, k in stream], drawn)
+    spread_r = np.sqrt(1.0 - params.corr**2)
+    totals = []
+
+    # Every step keeps the order of operations of the formulas in the
+    # comments (an addition may swap its operands), so each account is
+    # bit for bit the formula's.
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b, vol, drift in ((bn, params.vol_n, np.log1p(fn)), (br, params.vol_r, np.log1p(fr))):
+                total = np.zeros(horizon + 1)
+                for rows in blocks:
+                    inverse, z = next(shocks)
+                    if b is bn:
+                        # br's block holds corr * z_n until the real
+                        # account overwrites it.
+                        np.multiply(z, params.corr, out=br[rows, 1:])
+                    else:
+                        # z_r = corr * z_n + sqrt(1 - corr^2) * z_ind
+                        z *= spread_r
+                        z += br[rows, 1:]
+                    # b[:, 1:] = exp(cumsum(log1p(f) + vol * z, axis=1))
+                    z *= vol
+                    z += drift
+                    b[rows, 0] = 1.0
+                    np.cumsum(z, axis=1, out=b[rows, 1:])
+                    np.exp(b[rows, 1:], out=b[rows, 1:])
+                    # The column sums of 1/b run over the rows in order,
+                    # as np.mean's do on two or more columns: the block's
+                    # reduction starts from the running total, held in
+                    # the row above its reciprocals.
+                    inverse[0] = total
+                    np.divide(1.0, b[rows], out=inverse[1:])
+                    np.add.reduce(inverse, axis=0, out=total)
+                totals.append(total)
+            # Exact per-slice moment matching: slice t is scaled so that
+            # mean(1/b[:, t]) == p[t].  Slice 0 is pinned at 1 already.
+            for b, prices, total in zip((bn, br), (curve.pn, curve.pr), totals):
+                scale = total / n / prices
+                scale[0] = 1.0
+                b *= scale
+    finally:
+        drawn.close()
+    return bn, br
 
 
 def calibration_check(

@@ -69,7 +69,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .term_structures import InflationSpread, ScenarioSet, _readonly
+from .term_structures import InflationSpread, ScenarioSet, _cpus, _readonly
 
 
 class _FieldError(ValueError):
@@ -507,13 +507,6 @@ class SimulationResult:
 #: 49 and 50 ms at 2.75 M and 104 and 77 ms at 6.1 M (10 000 paths); at
 #: 2000 paths two shares of 2.46 M took 85 ms against one's 71.
 _SHARE_WORK = 3_000_000
-
-
-def _cpus() -> int:
-    """CPUs this process may run on, or 1 where the platform cannot fork or tell."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
 
 
 def _share_bounds(portfolio: Sequence[PolicyData], n_paths: int) -> list[tuple[int, int]]:

@@ -25,6 +25,7 @@ so everything here can be shared freely across threads.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,6 +72,18 @@ def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
     """
     step = max(1, _BLOCK_BYTES // (8 * n_cols))
     return [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
+
+
+def _cpus() -> int:
+    """CPUs this process may run on, or 1 where the platform cannot fork or tell.
+
+    The brute force runs one share per CPU (``policy_engine``), and the
+    Monte-Carlo sampler draws on a helper thread from two CPUs on
+    (``esg``).
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,12 +218,15 @@ class InflationSpread:
         the whole index.
         """
         rate = {"med": self.med_spread, "cost": self.cost_spread}[which]
-        factor = (1.0 + rate) ** np.arange(s.horizon + 1)
+        # Only the powers at the key's dates.  One date is raised as an
+        # array of one: numpy's scalar power may round otherwise than
+        # its array loop, which a whole row takes.
+        factor = (1.0 + rate) ** np.atleast_1d(np.arange(s.horizon + 1)[at[1]])
         bn, br = s.bn[at], s.br[at]
         if out is None:
             out = np.empty(bn.shape)
         np.divide(bn, br, out=out)
-        out *= factor[at[1]]
+        out *= factor
         return out
 
 

@@ -1,6 +1,10 @@
 """Shared generators, example data and paths for the test suite."""
 
 import functools
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -158,3 +162,24 @@ def traced_peak(call) -> int:
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def run_script(script: str, *args: str, timeout: float = 120.0, **env: str) -> str:
+    """Stdout of ``script`` (dedented) run by a fresh interpreter with ``args``.
+
+    The interpreter imports healthval from this checkout and this
+    directory's modules, such as conftest; ``env`` adds environment
+    variables.  It must exit 0 within ``timeout`` seconds, or the call
+    raises (a hang is killed rather than waited out).
+    """
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), str(here), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script), *args],
+        env=dict(os.environ, PYTHONPATH=path, **env),
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout

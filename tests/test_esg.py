@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from healthval import (
     McModelParams,
     ScenarioSet,
     TwoScenarioParams,
+    be_report,
     building_blocks,
     calibration_check,
     delayed_inflation_factor,
@@ -16,9 +20,10 @@ from healthval import (
     two_scenario_model,
 )
 
+from healthval import esg
 from healthval.term_structures import _BLOCK_BYTES, _row_blocks
 
-from conftest import random_curve, traced_peak
+from conftest import inpatient_policy, long_curve, random_curve, run_script, traced_peak
 
 CURVE = CurvePair(pn=[1.0, 0.98, 0.95], pr=[1.0, 1.0, 1.0])
 DETERMINISTIC_BLOCK = (1.0 / 0.98) * 0.95  # price of the delayed index payout
@@ -213,12 +218,20 @@ def block_rows(horizon: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * (horizon + 1)))
 
 
-class TestMcModelMatchesReference:
-    """The in-place sampler gives the reference formulas' bits, not just their values.
+@pytest.fixture(params=[1, 2], ids=["inline", "threaded"])
+def sampler_cpus(request, monkeypatch):
+    """CPUs ``mc_model`` sees: on 1 the caller draws the shocks, on 2 a helper thread does."""
+    monkeypatch.setattr(esg, "_cpus", lambda: request.param)
+    return request.param
 
-    The shapes include block edges: the sampler spreads and
-    moment-matches its accounts in row blocks, and the column sums of
-    1/b must run over the rows in order across the blocks' edges.
+
+class TestMcModelMatchesReference:
+    """The blocked sampler gives the reference formulas' bits, not just their values.
+
+    The shapes include block edges: the shocks are drawn, spread and
+    summed in row blocks, and the column sums of 1/b must run over the
+    rows in order across the blocks' edges.  Each shape runs with the
+    shocks drawn inline and on the helper thread.
     """
 
     @pytest.mark.parametrize(
@@ -244,7 +257,7 @@ class TestMcModelMatchesReference:
             (400, 2 * block_rows(400) + 1, 0.01, 0.005, 0.25),
         ],
     )
-    def test_bitwise_equal_to_reference(self, horizon, n_paths, vol_n, vol_r, corr):
+    def test_bitwise_equal_to_reference(self, sampler_cpus, horizon, n_paths, vol_n, vol_r, corr):
         curve = random_curve(np.random.default_rng(horizon), horizon)
         params = McModelParams(n_paths=n_paths, vol_n=vol_n, vol_r=vol_r, corr=corr, seed=11)
         s = mc_model(curve, params)
@@ -271,13 +284,104 @@ class TestMcModelMatchesReference:
         assert calibration_check(s, curve, tolerance=1e-12).passed
 
 
+class TestMcModelThreads:
+    def test_no_thread_outlives_mc_model_or_be_report(self, sampler_cpus):
+        threads = threading.active_count()
+        curve = long_curve(100)
+        s = mc_model(curve, McModelParams(n_paths=500, vol_n=0.015, vol_r=0.008, corr=0.25, seed=2))
+        assert threading.active_count() == threads
+        be_report([inpatient_policy(40), inpatient_policy(60)], s, InflationSpread(0.01, 0.005))
+        assert threading.active_count() == threads
+
+    def test_concurrent_calls_keep_their_bits_under_fast_switching(self, monkeypatch):
+        # Four callers, each with its helper: eight threads on fewer CPUs,
+        # switching every microsecond.  A block drawn over one its caller
+        # still reads, or a lost count, changes the bits.
+        monkeypatch.setattr(esg, "_cpus", lambda: 2)
+        curve = random_curve(np.random.default_rng(20), 20)
+        params = [
+            McModelParams(n_paths=3 * block_rows(20) + 7, vol_n=0.03, vol_r=0.02, corr=0.25, seed=seed)
+            for seed in range(4)
+        ]
+        results = [None] * len(params)
+
+        def call(k):
+            results[k] = mc_model(curve, params[k])
+
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(len(params))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for s, p in zip(results, params):
+            bn, br, _ = reference_mc_model(curve, p)
+            assert np.array_equal(s.bn, bn)
+            assert np.array_equal(s.br, br)
+
+    @pytest.mark.parametrize("side", ["caller", "helper"])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_failure_on_either_side_is_raised_and_leaves_no_thread(self, side, cpus):
+        # In a fresh interpreter with a timeout, so a deadlock fails the
+        # test instead of hanging it.  The caller's second cumsum, or the
+        # third draw, raises; the script prints the threads that drew.
+        script = """
+            import sys, threading
+            import numpy as np
+            from conftest import random_curve
+            from healthval import McModelParams, esg, mc_model
+
+            side, cpus, n_paths = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+            curve = random_curve(np.random.default_rng(20), 20)
+            params = McModelParams(n_paths=n_paths, vol_n=0.03, vol_r=0.02, corr=0.25, seed=11)
+            esg._cpus = lambda: cpus
+            drawers, cumsums = set(), []
+            real_cumsum, real_rng = np.cumsum, np.random.default_rng
+
+            def cumsum(*args, **kwargs):
+                cumsums.append(None)
+                if side == "caller" and len(cumsums) == 2:
+                    raise ArithmeticError("caller")
+                return real_cumsum(*args, **kwargs)
+
+            class Rng:
+                def __init__(self, seed):
+                    self.rng, self.draws = real_rng(seed), 0
+
+                def standard_normal(self, out):
+                    drawers.add(threading.current_thread().name)
+                    self.draws += 1
+                    if side == "helper" and self.draws == 3:
+                        raise ArithmeticError("helper")
+                    return self.rng.standard_normal(out=out)
+
+            np.cumsum, np.random.default_rng = cumsum, Rng
+            try:
+                mc_model(curve, params)
+            except ArithmeticError as exc:
+                assert str(exc) == side, exc
+            else:
+                raise AssertionError("mc_model did not raise")
+            assert threading.active_count() == 1, threading.enumerate()
+            print(" ".join(sorted(drawers)))
+            """
+        # Three row blocks: six draws.
+        drawers = run_script(script, side, str(cpus), str(3 * block_rows(20)), timeout=60).split()
+        assert (drawers == ["MainThread"]) is (cpus == 1)
+        assert len(drawers) == 1
+
+
 class TestScenarioPipelineMemory:
     def test_sampler_peak_stays_near_its_two_accounts(self):
-        # The shocks are drawn into the accounts' own buffers and every
-        # float temporary beside them is a row block: two shock copies and
-        # the (rows + 1)-row buffer of 1/b, allowed four blocks here.  On
-        # top, one boolean mask as large as an account's entries (numpy's
-        # draw into a buffer and the set's finite checks make one at a
+        # Beside the accounts, the float temporaries are two buffers of one
+        # row block each, which hold the shocks and then the reciprocals
+        # 1/b; allowed four blocks here.  On top, one boolean mask as large
+        # as an account's entries (the set's finite checks make one at a
         # time).  Full-size shock arrays, as drawn on their own, take the
         # peak to about 3.1 accounts.
         n_paths, horizon = 10_000, 100

@@ -1,7 +1,9 @@
 import json
+import mmap
 import os
 import signal
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -874,37 +876,56 @@ class TestSimulatePortfolioMemory:
         s = mc_model(long_curve(100), params)
         return [inpatient_policy(21 + k, rs0=10.0 * k) for k in range(40)], s
 
-    # tracemalloc sees only this process, so the two bounds below run on
-    # one share, which steps every policy here.
+    # tracemalloc sees only this process, so the three bounds below run on
+    # one share, which steps every policy here.  Nor does it see the
+    # shared mapping of per-policy sums, so ``peak`` adds the mapping's
+    # bytes.
 
-    def test_capped_simulate_portfolio_holds_under_one_and_a_half_scenario_arrays(self, force_shares):
+    @pytest.fixture
+    def peak(self, monkeypatch):
+        """``peak(call)``: the traced peak of ``call()`` plus the bytes of the mappings it made."""
+        mapped = []
+
+        def recording(fileno, length, *args, **kwargs):
+            mapped.append(length)
+            return mmap.mmap(fileno, length, *args, **kwargs)
+
+        monkeypatch.setattr(policy_engine, "mmap", SimpleNamespace(mmap=recording))
+
+        def measure(call) -> int:
+            mapped.clear()
+            traced = traced_peak(call)
+            assert mapped, "the call mapped no memory"
+            return traced + sum(mapped)
+
+        return measure
+
+    def test_capped_simulate_portfolio_holds_under_one_and_a_half_scenario_arrays(self, force_shares, peak):
         # The group's reserves and applied premiums, 0.8 for 40 policies,
-        # plus path-length rows: one full-size table of the indices, the
-        # discount or the cap factors crosses the bound.
+        # plus path-length rows and the mapped sums, 0.02: one full-size
+        # table of the indices, the discount or the cap factors crosses
+        # the bound.
         portfolio, s = self.inputs()
         force_shares(1)
-        peak = traced_peak(lambda: simulate_portfolio(portfolio, s, self.SPREAD, self.CAP))
-        assert peak / self.UNIT < 1.5
+        assert peak(lambda: simulate_portfolio(portfolio, s, self.SPREAD, self.CAP)) / self.UNIT < 1.5
 
-    def test_capped_be_report_holds_under_one_and_a_half_scenario_arrays(self, force_shares):
+    def test_capped_be_report_holds_under_one_and_a_half_scenario_arrays(self, force_shares, peak):
         # The group's state, 0.8 for 40 policies, sets the peak, about 1.0:
         # the pricers walk the paths in row blocks, so one full-size array
         # of theirs crosses the bound.
         portfolio, s = self.inputs()
         force_shares(1)
-        peak = traced_peak(lambda: be_report(portfolio, s, self.SPREAD, cap=self.CAP))
-        assert peak / self.UNIT < 1.5
+        assert peak(lambda: be_report(portfolio, s, self.SPREAD, cap=self.CAP)) / self.UNIT < 1.5
 
-    def test_capped_simulate_portfolio_holds_one_group_at_a_time(self, force_shares):
+    def test_capped_simulate_portfolio_holds_one_group_at_a_time(self, force_shares, peak):
         # 400 policies make eight groups of 50 under a cap, each with about
-        # one unit of state.  A group's state is released before the next
-        # one's is allocated, so the peak stays about 1.1; two groups' state
-        # at once takes it past 2.
+        # one unit of state, and their mapped sums take 0.08.  A group's
+        # state is released before the next one's is allocated, so the peak
+        # stays about 1.2; two groups' state at once takes it past 2.
         _, s = self.inputs()
         portfolio = [inpatient_policy(80 + k % 20, rs0=10.0 * k) for k in range(400)]
         force_shares(1)
-        peak = traced_peak(lambda: simulate_portfolio(portfolio, s, self.SPREAD, self.CAP))
-        assert peak / self.UNIT < 1.5
+        assert peak(lambda: simulate_portfolio(portfolio, s, self.SPREAD, self.CAP)) / self.UNIT < 1.5
 
     def test_shares_hold_no_more_here_than_one_share(self, force_shares):
         # This process steps only the first share and keeps the others'

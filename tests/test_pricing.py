@@ -1,9 +1,3 @@
-import os
-import pathlib
-import subprocess
-import sys
-import textwrap
-
 import numpy as np
 import pytest
 
@@ -30,6 +24,7 @@ from conftest import (
     long_curve,
     random_curve,
     random_scenario_set,
+    run_script,
     toy_curve,
     toy_policy,
     traced_peak,
@@ -64,6 +59,19 @@ class TestInflationSpread:
                 out = np.empty(s.n_paths)
                 assert spread.index(s, which, out=out, t=date) is out
                 assert np.array_equal(out, want[:, date])
+
+    def test_one_date_keeps_the_bits_of_a_long_whole_index(self):
+        # Each date's factor is raised on its own; numpy's scalar power
+        # rounds some of them otherwise than its array loop does.
+        rng = np.random.default_rng(12)
+        s = random_scenario_set(rng, 400, 2)
+        out = np.empty(s.n_paths)
+        for rate in rng.uniform(-0.5, 0.5, 40):
+            spread = InflationSpread(med_spread=rate)
+            whole = spread.index(s, "med")
+            for date in range(s.horizon + 1):
+                spread.index(s, "med", out=out, t=date)
+                assert np.array_equal(out, whole[:, date]), (rate, date)
 
     def test_rejects_spread_at_minus_one(self):
         for med, cost in ((-1.0, 0.0), (0.0, -1.5), (float("nan"), 0.0), (0.0, float("nan"))):
@@ -336,8 +344,7 @@ class TestPricingOverSeveralBlocks:
         # of 7 and 31 row blocks: the digests of every price and SE must
         # match.  Whole-array products gave other bits on 2 threads at
         # both sizes.
-        script = textwrap.dedent(
-            """
+        script = """
             import hashlib
             from conftest import long_curve
             from healthval import InflationSpread, McModelParams, building_blocks, mc_model
@@ -349,14 +356,7 @@ class TestPricingOverSeveralBlocks:
                     digest.update(prices.tobytes())
             print(digest.hexdigest())
             """
-        )
-        here = pathlib.Path(__file__).parent
-        path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]))
-        digests = set()
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-            digests.add(run.stdout)
+        digests = {run_script(script, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")}
         assert len(digests) == 1
 
 
