@@ -23,13 +23,18 @@ for every t.  Three models are provided:
   the two whole draws.  The caller builds each drawn block of accounts,
   and adds its column sums of the inverse accounts, while the next
   block is drawn; from two CPUs on (``term_structures._cpus``) a helper
-  thread draws, otherwise the caller does.  The bits of the formulas
+  thread draws, taking turns with the caller through two queues (see
+  ``_drawn``), otherwise the caller does.  The bits of the formulas
   applied to whole arrays are kept, and beside the two accounts the
   float temporaries are the two blocks of ``term_structures._BLOCK_BYTES``.
+  The accounts are checked once, by the ``ScenarioSet`` that adopts
+  them; a set that fails its checks is reported as volatilities too
+  large for the horizon.
 """
 
 from __future__ import annotations
 
+import queue
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -163,56 +168,49 @@ def _drawn(rng: np.random.Generator, views: list, threaded: bool) -> Iterator[np
     The draws follow one another in ``rng``'s stream, so the views hold
     the bits of one draw laid end to end over them.  View j may share
     its buffer with view j - 2, never with view j - 1: the caller is done
-    with a view when it asks for the next one.  With ``threaded`` a
-    helper thread draws, one view ahead of the caller at most; it only
-    draws, and is joined when this generator ends or is closed.  A draw
-    that raises on the helper raises here, at the caller's request for
-    that view, and a caller that stops early (by an exception, say)
-    closes this generator, which stops the helper before it joins it.
+    with a view when it asks for the next one.
+
+    With ``threaded`` a helper thread draws, and the two sides take
+    turns through two queues.  The helper draws a view for each ticket
+    it takes: two at the start, then one each time the caller is done
+    with a view, so view j is drawn only once the caller is done with
+    view j - 2 and the helper is one view ahead at most.  For each view
+    it puts ``None`` on the ``drawn`` queue, or the exception its draw
+    raised, which the caller raises at its request for that view.  A
+    ``False`` ticket stops the helper: this generator puts one when it
+    ends or is closed (by a caller that stops early, say), then joins
+    the helper, which only draws.
     """
     if not threaded:
         for view in views:
             rng.standard_normal(out=view)
             yield view
         return
-    turn = threading.Condition()
-    # The views drawn, the views the caller is done with, the helper's
-    # exception and whether the caller has stopped.
-    drawn, done, failure, stop = 0, 0, None, False
+    tickets, drawn = queue.SimpleQueue(), queue.SimpleQueue()
 
     def draw() -> None:
-        nonlocal drawn, failure
         try:
-            for j, view in enumerate(views):
-                with turn:
-                    turn.wait_for(lambda: stop or done >= j - 1)
-                    if stop:
-                        return
+            for view in views:
+                if not tickets.get():
+                    return
                 rng.standard_normal(out=view)
-                with turn:
-                    drawn += 1
-                    turn.notify()
+                drawn.put(None)
         except BaseException as exc:  # re-raised by the caller
-            with turn:
-                failure = exc
-                turn.notify()
+            drawn.put(exc)
 
+    tickets.put(True)
+    tickets.put(True)
     helper = threading.Thread(target=draw, name="healthval-mc-draws")
     helper.start()
     try:
-        for j, view in enumerate(views):
-            with turn:
-                turn.wait_for(lambda: drawn > j or failure is not None)
-                if drawn <= j:
-                    raise failure
+        for view in views:
+            failure = drawn.get()
+            if failure is not None:
+                raise failure
             yield view
-            with turn:
-                done += 1
-                turn.notify()
+            tickets.put(True)
     finally:
-        with turn:
-            stop = True
-            turn.notify()
+        tickets.put(False)
         helper.join()
 
 
@@ -223,30 +221,36 @@ def mc_model(curve: CurvePair, params: McModelParams) -> ScenarioSet:
     shocks; each time slice of each account is then rescaled by one
     multiplicative factor so the weighted mean of the inverse account
     hits the curve price exactly.  Zero volatility reproduces the
-    deterministic model on every path.  No thread is left when this
-    returns or raises (see `_accounts`).
+    deterministic model on every path.  Accounts that the set rejects,
+    non-finite ones above all, raise ``ValueError`` ("volatilities too
+    large for the horizon"), chained from the set's own error.  No
+    thread is left when this returns or raises (see `_accounts`).
     """
     bn, br = _accounts(curve, params)
-    if not (np.all(np.isfinite(bn)) and np.all(np.isfinite(br))):
-        raise ValueError("non-finite scenario draws; volatilities too large for the horizon")
-
     weights = np.full(bn.shape[0], 1.0 / bn.shape[0])
-    # Read-only arrays that own their data: the set adopts them uncopied.
+    # Read-only arrays that own their data: the set adopts them uncopied,
+    # and its checks are the only pass over them.
     for arr in (bn, br, weights):
         arr.setflags(write=False)
-    return ScenarioSet(bn=bn, br=br, weights=weights, sampled=True)
+    try:
+        return ScenarioSet(bn=bn, br=br, weights=weights, sampled=True)
+    except ValueError as exc:
+        raise ValueError("non-finite scenario draws; volatilities too large for the horizon") from exc
 
 
 def _accounts(curve: CurvePair, params: McModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """``mc_model``'s accounts (bn, br), moment-matched but not yet checked.
+    """``mc_model``'s accounts (bn, br), moment-matched but not checked.
+
+    They may hold inf or nan: the ``ScenarioSet`` that ``mc_model``
+    builds from them is their one finiteness check.
 
     The shocks z_n of every row block (``_row_blocks``), then z_ind of
     every row block, are drawn in that order into two buffers of one
     block, taken in turn (`_drawn`): the bits of the two whole draws.
     While this builds one block of accounts and adds its column sums of
     1/b, the next block is drawn, on a helper thread when the process
-    may run on two or more CPUs.  The helper is joined before this
-    returns or raises.
+    may run on two or more CPUs, one block ahead at most.  The helper
+    is joined before this returns or raises.
     """
     n, horizon = params.n_paths, curve.horizon
     fn, fr = implied_forwards(curve)

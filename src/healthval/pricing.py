@@ -32,7 +32,7 @@ import numpy as np
 
 from .decomposition import CoefficientTriangle, aggregate, be_by_date, be_from_blocks  # noqa: F401
 from .policy_engine import CapRule, PolicyData, simulate_portfolio
-from .term_structures import InflationSpread, ScenarioSet, _row_blocks
+from .term_structures import InflationSpread, ScenarioSet, _readonly, _row_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +51,9 @@ class BuildingBlockMatrix:
     slice's moments exactly, which this ignores, so it overstates an
     entry's spread across seeds (as ``ValuationReport.standard_error``
     does the BE's).
-    No other block SE is carried, because nothing reads one.
+    No other block SE is carried, because nothing reads one.  The
+    arrays are read-only and finite, under the adoption rule of
+    ``term_structures._readonly``: a writable input is copied.
     """
 
     med: np.ndarray
@@ -60,16 +62,19 @@ class BuildingBlockMatrix:
     se_med: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
+        arrays = {"med": 2, "cost_diag": 1, "nominal_diag": 1}
+        if self.se_med is not None:
+            arrays["se_med"] = 2
+        for name, ndim in arrays.items():
+            object.__setattr__(self, name, _readonly(getattr(self, name), name, ndim))
         n = len(self.med)
         if self.med.shape != (n, n):
             raise ValueError(f"med must be square, got {self.med.shape}")
         if len(self.cost_diag) != n or len(self.nominal_diag) != n:
             raise ValueError("diagonal vectors must have one entry per date")
         for prices in (self.med[np.tril_indices(n)], self.cost_diag, self.nominal_diag):
-            if not np.all(np.isfinite(prices) & (prices > 0.0)):
-                raise ValueError("building-block prices must be positive and finite")
-        if self.se_med is not None and not np.all(np.isfinite(self.se_med)):
-            raise ValueError("building-block standard errors must be finite")
+            if not np.all(prices > 0.0):
+                raise ValueError("building-block prices must be positive")
 
     @property
     def horizon(self) -> int:

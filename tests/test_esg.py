@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -170,8 +171,13 @@ class TestMcModel:
         assert values[0] < values[1] < values[2]
 
     def test_rejects_explosive_volatility(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        # The scenario set's finite check finds the overflow; the sampler
+        # reports it in its own terms, chained from the set's error.
+        message = "^non-finite scenario draws; volatilities too large for the horizon$"
+        with pytest.raises(ValueError, match=message) as info:
             mc_model(CURVE, McModelParams(n_paths=4, vol_n=500.0, vol_r=0.0, corr=0.0, seed=1))
+        assert isinstance(info.value.__cause__, ValueError)
+        assert "non-finite" in str(info.value.__cause__)
 
     def test_rejects_degenerate_path_count(self):
         for n_paths in (1, 2.5, float("nan")):
@@ -374,6 +380,47 @@ class TestMcModelThreads:
         drawers = run_script(script, side, str(cpus), str(3 * block_rows(20)), timeout=60).split()
         assert (drawers == ["MainThread"]) is (cpus == 1)
         assert len(drawers) == 1
+
+
+class RecordingRng:
+    """A stand-in for ``_drawn``'s generator: fills draw k with k and records its start."""
+
+    def __init__(self, events):
+        self.events, self.draws = events, 0
+
+    def standard_normal(self, out):
+        self.events.append(("draw", self.draws))
+        out.fill(self.draws)
+        self.draws += 1
+
+
+class TestDrawnHandoff:
+    """The helper of ``esg._drawn`` is one view ahead of its caller at most."""
+
+    def test_view_j_is_drawn_only_after_the_caller_is_done_with_view_j_minus_2(self):
+        events, views = [], [np.empty(3) for _ in range(6)]
+        drawn = esg._drawn(RecordingRng(events), views, threaded=True)
+        for j in range(len(views)):
+            # A slow caller, so a helper allowed further ahead would get there.
+            time.sleep(0.02)
+            if j:
+                events.append(("done", j - 1))
+            view = next(drawn)
+            assert view is views[j] and np.all(view == j)
+        drawn.close()
+        for j in range(2, len(views)):
+            assert events.index(("done", j - 2)) < events.index(("draw", j)), events
+
+    def test_closing_after_the_first_view_leaves_no_thread(self):
+        events, views = [], [np.empty(3) for _ in range(6)]
+        threads = threading.active_count()
+        drawn = esg._drawn(RecordingRng(events), views, threaded=True)
+        next(drawn)
+        time.sleep(0.05)
+        drawn.close()
+        assert threading.active_count() == threads
+        # The two tickets of the start allow views 0 and 1, no more.
+        assert events in ([("draw", 0)], [("draw", 0), ("draw", 1)])
 
 
 class TestScenarioPipelineMemory:

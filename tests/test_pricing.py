@@ -164,6 +164,20 @@ class TestBuildingBlocks:
             BuildingBlockMatrix(blocks.med, blocks.cost_diag[:2], blocks.nominal_diag)
 
     @pytest.mark.parametrize("field", ["med", "cost_diag", "nominal_diag", "se_med"])
+    def test_arrays_are_read_only_and_not_the_callers(self, field):
+        # A write after construction would skip the checks: a nan written
+        # into med made the BE nan.
+        s = mc_model(toy_curve(), McModelParams(n_paths=50, vol_n=0.03, vol_r=0.02, corr=0.0, seed=2))
+        blocks = building_blocks(s)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(blocks, field)[-1] = float("nan")
+        names = ("med", "cost_diag", "nominal_diag", "se_med")
+        fields = {name: getattr(blocks, name).copy() for name in names}
+        copy = BuildingBlockMatrix(**fields)
+        fields[field][-1] = float("nan")
+        assert np.array_equal(getattr(copy, field), getattr(blocks, field))
+
+    @pytest.mark.parametrize("field", ["med", "cost_diag", "nominal_diag", "se_med"])
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_rejects_non_finite_entries(self, field, bad):
         s = mc_model(toy_curve(), McModelParams(n_paths=50, vol_n=0.03, vol_r=0.02, corr=0.0, seed=2))
