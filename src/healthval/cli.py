@@ -294,7 +294,7 @@ def _cmd_compare(args, config: RunConfig) -> _Failure:
             "model": model.echo(),
             "be_decomposition": be_from_blocks(tri, blocks),
             "delayed_block_price_2_1": float(blocks.med[2, 1]),
-            "nominal_diag": blocks.nominal_diag,
+            "nominal_diag": blocks.med[:, 0],
         }
 
     (blocks_a, side_a), (blocks_b, side_b) = side(config.model), side(model_b)

@@ -571,9 +571,9 @@ def _simulate_share(
         live = list(zip(sums[start:], group, state[0], applied, (policy.surv2 for policy in group)))
         for t in range(max(policy.run_off for policy in group) + 1):
             live = [member for member in live if member[1].run_off >= t]
-            spread.index(s, "med", out=im, t=t)
+            spread.index(s, "med", np.s_[:, t], out=im)
             ic, ic_prev = ic_prev, ic
-            spread.index(s, "cost", out=ic, t=t)
+            spread.index(s, "cost", np.s_[:, t], out=ic)
             np.divide(s.weights, s.bn[:, t], out=disc)
             if capped and t > 0:
                 cap.allowed_factor(ic_prev, ic, out=factor)

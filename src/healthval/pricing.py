@@ -6,9 +6,10 @@ probability-weighted sum
 
     med[t, s] = sum_k w_k * i_med_k[s] / bn_k[t],      0 <= s <= t.
 
-The boundary cases are ordinary bonds: med[t, 0] is the nominal ZCB
-price and, with zero spread, med[t, t] the real ZCB price.  The medical
-and cost indices come from :meth:`InflationSpread.index
+The boundary cases are ordinary bonds: i_med[0] = 1 on every path, so
+med[t, 0] = E[1/bn[t]] is the nominal ZCB price, and, with zero spread,
+med[t, t] is the real ZCB price.  The medical and cost indices come from
+:meth:`InflationSpread.index
 <healthval.term_structures.InflationSpread.index>`, one index and one
 block of rows at a time, into a buffer of one block that the pricer
 owns: the pricers walk the paths in row blocks, so beside the set they
@@ -37,14 +38,16 @@ from .term_structures import InflationSpread, ScenarioSet, _readonly, _row_block
 
 @dataclass(frozen=True, eq=False)
 class BuildingBlockMatrix:
-    """Prices of the delayed-index payouts plus the bond diagonals.
+    """Prices of the delayed-index payouts plus the cost diagonal.
 
     ``med[t, s]`` = E[i_med[s]/bn[t]] for s <= t, a (T+1, T+1) array
     with zeros above the diagonal, the layout of the coefficient
-    triangles it prices; ``cost_diag[t]`` = E[i_cost[t]/bn[t]],
-    ``nominal_diag[t]`` = E[1/bn[t]].  The horizon is ``len(med) - 1``.
-    ``se_med`` holds the i.i.d. per-entry standard errors of ``med``,
-    present only for sampled sets: for each (t, s), the sample standard
+    triangles it prices; its column 0 is the nominal ZCB, ``med[t, 0]``
+    = E[1/bn[t]], since i_med[0] = 1.  ``cost_diag[t]`` =
+    E[i_cost[t]/bn[t]].  The horizon is ``len(med) - 1``.
+    ``se_med``, shaped like ``med`` and nonnegative, holds the i.i.d.
+    per-entry standard errors of ``med``, present only for sampled sets
+    (see ``ScenarioSet``): for each (t, s), the sample standard
     error of the per-path values i_med[s]/bn[t], as if the paths were
     independent, and exactly 0 where bn[t] and i_med[s] are each the
     same on every path, as at (0, 0).  ``mc_model`` matches every time
@@ -58,11 +61,10 @@ class BuildingBlockMatrix:
 
     med: np.ndarray
     cost_diag: np.ndarray
-    nominal_diag: np.ndarray
     se_med: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        arrays = {"med": 2, "cost_diag": 1, "nominal_diag": 1}
+        arrays = {"med": 2, "cost_diag": 1}
         if self.se_med is not None:
             arrays["se_med"] = 2
         for name, ndim in arrays.items():
@@ -70,11 +72,12 @@ class BuildingBlockMatrix:
         n = len(self.med)
         if self.med.shape != (n, n):
             raise ValueError(f"med must be square, got {self.med.shape}")
-        if len(self.cost_diag) != n or len(self.nominal_diag) != n:
-            raise ValueError("diagonal vectors must have one entry per date")
-        for prices in (self.med[np.tril_indices(n)], self.cost_diag, self.nominal_diag):
-            if not np.all(prices > 0.0):
-                raise ValueError("building-block prices must be positive")
+        if len(self.cost_diag) != n:
+            raise ValueError("cost_diag must have one entry per date")
+        if not (np.all(self.med[np.tril_indices(n)] > 0.0) and np.all(self.cost_diag > 0.0)):
+            raise ValueError("building-block prices must be positive")
+        if self.se_med is not None and (self.se_med.shape != (n, n) or np.any(self.se_med < 0.0)):
+            raise ValueError("se_med must be nonnegative and shaped like med")
 
     @property
     def horizon(self) -> int:
@@ -101,22 +104,21 @@ def building_blocks(s: ScenarioSet, spread: InflationSpread = InflationSpread())
     # buffer, which holds the cost index, then the medical index, then
     # its square.
     inv_bn, disc, index = (np.empty((blocks[0].stop, dates)) for _ in range(3))
-    nominal_diag, cost_diag = np.zeros(dates), np.zeros(dates)
+    cost_diag = np.zeros(dates)
     med = np.zeros((dates, dates))
     if s.sampled:
         second_med = np.zeros((dates, dates))
         # Whether each date's bn, and each date's medical index, is the
         # same on every path.
         same_bn, same_med = np.ones(dates, dtype=bool), np.ones(dates, dtype=bool)
-        first_med = spread._index(s, "med", np.s_[:1, :])[0]
+        first_med = spread.index(s, "med", np.s_[:1, :])[0]
     for rows in blocks:
         k = rows.stop - rows.start
         inv = np.divide(1.0, s.bn[rows], out=inv_bn[:k])
         weighted = np.multiply(inv, s.weights[rows, None], out=disc[:k])
-        nominal_diag += weighted.sum(axis=0)
         at = (rows, slice(None))
-        cost_diag += np.einsum("kt,kt->t", weighted, spread._index(s, "cost", at, out=index[:k]))
-        i_med = spread._index(s, "med", at, out=index[:k])
+        cost_diag += np.einsum("kt,kt->t", weighted, spread.index(s, "cost", at, out=index[:k]))
+        i_med = spread.index(s, "med", at, out=index[:k])
         med += weighted.T @ i_med
         if s.sampled:
             # second_med = ((1 / bn)**2 / n).T @ i_med**2, squared in place.
@@ -137,12 +139,7 @@ def building_blocks(s: ScenarioSet, spread: InflationSpread = InflationSpread())
         # rounding would leave a few 1e-9 there.
         se_med[np.outer(same_bn, same_med)] = 0.0
 
-    return BuildingBlockMatrix(
-        med=med,
-        cost_diag=cost_diag,
-        nominal_diag=nominal_diag,
-        se_med=se_med,
-    )
+    return BuildingBlockMatrix(med=med, cost_diag=cost_diag, se_med=se_med)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +181,7 @@ def _be_standard_error(
     values are built one block of rows at a time, each row with the bits
     of the formula applied to whole arrays.
     """
-    if not s.sampled or s.n_paths < 2:
+    if not s.sampled:
         return None
     n = tri.horizon + 1
     blocks = _row_blocks(s.n_paths, n)
@@ -196,8 +193,8 @@ def _be_standard_error(
     for rows in blocks:
         k = rows.stop - rows.start
         at = (rows, slice(0, n))
-        values = np.matmul(spread._index(s, "med", at, out=index[:k]), tri.coeffs.T, out=dated[:k])
-        cost = spread._index(s, "cost", at, out=index[:k])
+        values = np.matmul(spread.index(s, "med", at, out=index[:k]), tri.coeffs.T, out=dated[:k])
+        cost = spread.index(s, "cost", at, out=index[:k])
         cost *= tri.fixed
         values += cost
         values /= s.bn[at]

@@ -16,8 +16,10 @@ Conventions used throughout the engine:
   deterministic spread factor.  A scenario set stores only the accounts
   and checks at construction that their ratio is finite; the index is
   derived only through :meth:`InflationSpread.index`, one payment index
-  (of every path, one date or one block of rows) at a time, into a
-  buffer its caller owns.
+  (of every path at one date, or of one block of rows) at a time, into a
+  buffer its caller owns.  At t = 0 both indices are 1 on every path, so
+  the nominal zero-coupon bond is the basis instrument (t, 0), priced by
+  ``med[t, 0]`` (see ``pricing``).
 
 All types are immutable after construction and all operations are pure,
 so everything here can be shared freely across threads.
@@ -128,7 +130,9 @@ class ScenarioSet:
     Stored stacked ((n_paths, T+1) arrays, one row per path) so pricing
     can run as matrix arithmetic.  Weights are strictly positive and sum
     to 1 within 1e-12.  ``sampled`` marks equal-weight Monte-Carlo
-    output, for which standard errors are meaningful.
+    output, for which standard errors are meaningful: a sampled set has
+    at least two paths, all of exactly the same weight, since its
+    standard errors weight each path 1/n and divide by n - 1.
 
     ``bn``, ``br`` and ``weights`` follow the adoption rule of
     :func:`_readonly`: a read-only float64 array that owns its data is
@@ -159,6 +163,8 @@ class ScenarioSet:
             raise ValueError("weights must be strictly positive")
         if abs(float(self.weights.sum()) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1 within 1e-12, got {self.weights.sum()!r}")
+        if self.sampled and (len(self.weights) < 2 or np.any(self.weights != self.weights[0])):
+            raise ValueError("a sampled set needs at least two paths of equal weight")
         if np.any(self.bn <= 0.0) or np.any(self.br <= 0.0):
             raise ValueError("money-market accounts must be strictly positive")
         if np.any(self.bn[:, 0] != 1.0) or np.any(self.br[:, 0] != 1.0):
@@ -196,26 +202,16 @@ class InflationSpread:
             raise ValueError("spreads must exceed -1")
 
     def index(
-        self, s: ScenarioSet, which: str, out: Optional[np.ndarray] = None, t: Optional[int] = None
-    ) -> np.ndarray:
-        """The ``"med"`` or ``"cost"`` index of every path of ``s``, written into ``out``.
-
-        Without a date ``t``, ``out`` is shaped like ``s.bn``; with one it
-        holds every path's level at t.  Without ``out`` a new array is
-        made.  Each level is the quotient ``bn / br`` rounded, then times
-        ``(1 + spread)^t`` rounded, so a date's row holds the bits of that
-        date's column of the whole index.
-        """
-        return self._index(s, which, np.s_[:, :] if t is None else np.s_[:, t], out)
-
-    def _index(
         self, s: ScenarioSet, which: str, at: tuple, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """:meth:`index` at ``at``, a (rows, dates) key of the set's accounts.
+        """The ``"med"`` or ``"cost"`` index of ``s`` at ``at``, written into ``out``.
 
-        The rows are a slice and the dates a slice or one date, so a
-        block of rows (see ``_row_blocks``) gets the bits of its part of
-        the whole index.
+        ``at`` is a (rows, dates) key of the set's accounts: the rows a
+        slice and the dates a slice or one date, so ``np.s_[:, t]`` gives
+        every path's level at t and a block of rows (see ``_row_blocks``)
+        gets the bits of its part of the whole index.  Without ``out`` a
+        new array is made.  Each level is the quotient ``bn / br``
+        rounded, then times ``(1 + spread)^t`` rounded.
         """
         rate = {"med": self.med_spread, "cost": self.cost_spread}[which]
         # Only the powers at the key's dates.  One date is raised as an

@@ -520,7 +520,7 @@ class TestCapRule:
         s = mc_model(long_curve(100), McModelParams(n_paths=30, vol_n=0.02, vol_r=0.01, corr=0.2, seed=seed))
         spread = InflationSpread(0.01, 0.005)
         cap = CapRule(abs_increase=0.03, inflation_multiple=1.0)
-        i_med, i_cost = spread.index(s, "med"), spread.index(s, "cost")
+        i_med, i_cost = spread.index(s, "med", np.s_[:, :]), spread.index(s, "cost", np.s_[:, :])
         per_t = [0.0] * (max(p.run_off for p in portfolio) + 1)
         for policy in portfolio:
             surv2 = policy.surv2

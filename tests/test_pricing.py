@@ -38,27 +38,31 @@ class TestInflationSpread:
     def test_zero_spread_is_identity(self):
         s = mc_model(toy_curve(), McModelParams(n_paths=4, vol_n=0.02, vol_r=0.01, corr=0.0, seed=1))
         spread = InflationSpread()
-        assert np.array_equal(spread.index(s, "med"), s.bn / s.br)
-        assert np.array_equal(spread.index(s, "cost"), s.bn / s.br)
+        assert np.array_equal(spread.index(s, "med", np.s_[:, :]), s.bn / s.br)
+        assert np.array_equal(spread.index(s, "cost", np.s_[:, :]), s.bn / s.br)
 
     def test_factors_compound_annually(self):
         s = deterministic_model(flat_curve(3, 0.0, 0.0))
         spread = InflationSpread(med_spread=0.02)
-        i_med, i_cost = spread.index(s, "med"), spread.index(s, "cost")
+        i_med, i_cost = spread.index(s, "med", np.s_[:, :]), spread.index(s, "cost", np.s_[:, :])
         assert i_med[0] == pytest.approx([1.0, 1.02, 1.02**2, 1.02**3], rel=1e-15)
         assert i_cost[0].tolist() == [1.0] * 4
 
     @pytest.mark.parametrize("spread", SPREADS)
     def test_one_index_whole_or_at_one_date_is_the_formula_bitwise(self, spread):
+        # The keys the pricers and the brute force pass: every path or a
+        # block of rows, at every date or at one.
         s = random_scenario_set(np.random.default_rng(6), 30, 7)
         t = np.arange(s.horizon + 1)
+        keys = [np.s_[:, :], np.s_[2:5, :]]
+        keys += [key for date in t for key in (np.s_[:, date], np.s_[2:5, date])]
         for which, rate in (("med", spread.med_spread), ("cost", spread.cost_spread)):
             want = s.bn / s.br * (1.0 + rate) ** t
-            assert np.array_equal(spread.index(s, which), want)
-            for date in range(s.horizon + 1):
-                out = np.empty(s.n_paths)
-                assert spread.index(s, which, out=out, t=date) is out
-                assert np.array_equal(out, want[:, date])
+            for at in keys:
+                assert np.array_equal(spread.index(s, which, at), want[at])
+                out = np.empty(want[at].shape)
+                assert spread.index(s, which, at, out=out) is out
+                assert np.array_equal(out, want[at])
 
     def test_one_date_keeps_the_bits_of_a_long_whole_index(self):
         # Each date's factor is raised on its own; numpy's scalar power
@@ -68,9 +72,9 @@ class TestInflationSpread:
         out = np.empty(s.n_paths)
         for rate in rng.uniform(-0.5, 0.5, 40):
             spread = InflationSpread(med_spread=rate)
-            whole = spread.index(s, "med")
+            whole = spread.index(s, "med", np.s_[:, :])
             for date in range(s.horizon + 1):
-                spread.index(s, "med", out=out, t=date)
+                spread.index(s, "med", np.s_[:, date], out=out)
                 assert np.array_equal(out, whole[:, date]), (rate, date)
 
     def test_rejects_spread_at_minus_one(self):
@@ -100,7 +104,7 @@ class TestBuildingBlocks:
         for s in models:
             blocks = building_blocks(s)
             diag = np.array([blocks.med[t, t] for t in range(blocks.horizon + 1)])
-            assert np.max(np.abs(blocks.nominal_diag - curve.pn)) <= 1e-12
+            assert np.max(np.abs(blocks.med[:, 0] - curve.pn)) <= 1e-12
             assert np.max(np.abs(diag - curve.pr)) <= 1e-12
             assert np.max(np.abs(blocks.cost_diag - curve.pr)) <= 1e-12
 
@@ -159,11 +163,14 @@ class TestBuildingBlocks:
         blocks = building_blocks(deterministic_model(toy_curve()))
         assert blocks.horizon == len(blocks.med) - 1 == 3
         with pytest.raises(ValueError, match="square"):
-            BuildingBlockMatrix(blocks.med[:, :2], blocks.cost_diag, blocks.nominal_diag)
+            BuildingBlockMatrix(blocks.med[:, :2], blocks.cost_diag)
         with pytest.raises(ValueError, match="one entry per date"):
-            BuildingBlockMatrix(blocks.med, blocks.cost_diag[:2], blocks.nominal_diag)
+            BuildingBlockMatrix(blocks.med, blocks.cost_diag[:2])
+        # A (2, 2) se_med beside a (4, 4) med failed only in the block export.
+        with pytest.raises(ValueError, match="shaped like med"):
+            BuildingBlockMatrix(blocks.med, blocks.cost_diag, blocks.med[:2, :2])
 
-    @pytest.mark.parametrize("field", ["med", "cost_diag", "nominal_diag", "se_med"])
+    @pytest.mark.parametrize("field", ["med", "cost_diag", "se_med"])
     def test_arrays_are_read_only_and_not_the_callers(self, field):
         # A write after construction would skip the checks: a nan written
         # into med made the BE nan.
@@ -171,21 +178,33 @@ class TestBuildingBlocks:
         blocks = building_blocks(s)
         with pytest.raises(ValueError, match="read-only"):
             getattr(blocks, field)[-1] = float("nan")
-        names = ("med", "cost_diag", "nominal_diag", "se_med")
+        names = ("med", "cost_diag", "se_med")
         fields = {name: getattr(blocks, name).copy() for name in names}
         copy = BuildingBlockMatrix(**fields)
         fields[field][-1] = float("nan")
         assert np.array_equal(getattr(copy, field), getattr(blocks, field))
 
-    @pytest.mark.parametrize("field", ["med", "cost_diag", "nominal_diag", "se_med"])
+    @pytest.mark.parametrize("field", ["med", "cost_diag", "se_med"])
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_rejects_non_finite_entries(self, field, bad):
         s = mc_model(toy_curve(), McModelParams(n_paths=50, vol_n=0.03, vol_r=0.02, corr=0.0, seed=2))
         blocks = building_blocks(s)
-        names = ("med", "cost_diag", "nominal_diag", "se_med")
+        names = ("med", "cost_diag", "se_med")
         fields = {name: getattr(blocks, name).copy() for name in names}
         fields[field][-1] = bad  # the last row of a matrix holds lower-triangle entries
         with pytest.raises(ValueError, match="finite"):
+            BuildingBlockMatrix(**fields)
+
+    @pytest.mark.parametrize(
+        "field, bad, match",
+        [("med", 0.0, "positive"), ("cost_diag", -1.0, "positive"), ("se_med", -1e-300, "nonnegative")],
+    )
+    def test_rejects_out_of_range_entries(self, field, bad, match):
+        s = mc_model(toy_curve(), McModelParams(n_paths=50, vol_n=0.03, vol_r=0.02, corr=0.0, seed=2))
+        blocks = building_blocks(s)
+        fields = {name: getattr(blocks, name).copy() for name in ("med", "cost_diag", "se_med")}
+        fields[field][-1] = bad
+        with pytest.raises(ValueError, match=match):
             BuildingBlockMatrix(**fields)
 
 
@@ -199,7 +218,7 @@ def reference_indices(s, spread):
 def reference_building_blocks(s, spread):
     """``building_blocks``' formulas with a fresh temporary per step.
 
-    Returns ``(med, cost_diag, nominal_diag, se_med)``.
+    Returns ``(med, cost_diag, se_med)``.
     """
     i_med, i_cost = reference_indices(s, spread)
     inv_bn = 1.0 / s.bn
@@ -210,7 +229,7 @@ def reference_building_blocks(s, spread):
         n = s.n_paths
         second_med = np.tril((inv_bn**2 / n).T @ i_med**2)
         se_med = np.sqrt(np.maximum(second_med - med**2, 0.0) / (n - 1))
-    return med, np.einsum("kt,kt->t", disc, i_cost), disc.sum(axis=0), se_med
+    return med, np.einsum("kt,kt->t", disc, i_cost), se_med
 
 
 def reference_be_standard_error(tri, s, spread):
@@ -239,10 +258,9 @@ class TestPricingMatchesReference:
     def test_building_blocks_bitwise(self, spread):
         for s in reference_sets():
             blocks = building_blocks(s, spread)
-            med, cost_diag, nominal_diag, se_med = reference_building_blocks(s, spread)
+            med, cost_diag, se_med = reference_building_blocks(s, spread)
             assert np.array_equal(blocks.med, med)
             assert np.array_equal(blocks.cost_diag, cost_diag)
-            assert np.array_equal(blocks.nominal_diag, nominal_diag)
             if s.sampled:
                 # (0, 0) pays 1 on every path: its SE is exactly 0, where
                 # the formula's two moments leave their rounding.
@@ -295,9 +313,9 @@ class TestPricingOverSeveralBlocks:
         # that of each other.
         s, spread = several_blocks
         blocks = building_blocks(s, spread)
-        med, cost_diag, nominal_diag, _ = reference_building_blocks(s, spread)
+        med, cost_diag, _ = reference_building_blocks(s, spread)
         bound = 2.0 * gamma(s.n_paths)
-        for got, want in ((blocks.med, med), (blocks.cost_diag, cost_diag), (blocks.nominal_diag, nominal_diag)):
+        for got, want in ((blocks.med, med), (blocks.cost_diag, cost_diag)):
             assert np.all(np.abs(got - want) <= bound * want)
 
     def test_standard_errors_within_the_derived_bound(self, several_blocks):
@@ -313,7 +331,7 @@ class TestPricingOverSeveralBlocks:
         s, spread = several_blocks
         n = s.n_paths
         se = building_blocks(s, spread).se_med
-        med, _, _, se_ref = reference_building_blocks(s, spread)
+        med, _, se_ref = reference_building_blocks(s, spread)
         second = med**2 + (n - 1) * se_ref**2
         e = 2.0 * gamma(n) * (second + 2.01 * med**2) + 2.0 * U * (second + med**2)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -366,7 +384,7 @@ class TestPricingOverSeveralBlocks:
             for n_paths in (2000, 10_000):
                 params = McModelParams(n_paths=n_paths, vol_n=0.015, vol_r=0.008, corr=0.25, seed=5)
                 blocks = building_blocks(mc_model(long_curve(100), params), InflationSpread(0.01, 0.005))
-                for prices in (blocks.med, blocks.se_med, blocks.cost_diag, blocks.nominal_diag):
+                for prices in (blocks.med, blocks.se_med, blocks.cost_diag):
                     digest.update(prices.tobytes())
             print(digest.hexdigest())
             """

@@ -99,7 +99,7 @@ class TestScenarioPath:
             br=[[1.0, 1.0, 1.0], [1.0, 1.05, 1.1]],
             weights=[0.5, 0.5],
         )
-        i = InflationSpread().index(s, "med")
+        i = InflationSpread().index(s, "med", np.s_[:, :])
         assert i[0].tolist() == [1.0, 1.02, 1.05]
         assert np.array_equal(i, s.bn / s.br)
 
@@ -175,6 +175,24 @@ class TestScenarioSet:
     def test_paths_must_share_horizon(self):
         with pytest.raises(ValueError, match="identical shapes"):
             ScenarioSet(bn=np.ones((2, 3)), br=np.ones((2, 2)), weights=[0.5, 0.5])
+
+    def test_a_sampled_set_has_at_least_two_paths(self):
+        # Its standard errors divide by n - 1: one path divided by 0.
+        with pytest.raises(ValueError, match="at least two paths"):
+            ScenarioSet(bn=np.ones((1, 2)), br=np.ones((1, 2)), weights=[1.0], sampled=True)
+        assert not ScenarioSet(bn=np.ones((1, 2)), br=np.ones((1, 2)), weights=[1.0]).sampled
+        assert ScenarioSet(bn=np.ones((2, 2)), br=np.ones((2, 2)), weights=[0.5, 0.5], sampled=True).sampled
+
+    def test_a_sampled_set_has_equal_weights(self):
+        # Its standard errors weight every path 1/n: a set weighted
+        # otherwise would get an SE of some other estimator than its prices.
+        drawn = np.random.default_rng(7).uniform(0.2, 1.0, 50)
+        one_ulp_apart = np.full(50, 0.02)
+        one_ulp_apart[0] = np.nextafter(0.02, 1.0)
+        for w in (drawn / drawn.sum(), one_ulp_apart):
+            with pytest.raises(ValueError, match="equal weight"):
+                ScenarioSet(bn=np.ones((50, 3)), br=np.ones((50, 3)), weights=w, sampled=True)
+            assert not ScenarioSet(bn=np.ones((50, 3)), br=np.ones((50, 3)), weights=w).sampled
 
 
 def read_only(arr) -> np.ndarray:
