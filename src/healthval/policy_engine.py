@@ -48,13 +48,16 @@ shared with this process.  A share whose child did not finish is
 stepped again here, and no child outlives the call.  Within a share
 the policies are taken in groups that walk the dates outermost: each
 date's index, discount and cap-factor rows are built once for the
-group, every running policy steps through the date, and its
-discounted flow is summed at once.  A policy carries only its reserve
-and, under a cap, its applied premium from one date to the next, so no
-(paths x dates) table is built.  ``per_t`` then subtracts the sums
-policy by policy in portfolio order, the operations of a one-process
-pass in the same order, so every figure has the same bits whatever the
-number of shares.  `project` steps its single path and stacks the dates.
+group, and every running policy steps through the date.  A step writes
+each flow before survival, premium - benefits - costs, multiplying by
+the reciprocals of a[x0+t] and 1 - margin rather than dividing; each
+flow is summed against the discount row in one BLAS-free pass
+(``np.einsum``), and the sum is weighed by the scalar ``surv2[t]``.  A
+policy carries only its reserve and, under a cap, its applied premium
+from one date to the next, so no (paths x dates) table is built.
+``per_t`` then subtracts the sums policy by policy in portfolio order,
+the operations of a one-process pass in the same order, so every
+figure has the same bits whatever the number of shares.  `project` steps its single path and stacks the dates.
 """
 
 from __future__ import annotations
@@ -343,45 +346,47 @@ def _step(
     factor: Optional[np.ndarray],
     rs: np.ndarray,
     applied: Optional[np.ndarray],
-    surv2: float,
     scratch: tuple,
 ) -> None:
     """Date t of one policy's premium recursion, vectorized over paths, in place.
 
     The bases' age tables are read at age x0 + t.  ``im`` and ``ic`` hold
-    every path's medical and cost index at t, and ``surv2`` is the
-    policy's ``surv2[t]``, read by the caller.  On entry ``rs`` holds the
+    every path's medical and cost index at t.  On entry ``rs`` holds the
     policy's reserve at t and, under a cap, ``applied`` its applied gross
     premium at t-1 (anything at t = 0) and ``factor`` the cap's allowed
     factor from t-1 to t; without a cap ``applied`` is None.  On exit
     ``applied`` holds the applied premium at t, the scratch buffers (see
-    `_scratch`) hold the net and gross premium and both cash flows of t,
-    and ``rs`` the reserve at t+1, which follows the uncapped recursion
-    whatever the cap.
+    `_scratch`) hold the net and gross premium and both cash flows of t
+    before survival, premium - benefits - costs, and ``rs`` the reserve at
+    t+1, which follows the uncapped recursion whatever the cap.  The
+    caller weighs a flow by the policy's ``surv2[t]``, a scalar, once it
+    has summed the flow over the paths.
     """
     fo, so, x = policy.fo, policy.so, policy.x0 + t
     net, gross, benefits, costs, cashflow, uncapped, passthrough = scratch
     # The in-place steps keep the order of operations of the formulas in
-    # the comments, so every figure is bit for bit the formula's.
-    # net = (im * A[x] - rs) / a[x]; gross = (net + ic * c1) / (1 - margin)
+    # the comments, so every figure is bit for bit the formula's.  Each
+    # division by a scalar is a multiplication by its reciprocal, rounded
+    # once: over a path-length row it takes under half a division's time.
+    # net = (im * A[x] - rs) * (1 / a[x]); gross = (net + ic * c1) * (1 / (1 - margin))
     np.multiply(im, fo.benefit_value[x], out=net)
     net -= rs
-    net /= fo.annuity[x]
+    net *= 1.0 / fo.annuity[x]
     np.multiply(ic, fo.c1, out=gross)
     np.add(net, gross, out=gross)
-    gross /= 1.0 - fo.margin
+    gross *= 1.0 / (1.0 - fo.margin)
     # Second-order outgo, shared by the capped and the uncapped flow.
     np.multiply(im, so.k2[x], out=benefits)
     np.multiply(ic, so.c2, out=costs)
     if applied is None:
-        _cashflow(gross, benefits, costs, surv2, out=cashflow)
+        _cashflow(gross, benefits, costs, out=cashflow)
     else:
         if t == 0:
             np.copyto(applied, gross)
         else:
             CapRule.apply(applied, gross, factor, passthrough)
-        _cashflow(gross, benefits, costs, surv2, out=uncapped)
-        _cashflow(applied, benefits, costs, surv2, out=cashflow)
+        _cashflow(gross, benefits, costs, out=uncapped)
+        _cashflow(applied, benefits, costs, out=cashflow)
     if t < policy.run_off:
         # Proposed (uncapped) net premium feeds the reserve: the cap's
         # foregone amount is topped up from the insurer's funds.
@@ -392,11 +397,10 @@ def _step(
         rs *= (1.0 + fo.r_calc) / (1.0 - fo.q1[x])
 
 
-def _cashflow(premium, benefits, costs, surv2: float, out: np.ndarray) -> np.ndarray:
-    """(premium - benefits - costs) * surv2 into ``out``: insurer income positive."""
+def _cashflow(premium, benefits, costs, out: np.ndarray) -> np.ndarray:
+    """premium - benefits - costs into ``out``: insurer income positive, before survival."""
     np.subtract(premium, benefits, out=out)
     out -= costs
-    out *= surv2
     return out
 
 
@@ -419,11 +423,11 @@ def _project_one(
         reserve = rs[0]
         if cap is not None and t > 0:
             cap.allowed_factor(ic[t - 1 : t], ic[t : t + 1], out=factor)
-        _step(policy, t, im[t : t + 1], ic[t : t + 1], factor, rs, applied, surv2[t], scratch)
+        _step(policy, t, im[t : t + 1], ic[t : t + 1], factor, rs, applied, scratch)
         if real_rate and t < policy.run_off:
             rs *= im[t + 1] / im[t]
         shown = gross if applied is None else applied
-        rows[:, t] = net[0], gross[0], shown[0], reserve, cashflow[0], uncapped[0]
+        rows[:, t] = net[0], gross[0], shown[0], reserve, cashflow[0] * surv2[t], uncapped[0] * surv2[t]
     net, gross, applied, reserves, cashflow, uncapped = rows
     if not (np.all(np.isfinite(cashflow)) and np.all(np.isfinite(uncapped))):
         raise ValueError(f"policy {policy.id!r}: projection produced non-finite values")
@@ -537,10 +541,10 @@ def _simulate_share(
     ``sums`` is the share's slice of the portfolio's sums, (policies, 2,
     dates) under a cap and (policies, 1, dates) without one, written in
     place: ``sums[k, 0, t]`` becomes the sum over paths of policy k's
-    weighted cash flow at t, ``sums[k, 1, t]`` its uncapped one, and 0
-    past its run-off.  The slice is zeroed first, so a share stepped
-    again overwrites whatever an earlier attempt left.  Returns whether
-    the cap bound.
+    discounted flow before survival at t, times its ``surv2[t]``,
+    ``sums[k, 1, t]`` its uncapped one, and 0 past its run-off.  The
+    slice is zeroed first, so a share stepped again overwrites whatever
+    an earlier attempt left.  Returns whether the cap bound.
 
     The policies are taken in groups and each group walks the dates:
     date t's indices, weighted discount factors and cap factors are
@@ -554,7 +558,7 @@ def _simulate_share(
     sums.fill(0.0)
     bound = False
     n = s.n_paths
-    im, ic, ic_prev, disc, factor, weighted = (np.empty(n) for _ in range(6))
+    im, ic, ic_prev, disc, factor = (np.empty(n) for _ in range(5))
     scratch = _scratch(n, capped)
     _, gross, _, _, cashflow, uncapped, _ = scratch
     # Each policy's state is one row, two under a cap: a group holds as
@@ -578,10 +582,13 @@ def _simulate_share(
             if capped and t > 0:
                 cap.allowed_factor(ic_prev, ic, out=factor)
             for policy_sums, policy, rs, premium, surv2 in live:
-                _step(policy, t, im, ic, factor, rs, premium, surv2[t], scratch)
-                policy_sums[0, t] = np.multiply(disc, cashflow, out=weighted).sum()
+                _step(policy, t, im, ic, factor, rs, premium, scratch)
+                # Survival is one scalar per date, so it weighs the sum.
+                # einsum sums over the paths without BLAS, whose dot
+                # product's bits follow its thread count.
+                policy_sums[0, t] = np.einsum("k,k->", disc, cashflow) * surv2[t]
                 if capped:
-                    policy_sums[1, t] = np.multiply(disc, uncapped, out=weighted).sum()
+                    policy_sums[1, t] = np.einsum("k,k->", disc, uncapped) * surv2[t]
                     bound = bound or (surv2[t] > 0.0 and bool(np.any(premium < gross)))
         # Release this group's state, and every view of it, before the
         # next group allocates its own.

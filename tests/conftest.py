@@ -149,6 +149,19 @@ def random_inflation_path(rng: np.random.Generator, horizon: int) -> np.ndarray:
     return path
 
 
+# Unit roundoff of float64.
+U = 2.0**-53
+
+
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u).
+
+    A dot product of n terms, summed in any order, lies within gamma_n of
+    its exact value relative to the sum of the terms' magnitudes.
+    """
+    return n * U / (1.0 - n * U)
+
+
 def traced_peak(call) -> int:
     """Bytes ``call()`` holds at its peak above what was allocated before it, by tracemalloc."""
     tracing = tracemalloc.is_tracing()

@@ -32,13 +32,16 @@ from healthval.io_files import load_portfolio
 
 from conftest import (
     FIXTURES,
+    U,
     flat_curve,
+    gamma,
     inpatient_policy,
     long_curve,
     random_basis_pair,
     random_inflation_path,
     random_policy,
     random_scenario_set,
+    run_script,
     toy_curve,
     toy_first_order,
     toy_policy,
@@ -363,6 +366,7 @@ class TestProjectRealRate:
     def test_bitwise_equal_to_reference(self, x0):
         # The real-rate recursion restated from its formulas alone: the
         # nominal roll-up (rs + net - i * k1) * growth, then * i[t+1] / i[t].
+        # A division by a scalar is a multiplication by its reciprocal.
         policy = inpatient_policy(x0, rs0=300.0)
         i = random_inflation_path(np.random.default_rng(x0), policy.run_off)
         fo, so = policy.fo, policy.so
@@ -371,8 +375,8 @@ class TestProjectRealRate:
         for t in range(policy.run_off + 1):
             x = x0 + t
             reserves.append(rs)
-            net.append((i[t] * fo.benefit_value[x] - rs) / fo.annuity[x])
-            gross.append((net[t] + i[t] * fo.c1) / (1.0 - fo.margin))
+            net.append((i[t] * fo.benefit_value[x] - rs) * (1.0 / fo.annuity[x]))
+            gross.append((net[t] + i[t] * fo.c1) * (1.0 / (1.0 - fo.margin)))
             cashflow.append((gross[t] - i[t] * so.k2[x] - i[t] * so.c2) * surv2)
             if t < policy.run_off:
                 rs = (rs + net[t] - i[t] * fo.k1[x]) * ((1.0 + fo.r_calc) / (1.0 - fo.q1[x]))
@@ -546,9 +550,12 @@ def reference_simulate_portfolio(portfolio, s, spread, cap=None):
     """The brute-force sums from the formulas alone, policy by policy on path-major arrays.
 
     Each element gets the formulas' operations in the order the module
-    documents them, and ``per_t[t]`` subtracts the policies' sums in
-    portfolio order, so ``simulate_portfolio`` must match it bit for bit.
-    Returns ``(per_t, per_t_uncapped, cap_bound)``.
+    documents them: a division by a scalar is a multiplication by its
+    reciprocal, and a flow before survival is summed against the date's
+    discount row by ``np.einsum``, the sum then weighed by ``surv2[t]``.
+    ``per_t[t]`` subtracts the policies' sums in portfolio order, so
+    ``simulate_portfolio`` must match it bit for bit.  Returns
+    ``(per_t, per_t_uncapped, cap_bound)``.
     """
     horizon = max((p.run_off for p in portfolio), default=0)
     per_t, per_t_uncapped = np.zeros(horizon + 1), np.zeros(horizon + 1)
@@ -556,7 +563,8 @@ def reference_simulate_portfolio(portfolio, s, spread, cap=None):
     dates = np.arange(s.horizon + 1)
     i_med = (s.bn / s.br) * (1.0 + spread.med_spread) ** dates
     i_cost = (s.bn / s.br) * (1.0 + spread.cost_spread) ** dates
-    disc = s.weights[:, None] / s.bn
+    # Date-major, so each date's discount row is contiguous like the kernel's.
+    disc = np.ascontiguousarray((s.weights[:, None] / s.bn).T)
     for p in portfolio:
         fo, so, x0 = p.fo, p.so, p.x0
         rs = np.full(s.n_paths, p.rs0)
@@ -564,22 +572,104 @@ def reference_simulate_portfolio(portfolio, s, spread, cap=None):
         applied = None
         for t in range(p.run_off + 1):
             im, ic = i_med[:, t], i_cost[:, t]
-            net = (im * fo.benefit_value[x0 + t] - rs) / fo.annuity[x0 + t]
-            gross = (net + ic * fo.c1) / (1.0 - fo.margin)
+            net = (im * fo.benefit_value[x0 + t] - rs) * (1.0 / fo.annuity[x0 + t])
+            gross = (net + ic * fo.c1) * (1.0 / (1.0 - fo.margin))
             benefits, costs = im * so.k2[x0 + t], ic * so.c2
             if cap is None or t == 0:
                 applied = gross
             else:
                 factor = np.maximum(ic / i_cost[:, t - 1] * cap.inflation_multiple, 1.0 + cap.abs_increase)
                 applied = np.where(applied <= 0.0, gross, np.minimum(gross, applied * factor))
-            per_t[t] -= (disc[:, t] * ((applied - benefits - costs) * surv2)).sum()
+            per_t[t] -= np.einsum("k,k->", disc[t], applied - benefits - costs) * surv2
             if cap is not None:
-                per_t_uncapped[t] -= (disc[:, t] * ((gross - benefits - costs) * surv2)).sum()
+                per_t_uncapped[t] -= np.einsum("k,k->", disc[t], gross - benefits - costs) * surv2
                 bound = bound or (surv2 > 0.0 and bool(np.any(applied < gross)))
             if t < p.run_off:
                 rs = (rs + net - im * fo.k1[x0 + t]) * ((1.0 + fo.r_calc) / (1.0 - fo.q1[x0 + t]))
                 surv2 *= 1.0 - so.q2[x0 + t]
     return per_t, per_t_uncapped, bound
+
+
+def previous_simulate_portfolio(portfolio, s, spread, cap=None):
+    """The brute-force sums by the kernel's previous order of operations, and how far the kernel may lie from them.
+
+    The previous kernel divided by a[x] and by 1 - margin, weighed each
+    flow by surv2[t] path by path, and summed disc * flow over the paths
+    pairwise (``.sum()``).  Returns ``(per_t, bound)``, each (2, dates):
+    row 0 the capped figures (the only ones without a cap), row 1 the
+    uncapped ones under a cap; ``bound[r, t]`` bounds the distance of
+    the kernel's ``per_t[t]`` from ``per_t[r, t]`` here.
+
+    The bound, first order in the unit roundoff u, path by path.  Both
+    routes round the products im * A, ic * c1, im * k2, ic * c2, im * k1,
+    the discount row and the scalars (1 - margin, the roll-up g) alike, so
+    only the rest counts.  From its own reserve, each route's net lies
+    within gamma_2 (here) or gamma_3 (the kernel) of (im A - rs) / a
+    relative to |im A| + |rs|, and its gross within gamma_2 or gamma_3 of
+    (net + ic c1) / (1 - margin) relative to |net| + |ic c1|.  A reserve
+    gap d moves net by -d / a, so the next reserve gap is g ((1 - 1/a) d
+    + the net rounding + 2 gamma_3 (|rs| + |net| + |im k1|)): with
+    a[x] = 1 + a[x+1] / g the gap grows by a[x+1] / a[x] a date, its
+    growth through the reserve recursion.  The cap's min moves no gap;
+    its product of the applied premium and the factor adds 2u of it.
+    Each flow, P - benefits - costs, rounds within gamma_2 of itself
+    relative to |P| + |benefits| + |costs| in each route.  The sums over
+    the n paths, here with survival inside and there times the scalar,
+    each lie within gamma_{n+1} surv2 sum |disc flow| of the exact one,
+    and ``per_t`` subtracts the policies' sums in each route within
+    gamma_P of the sum of their magnitudes.  The magnitudes are this
+    route's; the factor 1.01 covers the kernel's own, which lie within
+    about 1e-12 of them, and every term of second order in u.
+    """
+    horizon = max((p.run_off for p in portfolio), default=0)
+    per_t, bound, magnitude = np.zeros((3, 2, horizon + 1))
+    dates = np.arange(s.horizon + 1)
+    i_med = (s.bn / s.br) * (1.0 + spread.med_spread) ** dates
+    i_cost = (s.bn / s.br) * (1.0 + spread.cost_spread) ** dates
+    disc = s.weights[:, None] / s.bn
+    g2, g3, gn = gamma(2), gamma(3), gamma(s.n_paths + 1)
+    for p in portfolio:
+        fo, so, x0 = p.fo, p.so, p.x0
+        rs, d_rs = np.full(s.n_paths, p.rs0), np.zeros(s.n_paths)
+        surv2 = 1.0
+        applied = d_applied = None
+        for t in range(p.run_off + 1):
+            x, im, ic = x0 + t, i_med[:, t], i_cost[:, t]
+            a, loading = fo.annuity[x], 1.0 - fo.margin
+            benefit_value, first_cost = im * fo.benefit_value[x], ic * fo.c1
+            net = (benefit_value - rs) / a
+            gross = (net + first_cost) / loading
+            benefits, costs = im * so.k2[x], ic * so.c2
+            rounding_net = (g2 + g3) * (np.abs(benefit_value) + np.abs(rs)) / a
+            d_gross = (d_rs / a + rounding_net + (g2 + g3) * (np.abs(net) + np.abs(first_cost))) / loading
+            if cap is None or t == 0:
+                applied, d_applied = gross, d_gross
+            else:
+                factor = np.maximum(ic / i_cost[:, t - 1] * cap.inflation_multiple, 1.0 + cap.abs_increase)
+                raised = applied * factor
+                d_raised = factor * d_applied + 2.0 * U * np.abs(raised)
+                passthrough = applied <= 0.0
+                applied = np.where(passthrough, gross, np.minimum(gross, raised))
+                d_applied = np.where(passthrough, d_gross, np.maximum(d_gross, d_raised))
+            flows = [(applied, d_applied)] + ([] if cap is None else [(gross, d_gross)])
+            for row, (premium, d_premium) in enumerate(flows):
+                flow = premium - benefits - costs
+                total = (disc[:, t] * (flow * surv2)).sum()
+                d_flow = d_premium + 2.0 * g2 * (np.abs(premium) + np.abs(benefits) + np.abs(costs))
+                per_t[row, t] -= total
+                bound[row, t] += surv2 * (disc[:, t] @ d_flow + 2.0 * gn * (disc[:, t] @ np.abs(flow)))
+                magnitude[row, t] += abs(total)
+            if t < p.run_off:
+                growth = (1.0 + fo.r_calc) / (1.0 - fo.q1[x])
+                first_benefit = im * fo.k1[x]
+                d_rs = growth * (
+                    (1.0 - 1.0 / a) * d_rs
+                    + rounding_net
+                    + 2.0 * g3 * (np.abs(rs) + np.abs(net) + np.abs(first_benefit))
+                )
+                rs = (rs + net - first_benefit) * growth
+                surv2 *= 1.0 - so.q2[x]
+    return per_t, 1.01 * (bound + 2.0 * gamma(len(portfolio)) * magnitude)
 
 
 @pytest.fixture
@@ -636,6 +726,51 @@ class TestSimulatePortfolioMatchesReference:
         ):
             self.assert_matches_reference(portfolio, s, spread, None)
             self.assert_matches_reference(portfolio, s, spread, self.CAP)
+
+    @pytest.mark.parametrize("spread", [InflationSpread(), InflationSpread(0.01, 0.005)])
+    def test_within_the_derived_bound_of_the_previous_formulas(self, spread):
+        # The kernel's per_t and be, capped and uncapped, against the
+        # previous order of operations, within the bound that
+        # `previous_simulate_portfolio` derives; be sums per_t pairwise in
+        # each route, within gamma_{T+1} of the sum of |per_t|.
+        portfolio = [inpatient_policy(40, rs0=800.0), inpatient_policy(75), inpatient_policy(21)]
+        for s in (
+            mc_model(long_curve(100), McModelParams(n_paths=60, vol_n=0.02, vol_r=0.01, corr=0.25, seed=5)),
+            random_scenario_set(np.random.default_rng(6), 100, 40),
+        ):
+            for cap in (None, self.CAP):
+                got = simulate_portfolio(portfolio, s, spread, cap)
+                per_t, bound = previous_simulate_portfolio(portfolio, s, spread, cap)
+                results = [got] if cap is None else [got, got.uncapped]
+                for result, previous, within in zip(results, per_t, bound):
+                    assert np.all(np.abs(result.per_t - previous) <= within)
+                    be_bound = within.sum() + 2.0 * gamma(len(previous)) * np.abs(previous).sum()
+                    assert abs(result.be - previous.sum()) <= be_bound
+                    # The bound is no blanket: under 1e-12 of the value.
+                    assert be_bound <= 1e-12 * np.abs(previous).sum()
+
+    def test_sums_do_not_follow_the_blas_thread_count(self):
+        # One process per OpenBLAS thread count, each running the brute
+        # force, capped and uncapped, on 20 000 paths: a BLAS dot product
+        # over the paths gave other bits on 2 threads above about 12 000.
+        script = """
+            import hashlib
+            from conftest import inpatient_policy, long_curve
+            from healthval import CapRule, InflationSpread, McModelParams, mc_model, simulate_portfolio
+            params = McModelParams(n_paths=20_000, vol_n=0.015, vol_r=0.008, corr=0.25, seed=5)
+            s = mc_model(long_curve(100), params)
+            portfolio = [inpatient_policy(40, rs0=800.0), inpatient_policy(75)]
+            digest = hashlib.sha256()
+            for cap in (None, CapRule(abs_increase=0.03, inflation_multiple=1.0)):
+                result = simulate_portfolio(portfolio, s, InflationSpread(0.01, 0.005), cap)
+                digest.update(result.per_t.tobytes())
+                if cap is not None:
+                    assert result.cap_bound
+                    digest.update(result.uncapped.per_t.tobytes())
+            print(digest.hexdigest())
+            """
+        digests = {run_script(script, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")}
+        assert len(digests) == 1
 
     @staticmethod
     def several_groups():
@@ -1006,12 +1141,12 @@ class TestOracleDigits:
         s = mc_model(long_curve(100), McModelParams(n_paths=40, vol_n=0.02, vol_r=0.01, corr=0.2, seed=2024))
         capped = simulate_portfolio(portfolio, s, InflationSpread(0.01, 0.005), CapRule(0.03, 1.0))
         assert capped.cap_bound
-        assert capped.be.hex() == "0x1.39e2f89e40842p+13"
-        assert capped.uncapped.be.hex() == "0x1.a1972b176ef24p+12"
+        assert capped.be.hex() == "0x1.39e2f89e40844p+13"
+        assert capped.uncapped.be.hex() == "0x1.a1972b176ef29p+12"
         per_t = {
-            1: ("0x1.e51cafdd9999dp+7", "0x1.942b3995121b7p+7"),
-            10: ("0x1.7aa7ca686ef68p+8", "0x1.fe2e195c00bbdp+7"),
-            40: ("0x1.5304776b26d54p+5", "0x1.8f683dea25b6cp+4"),
+            1: ("0x1.e51cafdd999a9p+7", "0x1.942b3995121c6p+7"),
+            10: ("0x1.7aa7ca686ef6bp+8", "0x1.fe2e195c00bc4p+7"),
+            40: ("0x1.5304776b26d55p+5", "0x1.8f683dea25b6ap+4"),
         }
         for t, (want_capped, want_uncapped) in per_t.items():
             assert float(capped.per_t[t]).hex() == want_capped
@@ -1024,6 +1159,6 @@ class TestOracleDigits:
         assert res.cap_bound
         assert float(res.premiums_net[20]).hex() == "0x1.130b192c0f2aap+11"
         assert float(res.premiums_gross[20]).hex() == "0x1.28704bb220152p+11"
-        assert float(res.reserves[20]).hex() == "0x1.047d748aa48d4p+13"
+        assert float(res.reserves[20]).hex() == "0x1.047d748aa48d3p+13"
         assert float(res.cashflow[20]).hex() == "-0x1.ace5536e3af9ep+7"
-        assert float(np.sum(res.cashflow)).hex() == "-0x1.e806acefe6bb8p+11"
+        assert float(np.sum(res.cashflow)).hex() == "-0x1.e806acefe6bbcp+11"

@@ -19,7 +19,9 @@ from healthval.pricing import _be_standard_error
 from healthval.term_structures import _row_blocks
 
 from conftest import (
+    U,
     flat_curve,
+    gamma,
     inpatient_policy,
     long_curve,
     random_curve,
@@ -278,19 +280,6 @@ class TestPricingMatchesReference:
         for portfolio in ([inpatient_policy(40, rs0=800.0), inpatient_policy(75)], [inpatient_policy(21)]):
             tri = aggregate(portfolio)
             assert _be_standard_error(tri, s, spread) == reference_be_standard_error(tri, s, spread)
-
-
-# Unit roundoff of float64.
-U = 2.0**-53
-
-
-def gamma(n):
-    """Higham's gamma_n = n u / (1 - n u).
-
-    A dot product of n terms, summed in any order, lies within gamma_n of
-    its exact value relative to the sum of the terms' magnitudes.
-    """
-    return n * U / (1.0 - n * U)
 
 
 @pytest.fixture(scope="module", params=[1000, 10_000], ids=lambda n: f"{n}paths")
